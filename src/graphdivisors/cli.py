@@ -28,6 +28,16 @@ from .symmetry import Subgroup, acts_harmonically, automorphism_group, quotient_
 USAGE_ERROR = 2
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="inline family spec, e.g. complete:5, wheel:6, cycle:4, house4")
     p.add_argument("--graph", help="path to a graph JSON file")
@@ -39,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, divisor: bool = False) -> None:
         p.add_argument("--divisor", default=None,
                        help="inline divisor JSON, or 'all-ones' or 'zero'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument("--cap", type=_cap, default=None, help="enumeration cap override")
 
 
 def _load_graph(args) -> Graph:
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="sweep all labeled 2-edge-connected graphs on n vertices")
     p.add_argument("--n", type=int, required=True, help="number of vertices (3..6)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=None)
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -13,7 +13,7 @@ from itertools import combinations
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, is_two_edge_connected
+from .graphs import Graph, _unreachable_from, is_two_edge_connected
 
 MAX_CORPUS_VERTICES = 6
 
@@ -52,25 +52,6 @@ class CorpusResult:
         }
 
 
-def _connected_subset(n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
-
-
 def enumerate_corpus(n: int, filter: str = "two_edge_connected",
                      cap: int | None = None) -> CorpusResult:
     """Classify every labeled 2-edge-connected graph on n vertices.
@@ -96,7 +77,11 @@ def enumerate_corpus(n: int, filter: str = "two_edge_connected",
         if len(pairs) < n:
             # A bridgeless connected graph has at least n edges (n >= 3).
             continue
-        if not _connected_subset(n, pairs):
+        adj = [[] for _ in range(n)]
+        for a, b in pairs:
+            adj[a].append(b)
+            adj[b].append(a)
+        if _unreachable_from(0, adj) is not None:
             continue
         g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
         if not is_two_edge_connected(g):

@@ -25,15 +25,6 @@ if TYPE_CHECKING:
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
-# When enabled, q_reduce re-checks every result against the subset
-# definition.  Exponential in |V|; meant for test runs only.
-_strict_validation = False
-
-
-def set_strict_validation(enabled: bool) -> None:
-    global _strict_validation
-    _strict_validation = bool(enabled)
-
 
 def _resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP if cap is None else cap
@@ -402,8 +393,6 @@ def q_reduce_with_witness(g: "Graph", d: Divisor, q: str) -> tuple[Divisor, Vert
     coeffs, fires = _reduce_coeffs(g, list(d.coeffs), qi)
     reduced = Divisor.from_coeffs(g, coeffs)
     witness = VertexFunction.from_values(g, tuple(-c for c in fires))
-    if _strict_validation and not is_q_reduced(g, reduced, q):
-        raise RuntimeError(f"q_reduce produced a non-reduced divisor {reduced!r}; this is a bug")
     return reduced, witness
 
 
@@ -439,6 +428,20 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _require_enumerable(k: int, n: int, cap: int | None) -> None:
+    """Refuse up front when the C(k+n-1, n-1) effective divisors of
+    degree k >= 0 on n vertices exceed the cap."""
+    capv = _resolve_cap(cap)
+    size = comb(k + n - 1, n - 1)
+    if size > capv:
+        raise EnumerationCapExceededError(
+            f"linear system of degree {k} on {n} vertices needs {size} "
+            f"effective divisors (cap {capv})",
+            required=size,
+            cap=capv,
+        )
+
+
 def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[Divisor]:
     """All effective divisors linearly equivalent to d.
 
@@ -450,15 +453,7 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     if k < 0:
         return frozenset()
     n = len(g.vertices)
-    capv = _resolve_cap(cap)
-    size = comb(k + n - 1, n - 1)
-    if size > capv:
-        raise EnumerationCapExceededError(
-            f"linear system of degree {k} on {n} vertices needs {size} "
-            f"effective divisors (cap {capv})",
-            required=size,
-            cap=capv,
-        )
+    _require_enumerable(k, n, cap)
     target, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     members = []
     for e in _compositions(k, n):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
-from .divisors import Divisor, canonical_divisor, linear_system, linearly_equivalent, rank
+from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
+from .divisors import _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -25,7 +26,7 @@ from .errors import (
 from .graphs import Graph, genus, is_two_edge_connected
 from .symmetry import (
     Subgroup,
-    _vertex_orbit_count,
+    _vertex_orbits,
     acts_harmonically,
     apply_to_divisor,
     automorphism_group,
@@ -258,33 +259,14 @@ def _smoothness_unchecked(g: Graph, d: Divisor, p: str, cap: int | None) -> Smoo
 
 def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor]:
     """The members fixed by every element of h."""
+    elements = h.elements
     out = []
     for d in divisors:
         if d.graph != h.graph:
             raise GraphMismatchError("divisor is bound to a different graph than the subgroup")
-        if all(_transported(p, d.coeffs) == d.coeffs for p in h.perms):
+        if all(apply_to_divisor(a, d) == d for a in elements):
             out.append(d)
     return frozenset(out)
-
-
-def _transported(perm: tuple[int, ...], coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        out[perm[i]] = c
-    return tuple(out)
-
-
-def _vertex_orbits(h: Subgroup) -> list[list[int]]:
-    n = len(h.graph.vertices)
-    seen = [False] * n
-    orbits = []
-    for v in range(n):
-        if not seen[v]:
-            members = sorted({p[v] for p in h.perms})
-            for w in members:
-                seen[w] = True
-            orbits.append(members)
-    return orbits
 
 
 def _invariant_effective_coeffs(orbits: list[list[int]], n: int, deg: int):
@@ -306,42 +288,64 @@ def _invariant_effective_coeffs(orbits: list[list[int]], n: int, deg: int):
     yield from assign(0, deg, [])
 
 
-def _find_witness(g: Graph, d: Divisor, p: str, cap: int | None):
-    """Search all subgroups of order deg(d) - 1 for a qualifying witness.
+def _candidate_subgroups(g: Graph, d: Divisor) -> tuple[Subgroup, ...]:
+    return subgroups_of_order(automorphism_group(g), d.degree - 1)
 
-    Returns (certificate-or-None, subgroups_checked).  Candidates that
-    keep p fixed are tried first; the order is deterministic either way.
-    Fixed members of the linear system are found by intersecting the
-    orbit-constant effective divisors with the system, which agrees with
-    filtering the system elementwise.
+
+def _find_witness(g: Graph, d: Divisor, p: str, subs: tuple[Subgroup, ...],
+                  cap: int | None) -> GaloisCertificate | None:
+    """The first qualifying witness among the candidate subgroups, or None.
+
+    Candidates that keep p fixed are tried first, each group in the
+    sorted order of `subgroups_of_order`.  The fixed members of the
+    linear system of d - p are the orbit-constant effective divisors of
+    degree deg(d) - 1 whose reduced form equals that of d - p, so each
+    costs one reduction.  The cap refuses the search whenever it would
+    refuse to enumerate that linear system.
     """
     m = d.degree - 1
-    full = automorphism_group(g)
-    subs = subgroups_of_order(full, m)
-    pi = g.index_of(p)
-    ordered = sorted(subs, key=lambda h: (any(q[pi] != pi for q in h.perms), tuple(sorted(h.perms))))
-    ls = linear_system(g, d - Divisor.vertex(g, p), cap)
-    ls_coeffs = {e.coeffs for e in ls}
     n = len(g.vertices)
-    for h in ordered:
-        if _vertex_orbit_count(h) <= 1:
-            continue
-        if not acts_harmonically(g, h, "criterion"):
-            continue
+    pi = g.index_of(p)
+    _require_enumerable(m, n, cap)
+    target, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, p)).coeffs), 0)
+    for h in sorted(subs, key=lambda h: any(q[pi] != pi for q in h.perms)):
         orbits = _vertex_orbits(h)
-        fixed = sorted(t for t in _invariant_effective_coeffs(orbits, n, m) if t in ls_coeffs)
+        if len(orbits) <= 1 or not acts_harmonically(g, h, "criterion"):
+            continue
+        fixed = sorted(
+            t for t in _invariant_effective_coeffs(orbits, n, m)
+            if _reduce_coeffs(g, list(t), 0)[0] == target
+        )
         if len(fixed) >= 2:
-            cert = GaloisCertificate(
+            return GaloisCertificate(
                 vertex=p,
                 verdict=True,
                 subgroup=h,
                 e1=Divisor.from_coeffs(g, fixed[0]),
                 e2=Divisor.from_coeffs(g, fixed[1]),
-                quotient_vertex_count=_vertex_orbit_count(h),
+                quotient_vertex_count=len(orbits),
                 reason=None,
             )
-            return cert, len(subs)
-    return None, len(subs)
+    return None
+
+
+def _decide(g: Graph, d: Divisor, p: str, subgroups: Callable[[], tuple[Subgroup, ...]],
+            cap: int | None) -> GaloisCertificate:
+    """The verdict at p, for a rank-2 divisor d on a bridgeless graph.
+
+    `subgroups()` returns the candidate subgroups of order deg(d) - 1;
+    it is called only once p passes the smoothness conditions.
+    """
+    sm = _smoothness_unchecked(g, d, p, cap)
+    if not sm.ok:
+        return GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
+    subs = subgroups()
+    cert = _find_witness(g, d, p, subs, cap)
+    if cert is None:
+        return GaloisCertificate(
+            vertex=p, verdict=False, reason=NoQualifyingSubgroup(d.degree - 1, len(subs))
+        )
+    return cert
 
 
 def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> GaloisCertificate:
@@ -355,21 +359,16 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
     g.index_of(p)
     _require_two_edge_connected(g)
     _require_rank_two(g, d, cap)
-    sm = _smoothness_unchecked(g, d, p, cap)
-    if not sm.ok:
-        return GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
-    cert, checked = _find_witness(g, d, p, cap)
-    if cert is None:
-        return GaloisCertificate(
-            vertex=p, verdict=False, reason=NoQualifyingSubgroup(d.degree - 1, checked)
-        )
-    return cert
+    return _decide(g, d, p, lambda: _candidate_subgroups(g, d), cap)
 
 
 @lru_cache(maxsize=512)
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
+    The bridge check, rank(d) and the candidate subgroups depend on
+    (g, d) only, so each is computed at most once per call; the
+    subgroups only when some vertex passes the smoothness conditions.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
@@ -385,7 +384,15 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
             GaloisCertificate(vertex=v, verdict=False, reason=RankNotTwo(r)) for v in g.vertices
         )
     else:
-        certs = tuple(is_galois_point(g, d, p, cap) for p in g.vertices)
+        subs = None
+
+        def subgroups() -> tuple[Subgroup, ...]:
+            nonlocal subs
+            if subs is None:
+                subs = _candidate_subgroups(g, d)
+            return subs
+
+        certs = tuple(_decide(g, d, p, subgroups, cap) for p in g.vertices)
     count = sum(1 for c in certs if c.verdict)
     n = len(g.vertices)
     consistent = count in (0, 1, n) if (r == 2 and all_ones) else True
@@ -473,9 +480,10 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
             problems.append(f"witness subgroup is invalid: {exc}")
         if len(h.perms) != d.degree - 1:
             problems.append(f"witness subgroup has order {len(h.perms)}, expected {d.degree - 1}")
-        if _vertex_orbit_count(h) != cert.quotient_vertex_count:
+        orbit_count = len(_vertex_orbits(h))
+        if orbit_count != cert.quotient_vertex_count:
             problems.append("recorded quotient vertex count does not match the orbit count")
-        if _vertex_orbit_count(h) <= 1:
+        if orbit_count <= 1:
             problems.append("quotient has a single vertex")
         if not acts_harmonically(g, h, "criterion"):
             problems.append("witness subgroup does not act harmonically")
@@ -521,11 +529,11 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         if r == 0 or r != reason.rank:
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
-        cert2, checked = _find_witness(g, d, cert.vertex, cap)
-        if cert2 is not None:
+        subs = _candidate_subgroups(g, d)
+        if _find_witness(g, d, cert.vertex, subs, cap) is not None:
             problems.append("a qualifying subgroup exists after all")
-        if checked != reason.subgroups_checked:
+        if len(subs) != reason.subgroups_checked:
             problems.append(
-                f"recorded {reason.subgroups_checked} candidate subgroups, search found {checked}"
+                f"recorded {reason.subgroups_checked} candidate subgroups, search found {len(subs)}"
             )
     return problems

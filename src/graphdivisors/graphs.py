@@ -33,6 +33,8 @@ class Graph:
             raise ValueError("a graph needs at least one vertex")
         seen: set[str] = set()
         for v in verts:
+            if not isinstance(v, str):
+                raise ValueError(f"vertex label {v!r} is not a string")
             if v in seen:
                 raise DuplicateVertexError(f"duplicate vertex {v!r}")
             seen.add(v)
@@ -47,10 +49,9 @@ class Graph:
             a, b = pair
             if a == b:
                 raise LoopEdgeError(f"loop edge at vertex {a!r}")
-            if a not in index:
-                raise UnknownEndpointError(f"edge endpoint {a!r} is not a vertex")
-            if b not in index:
-                raise UnknownEndpointError(f"edge endpoint {b!r} is not a vertex")
+            for x in pair:
+                if not isinstance(x, str) or x not in index:
+                    raise UnknownEndpointError(f"edge endpoint {x!r} is not a vertex")
             i, j = index[a], index[b]
             if i > j:
                 i, j = j, i
@@ -141,6 +142,17 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Graph":
+        """Build from {"vertices": [label, ...], "edges": [[u, v], ...]}."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"graph JSON must be an object, got {type(obj).__name__}")
+        for key in ("vertices", "edges"):
+            if key not in obj:
+                raise ValueError(f"graph JSON has no {key!r} key")
+            if not isinstance(obj[key], (list, tuple)):
+                raise ValueError(f"graph JSON {key!r} must be a list, got {type(obj[key]).__name__}")
+        for e in obj["edges"]:
+            if not isinstance(e, (list, tuple)):
+                raise ValueError(f"graph JSON edge {e!r} must be a list of two vertex labels")
         return cls(obj["vertices"], obj["edges"])
 
 

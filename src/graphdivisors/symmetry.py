@@ -8,7 +8,6 @@ order so repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -274,10 +273,18 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
     return frozenset(elems)
 
 
-@lru_cache(maxsize=4096)
-def _automorphism_perms(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Backtracking search over degree-respecting assignments."""
+def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> Subgroup:
+    """The full automorphism group of g.
+
+    Exhaustive by construction: a backtracking search over vertex
+    assignments, pruned to same-degree images and adjacency-consistent
+    partial maps (the pruning cannot drop a valid automorphism).
+    """
     n = len(g.vertices)
+    if n > cap:
+        raise SizeCapExceededError(
+            f"automorphism search is capped at {cap} vertices, graph has {n}"
+        )
     masks = g._adj_masks
     degrees = [len(a) for a in g._adj]
     results: list[tuple[int, ...]] = []
@@ -305,21 +312,7 @@ def _automorphism_perms(g: Graph) -> tuple[tuple[int, ...], ...]:
                 images[i] = -1
 
     extend(0)
-    return tuple(sorted(results))
-
-
-def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> Subgroup:
-    """The full automorphism group of g.
-
-    Exhaustive by construction: a backtracking search over vertex
-    assignments, pruned to same-degree images and adjacency-consistent
-    partial maps (the pruning cannot drop a valid automorphism).
-    """
-    if len(g.vertices) > cap:
-        raise SizeCapExceededError(
-            f"automorphism search is capped at {cap} vertices, graph has {len(g.vertices)}"
-        )
-    return Subgroup(g, frozenset(_automorphism_perms(g)), _checked=True)
+    return Subgroup(g, frozenset(results), _checked=True)
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:
@@ -332,16 +325,18 @@ def stabilizer(h: Subgroup, v: str) -> Subgroup:
     return Subgroup(h.graph, frozenset(p for p in h.perms if p[i] == i), _checked=True)
 
 
-def _vertex_orbit_count(h: Subgroup) -> int:
+def _vertex_orbits(h: Subgroup) -> list[list[int]]:
+    """The vertex orbits of h as sorted index lists, by smallest member."""
     n = len(h.graph.vertices)
     seen = [False] * n
-    count = 0
+    orbits = []
     for v in range(n):
         if not seen[v]:
-            count += 1
-            for p in h.perms:
-                seen[p[v]] = True
-    return count
+            members = sorted({p[v] for p in h.perms})
+            for w in members:
+                seen[w] = True
+            orbits.append(members)
+    return orbits
 
 
 def _divisors_of(m: int) -> list[int]:
@@ -357,8 +352,15 @@ def _smallest_prime_factor(m: int) -> int:
     return m
 
 
-@lru_cache(maxsize=4096)
-def _subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
+def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
+    """All subgroups of `full` with exactly m elements, sorted.
+
+    Returns () whenever m does not divide the group order.  The search
+    is exhaustive for every m; see the inline notes for why each case
+    cannot miss a subgroup.
+    """
+    if m < 1:
+        raise ValueError(f"subgroup order must be positive, got {m}")
     g = full.graph
     n = len(g.vertices)
     identity = tuple(range(n))
@@ -379,7 +381,7 @@ def _subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
         # subgroup is generated by an order-q cycle and a normalizing
         # element of order p.
         q = m // p
-        q_subs = _subgroups_of_order(full, q)
+        q_subs = subgroups_of_order(full, q)
         xs = [x for x in full.perms if _perm_order(x) == p]
         for sub in q_subs:
             a = next(pp for pp in sub.perms if pp != identity)
@@ -428,23 +430,11 @@ def _powers(x: tuple[int, ...], identity: tuple[int, ...]) -> list[tuple[int, ..
     return out
 
 
-def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
-    """All subgroups of `full` with exactly m elements, sorted.
-
-    Returns () whenever m does not divide the group order.  The search
-    is exhaustive for every m; see the inline notes for why each case
-    cannot miss a subgroup.
-    """
-    if m < 1:
-        raise ValueError(f"subgroup order must be positive, got {m}")
-    return _subgroups_of_order(full, m)
-
-
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:
     """Every subgroup of `full`, ordered by size then elements."""
     out: list[Subgroup] = []
     for m in _divisors_of(len(full.perms)):
-        out.extend(_subgroups_of_order(full, m))
+        out.extend(subgroups_of_order(full, m))
     return tuple(out)
 
 
@@ -473,14 +463,11 @@ class QuotientGraph:
         if group.graph != source:
             raise GraphMismatchError("subgroup acts on a different graph")
         n = len(source.vertices)
-        orbit_id = [-1] * n
-        members_by_orbit: list[list[int]] = []
-        for v in range(n):
-            if orbit_id[v] == -1:
-                members = sorted({p[v] for p in group.perms})
-                for w in members:
-                    orbit_id[w] = len(members_by_orbit)
-                members_by_orbit.append(members)
+        members_by_orbit = _vertex_orbits(group)
+        orbit_id = [0] * n
+        for k, members in enumerate(members_by_orbit):
+            for w in members:
+                orbit_id[w] = k
 
         labels = tuple(source.vertices[members[0]] for members in members_by_orbit)
         self.source = source

@@ -216,3 +216,38 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content, problem", [
+        ("{}", "'vertices'"),
+        ("[]", "object"),
+        ('{"vertices": ["P1", "P2", "P3"]}', "'edges'"),
+        ('{"vertices": "P1", "edges": []}', "'vertices' must be a list"),
+        ('{"vertices": ["P1", "P2"], "edges": {"P1": "P2"}}', "'edges' must be a list"),
+        ('{"vertices": ["P1", "P2"], "edges": ["P1P2"]}', "'P1P2'"),
+        ('{"vertices": ["P1", "P2"], "edges": [["P1"]]}', "two endpoints"),
+        ('{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [3, 1]]}', "vertex label 1"),
+    ])
+    def test_malformed_graph_file(self, capsys, tmp_path, content, problem):
+        path = tmp_path / "g.json"
+        path.write_text(content)
+        for argv in (("classify",), ("galois", "--vertex", "1")):
+            code, out, err = run(capsys, *argv, "--graph", str(path))
+            assert code == 2
+            assert err.startswith("error: ") and problem in err
+            assert "Traceback" not in err and out == ""
+
+    def test_negative_cap_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--family", "cycle:4", "--divisor", '{"P1": -3}', "--cap", "-5"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: argument --cap: must be nonnegative, got -5" in out.err
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--n", "4", "--cap", "-1"])
+        assert exc.value.code == 2
+
+    def test_zero_cap_accepted(self, capsys):
+        code, out, _ = run(capsys, "rank", "--family", "cycle:4", "--divisor", '{"P1": -3}',
+                           "--cap", "0")
+        assert code == 0 and out.strip() == "-1"

@@ -19,18 +19,25 @@ from graphdivisors import (
     q_reduce,
     q_reduce_with_witness,
     rank,
-    set_strict_validation,
 )
 
 import oracles
 
 
-@pytest.fixture(scope="module", autouse=True)
-def strict_reduction_checks():
-    # re-check every reduction against the subset definition in this module
-    set_strict_validation(True)
-    yield
-    set_strict_validation(False)
+def checked_reduce_with_witness(g, d, q):
+    """q_reduce_with_witness, re-checked against the subset definition
+    and the witness identity reduced = d + laplacian_apply(witness)."""
+    reduced, witness = q_reduce_with_witness(g, d, q)
+    assert is_q_reduced(g, reduced, q), f"{reduced!r} is not {q}-reduced"
+    assert reduced == d + laplacian_apply(g, witness)
+    return reduced, witness
+
+
+def checked_reduce(g, d, q):
+    """q_reduce, with the checks of checked_reduce_with_witness."""
+    reduced = q_reduce(g, d, q)
+    assert reduced == checked_reduce_with_witness(g, d, q)[0]
+    return reduced
 
 
 @pytest.fixture(scope="module")
@@ -159,32 +166,32 @@ class TestIsQReduced:
 
 class TestQReduce:
     def test_k4_all_ones(self, k4):
-        assert q_reduce(k4, Divisor.all_ones(k4), "P1") == Divisor(k4, {"P1": 4})
+        assert checked_reduce(k4, Divisor.all_ones(k4), "P1") == Divisor(k4, {"P1": 4})
 
     def test_w5_all_ones_at_rim(self, w5):
-        assert q_reduce(w5, Divisor.all_ones(w5), "P2") == Divisor(w5, {"P2": 4, "P4": 1})
+        assert checked_reduce(w5, Divisor.all_ones(w5), "P2") == Divisor(w5, {"P2": 4, "P4": 1})
 
     def test_idempotent(self, house4):
         rng = random.Random(3)
         for _ in range(30):
             d = oracles.random_divisor(rng, house4)
             q = rng.choice(house4.vertices)
-            r = q_reduce(house4, d, q)
-            assert q_reduce(house4, r, q) == r
+            r = checked_reduce(house4, d, q)
+            assert checked_reduce(house4, r, q) == r
 
     def test_witness_reproduces_reduction(self, w5):
         rng = random.Random(5)
         for _ in range(30):
             d = oracles.random_divisor(rng, w5)
             q = rng.choice(w5.vertices)
-            reduced, witness = q_reduce_with_witness(w5, d, q)
+            reduced, witness = checked_reduce_with_witness(w5, d, q)
             assert d + laplacian_apply(w5, witness) == reduced
 
     def test_preserves_degree_and_class(self, w5):
         rng = random.Random(9)
         for _ in range(20):
             d = oracles.random_divisor(rng, w5)
-            r = q_reduce(w5, d, "P3")
+            r = checked_reduce(w5, d, "P3")
             assert r.degree == d.degree
             assert oracles.equivalent(w5, d, r)
 
@@ -195,11 +202,11 @@ class TestQReduce:
             f = VertexFunction.from_values(house4, [rng.randint(-2, 2) for _ in range(4)])
             d2 = d + laplacian_apply(house4, f)
             q = rng.choice(house4.vertices)
-            assert q_reduce(house4, d, q) == q_reduce(house4, d2, q)
+            assert checked_reduce(house4, d, q) == checked_reduce(house4, d2, q)
 
     def test_deep_debt_cleared(self, w5):
         d = Divisor(w5, {"P1": 40, "P4": -9})
-        r = q_reduce(w5, d, "P1")
+        r = checked_reduce(w5, d, "P1")
         assert is_q_reduced(w5, r, "P1")
         assert r.degree == d.degree
 
@@ -321,7 +328,7 @@ class TestSystemNonemptinessCharacterization:
             d = oracles.random_divisor(rng, g, lo=-3, hi=4)
             expected = oracles.system_nonempty(g, d)
             for q in g.vertices:
-                reduced = q_reduce(g, d, q)
+                reduced = checked_reduce(g, d, q)
                 assert (reduced[q] >= 0) == expected
 
 

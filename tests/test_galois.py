@@ -312,3 +312,50 @@ class TestRiemannRoch:
             d = oracles.random_divisor(rng, g)
             check = riemann_roch_check(g, d)
             assert check.holds, (g.to_json(), d.to_json())
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("family", ["wheel:5", "complete:5"])
+    def test_rank_and_symmetry_computed_once(self, family, monkeypatch):
+        import graphdivisors.galois as galois
+
+        g = generate(family)
+        d = Divisor.all_ones(g)
+        rank_of_d = []
+        aut_calls = []
+        real_rank, real_aut = galois.rank, galois.automorphism_group
+
+        def counting_rank(graph, divisor, *args):
+            if divisor == d:
+                rank_of_d.append(divisor)
+            return real_rank(graph, divisor, *args)
+
+        def counting_aut(graph, *args):
+            aut_calls.append(graph)
+            return real_aut(graph, *args)
+
+        monkeypatch.setattr(galois, "rank", counting_rank)
+        monkeypatch.setattr(galois, "automorphism_group", counting_aut)
+        classify_galois_points.__wrapped__(g, d)
+        assert len(rank_of_d) == 1
+        assert len(aut_calls) <= 1
+
+    def test_witness_divisors_match_linear_system_oracle(self):
+        from graphdivisors import enumerate_corpus
+
+        graphs = [generate(f"complete:{n}") for n in range(3, 7)]
+        graphs += [generate(f"wheel:{n}") for n in range(5, 9)]
+        graphs.append(generate("house4"))
+        for record in enumerate_corpus(4).records:
+            graphs.append(build_graph(["P1", "P2", "P3", "P4"], record.edges))
+        positives = 0
+        for g in graphs:
+            d = Divisor.all_ones(g)
+            for cert in classify_galois_points(g, d).certificates:
+                if not cert.verdict:
+                    continue
+                positives += 1
+                system = linear_system(g, d - Divisor.vertex(g, cert.vertex))
+                fixed = sorted(fixed_members(cert.subgroup, system), key=lambda e: e.coeffs)
+                assert (cert.e1, cert.e2) == tuple(fixed[:2]), (g, cert.vertex)
+        assert positives > 0

@@ -206,3 +206,22 @@ class TestJson:
     def test_edges_lexicographic(self):
         g = build_graph(["b", "a"], [("b", "a")])
         assert g.to_json()["edges"] == [["a", "b"]]
+
+    @pytest.mark.parametrize("obj, problem", [
+        ([], "must be an object"),
+        ({"edges": []}, "no 'vertices' key"),
+        ({"vertices": ["P1"]}, "no 'edges' key"),
+        ({"vertices": "P1", "edges": []}, "'vertices' must be a list"),
+        ({"vertices": ["P1", "P2"], "edges": "P1P2"}, "'edges' must be a list"),
+        ({"vertices": ["P1", "P2"], "edges": ["P1P2"]}, "edge 'P1P2'"),
+        ({"vertices": ["P1", "P2"], "edges": [["P1", "P2", "P1"]]}, "two endpoints"),
+    ])
+    def test_malformed_json_rejected(self, obj, problem):
+        with pytest.raises(ValueError, match=problem):
+            Graph.from_json(obj)
+
+    def test_non_string_labels_rejected(self):
+        with pytest.raises(ValueError, match="vertex label 1 is not a string"):
+            build_graph([1, 2], [(1, 2)])
+        with pytest.raises(UnknownEndpointError, match=r"\['P2'\]"):
+            build_graph(["P1", "P2"], [("P1", ["P2"])])
