@@ -2,8 +2,15 @@
 
 Everything is exact integer arithmetic.  `is_q_reduced` checks the
 subset definition directly (2^(n-1) subsets) and serves as the reference
-oracle; `q_reduce` computes the unique reduced representative with the
-burning algorithm and is the fast path used by everything else.  The
+oracle; `q_reduce` computes the unique reduced representative and is the
+fast path used by everything else.  It clears debt with ball firings,
+jumps close to the answer with the rounded solution of the reduced
+Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
+reduction), and finishes with Dhar's burning algorithm, firing each
+unburnt set in bulk; the number of burning rounds does not grow with the
+chip count.  The BFS layering per base vertex and the reduced
+Laplacian's adjugate are computed once per graph and kept on it.  `rank`
+derives each probe's reduced form from its parent probe's.  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -302,12 +309,113 @@ def _bfs_distances(adj, q: int) -> list[int]:
     return dist
 
 
+def _layers(g: "Graph", q: int) -> list[tuple]:
+    """The BFS layering around base q, computed once per graph and base.
+
+    One entry per distance k from the farthest down to 1: the vertices at
+    distance k with their counts of neighbours at distance k - 1, the
+    vertices at distance k - 1 with their counts of neighbours at
+    distance k, and the ball of all vertices at distance < k.  Firing
+    that ball moves chips only across the edges between the two shells.
+    """
+    key = ("layers", q)
+    layers = g._derived.get(key)
+    if layers is None:
+        adj = g._adj
+        dist = _bfs_distances(adj, q)
+        layers = []
+        for k in range(max(dist), 0, -1):
+            outer = [(v, sum(dist[w] == k - 1 for w in adj[v])) for v in range(len(adj)) if dist[v] == k]
+            inner = [(v, sum(dist[w] == k for w in adj[v])) for v in range(len(adj)) if dist[v] == k - 1]
+            layers.append((outer, inner, [v for v in range(len(adj)) if dist[v] < k]))
+        g._derived[key] = layers
+    return layers
+
+
+def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adjugate, determinant) of the Laplacian with vertex 0's row and
+    column removed, computed once per graph.
+
+    The determinant is the number of spanning trees (Kirchhoff).  The
+    matrix is symmetric positive definite for a connected graph, so every
+    leading minor is positive and fraction-free Gauss-Jordan elimination
+    (Bareiss) needs no pivoting; every division in it is exact.  It ends
+    with det times the identity on the left and the adjugate on the right.
+    """
+    cached = g._derived.get("adjugate")
+    if cached is None:
+        adj = g._adj
+        m = len(adj) - 1
+        rows = []
+        for i in range(m):
+            row = [0] * (2 * m)
+            row[i] = len(adj[i + 1])
+            for w in adj[i + 1]:
+                if w:
+                    row[w - 1] = -1
+            row[m + i] = 1
+            rows.append(row)
+        prev = 1
+        for k in range(m):
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for i in range(m):
+                if i != k:
+                    row = rows[i]
+                    factor = row[k]
+                    rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
+            prev = pivot
+        cached = (tuple(tuple(row[m:]) for row in rows), prev)
+        g._derived["adjugate"] = cached
+    return cached
+
+
+def _clear_debt(layers: list[tuple], coeffs: list[int], fires: list[int]) -> None:
+    """Fire balls around the base, farthest shell first, each as many
+    times as its outer shell needs, so no vertex off the base ends in debt."""
+    for outer, inner, ball in layers:
+        need = 0
+        for v, count in outer:
+            if coeffs[v] < 0:
+                # ceil(-coeffs[v] / count); count >= 1 by BFS layering
+                need = max(need, -(coeffs[v] // count))
+        if need:
+            for v in ball:
+                fires[v] += need
+            for v, count in outer:
+                coeffs[v] += need * count
+            for v, count in inner:
+                coeffs[v] -= need * count
+
+
+def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> None:
+    """Fire the integer part of the rational firing vector that would move
+    every chip onto q.
+
+    With t = deg(d) chips on q, d - t = L x has the unique solution x with
+    x[0] = 0, namely x = adj (d - t)|_{v != 0} / det.  Firing f = floor(x)
+    leaves t + L(x - f), whose coefficient at each v lies strictly
+    between -deg(v) and deg(v).
+    """
+    adjugate, det = _laplacian_adjugate(g)
+    rhs = coeffs[1:]
+    if q:
+        rhs[q - 1] -= sum(coeffs)
+    f = [0]
+    f.extend(sum(a * b for a, b in zip(row, rhs)) // det for row in adjugate)
+    for v, nbrs in enumerate(g._adj):
+        fires[v] += f[v]
+        coeffs[v] -= len(nbrs) * f[v] - sum(f[w] for w in nbrs)
+
+
 def _dhar_unburnt(adj, coeffs, q: int):
-    """Vertices left unburnt by fire spreading from q, or None if all burn.
+    """Vertices left unburnt by fire spreading from q, with the count of
+    burnt neighbours of every vertex, or None if all burn.
 
     A vertex burns once the number of its burnt neighbours exceeds its
-    coefficient.  The unburnt set, when nonempty, can fire without
-    driving any of its members negative.
+    coefficient.  The unburnt set S, when nonempty, can fire without
+    driving any of its members negative; a member's count of burnt
+    neighbours is its out-degree from S.
     """
     n = len(adj)
     burnt = [False] * n
@@ -326,7 +434,7 @@ def _dhar_unburnt(adj, coeffs, q: int):
                     stack.append(w)
     if remaining == 0:
         return None
-    return [v for v in range(n) if not burnt[v]]
+    return [v for v in range(n) if not burnt[v]], threat
 
 
 def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], list[int]]:
@@ -335,7 +443,18 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     Returns (reduced coefficients, firing counts), where the input minus
     the Laplacian of the firing counts equals the output.  Stage one
     clears debt off q by bulk-firing balls around q, farthest layer
-    first; stage two runs the burning loop until no subset can fire.
+    first.  If more than 2|E| chips then sit off q, stage two fires the
+    rounded solution of the reduced Laplacian system that would put them
+    all on q (this leaves fewer than 2|E| off q, in absolute value) and
+    clears the debt that rounding left.  Stage three is Dhar's burning
+    loop, which fires each unburnt set as many times in a row as it
+    stays effective, until no subset can fire.  Each step is a sequence
+    of legal firings, so the loop ends, and the number of burning rounds
+    does not grow with the chip count.
+
+    The firing counts are unique up to a constant, and are shifted so
+    that q's count is the one stage one gives (stage three never fires
+    q): the counts a one-chip-per-round burning loop would return.
     """
     n = len(coeffs)
     adj = g._adj
@@ -343,46 +462,35 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     if n == 1:
         return coeffs, fires
 
-    if any(coeffs[v] < 0 for v in range(n) if v != q):
-        dist = _bfs_distances(adj, q)
-        for k in range(max(dist), 0, -1):
-            need = 0
-            for v in range(n):
-                if dist[v] == k and coeffs[v] < 0:
-                    inner = sum(1 for w in adj[v] if dist[w] < k)
-                    # ceil(-coeffs[v] / inner); inner >= 1 by BFS layering
-                    need = max(need, -(coeffs[v] // inner))
-            if need:
-                inside = [dist[v] < k for v in range(n)]
-                for v in range(n):
-                    if inside[v]:
-                        fires[v] += need
-                for a, b in g._edges_idx:
-                    if inside[a] != inside[b]:
-                        if inside[a]:
-                            coeffs[a] -= need
-                            coeffs[b] += need
-                        else:
-                            coeffs[b] -= need
-                            coeffs[a] += need
+    layers = _layers(g, q)
+    _clear_debt(layers, coeffs, fires)
+    fires_q = fires[q]
+    if sum(coeffs) - coeffs[q] > 2 * len(g._edges_idx):
+        _round_to_base(g, coeffs, fires, q)
+        _clear_debt(layers, coeffs, fires)
 
-    rounds = 0
     while True:
-        unburnt = _dhar_unburnt(adj, coeffs, q)
-        if unburnt is None:
-            return coeffs, fires
-        rounds += 1
-        if rounds > 10_000_000:
-            raise RuntimeError("reduction did not terminate; this is a bug")
+        burning = _dhar_unburnt(adj, coeffs, q)
+        if burning is None:
+            break
+        unburnt, threat = burning
         in_set = [False] * n
+        times = None
         for v in unburnt:
             in_set[v] = True
+            if threat[v] and (times is None or coeffs[v] // threat[v] < times):
+                times = coeffs[v] // threat[v]
         for v in unburnt:
-            fires[v] += 1
+            fires[v] += times
             for w in adj[v]:
                 if not in_set[w]:
-                    coeffs[v] -= 1
-                    coeffs[w] += 1
+                    coeffs[v] -= times
+                    coeffs[w] += times
+
+    shift = fires_q - fires[q]
+    if shift:
+        fires = [c + shift for c in fires]
+    return coeffs, fires
 
 
 def q_reduce_with_witness(g: "Graph", d: Divisor, q: str) -> tuple[Divisor, VertexFunction]:
@@ -463,15 +571,41 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     return frozenset(members)
 
 
+def _empty_probe(g: "Graph", red: list[int], start: int, s: int) -> bool:
+    """True iff taking s more chips, at vertices numbered start or
+    higher, from the 0-reduced coefficients red leaves an empty linear
+    system.
+
+    Taking a chip at vertex 0, or at a vertex with a positive
+    coefficient, leaves a 0-reduced divisor 0-reduced, so only a chip
+    taken from a zero costs a reduction.  red is mutated and restored.
+    """
+    for v in range(start, len(red)):
+        red[v] -= 1
+        if v and red[v] < 0:
+            child, _ = _reduce_coeffs(g, list(red), 0)
+        else:
+            child = red
+        found = child[0] < 0 or (s > 1 and _empty_probe(g, child, v, s - 1))
+        red[v] += 1
+        if found:
+            return True
+    return False
+
+
 def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     """Rank of the divisor class of d.
 
     -1 when the linear system of d is empty; otherwise the largest r
     such that removing any effective divisor of degree r leaves a
     nonempty linear system.  Nonemptiness of d - e is read off the sign
-    of the reduced form at the base vertex, so each probe costs one
-    reduction; the enumeration runs s = 1, 2, ... and stops at the first
-    degree containing a witness e with empty system.
+    of the reduced form at the base vertex.  The enumeration runs
+    s = 1, 2, ... and stops at the first degree containing a witness e
+    with empty system.  The probes of degree s are walked depth-first
+    from the reduced form of d, one chip at a time, and each probe
+    reuses its parent's reduced form: a reduction is needed only when a
+    chip is taken from a vertex holding none.  The cap bounds the total
+    count of probes up to the degree about to be walked.
     """
     _check_bound(g, d)
     if d.degree < 0:
@@ -491,9 +625,6 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
                 required=enumerated,
                 cap=capv,
             )
-        for e in _compositions(s, n):
-            probe = [base[i] - e[i] for i in range(n)]
-            red, _ = _reduce_coeffs(g, probe, 0)
-            if red[0] < 0:
-                return s - 1
+        if _empty_probe(g, base, 0, s):
+            return s - 1
         s += 1

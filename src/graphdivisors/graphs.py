@@ -23,9 +23,19 @@ from .errors import (
 
 
 class Graph:
-    """Undirected simple connected graph over string vertex labels."""
+    """Undirected simple connected graph over string vertex labels.
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_adj_masks", "_edges_idx", "_edge_set", "_hash")
+    `_derived` is filled lazily by the divisors layer with values computed
+    from the vertices and edges alone (BFS layerings, the reduced
+    Laplacian's adjugate).  Every entry is the same whoever computes it
+    first, so a graph stays a value, equal and hashed by its vertices and
+    edges, and is still safe to share.
+    """
+
+    __slots__ = (
+        "vertices", "edges", "_index", "_adj", "_adj_masks", "_edges_idx", "_edge_set", "_hash",
+        "_derived",
+    )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
         verts = tuple(vertices)
@@ -80,6 +90,7 @@ class Graph:
         self._edges_idx = tuple(edge_idx)
         self._edge_set = frozenset(edge_idx)
         self._hash = hash((verts, self._edge_set))
+        self._derived: dict = {}
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -3,8 +3,9 @@
 Nothing here shares code with the package's fast paths: connectivity
 and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
-definition with full enumerations, and group enumeration filters raw
-permutations.  Slow on purpose; use at small sizes only.
+definition with full enumerations, group enumeration filters raw
+permutations, and `reduce_one_chip` reduces with a burning loop that
+fires one chip per round.  Slow on purpose; use at small sizes only.
 """
 
 from fractions import Fraction
@@ -131,6 +132,109 @@ def rank_brute(g: Graph, d: Divisor):
             if not system_nonempty(g, probe):
                 return s - 1
         s += 1
+
+
+# The plain reduction: stage one clears debt off q with ball firings,
+# stage two fires one chip per burning round.  It is the reference for
+# the reduced forms and firing counts of the library's fast reduction.
+
+
+def _bfs_distances(adj, q: int) -> list[int]:
+    dist = [-1] * len(adj)
+    dist[q] = 0
+    frontier = [q]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _dhar_unburnt(adj, coeffs, q: int):
+    """Vertices left unburnt by fire spreading from q, or None if all burn.
+
+    A vertex burns once the number of its burnt neighbours exceeds its
+    coefficient.  The unburnt set, when nonempty, can fire without
+    driving any of its members negative.
+    """
+    n = len(adj)
+    burnt = [False] * n
+    burnt[q] = True
+    threat = [0] * n
+    stack = [q]
+    remaining = n - 1
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not burnt[w]:
+                threat[w] += 1
+                if coeffs[w] < threat[w]:
+                    burnt[w] = True
+                    remaining -= 1
+                    stack.append(w)
+    if remaining == 0:
+        return None
+    return [v for v in range(n) if not burnt[v]]
+
+
+def reduce_one_chip(g: Graph, coeffs: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Reduce coeffs (mutated in place) relative to base vertex q.
+
+    Returns (reduced coefficients, firing counts), where the input minus
+    the Laplacian of the firing counts equals the output.  Stage one
+    clears debt off q by bulk-firing balls around q, farthest layer
+    first; stage two runs the burning loop until no subset can fire.
+    """
+    n = len(coeffs)
+    adj = g._adj
+    fires = [0] * n
+    if n == 1:
+        return coeffs, fires
+
+    if any(coeffs[v] < 0 for v in range(n) if v != q):
+        dist = _bfs_distances(adj, q)
+        for k in range(max(dist), 0, -1):
+            need = 0
+            for v in range(n):
+                if dist[v] == k and coeffs[v] < 0:
+                    inner = sum(1 for w in adj[v] if dist[w] < k)
+                    # ceil(-coeffs[v] / inner); inner >= 1 by BFS layering
+                    need = max(need, -(coeffs[v] // inner))
+            if need:
+                inside = [dist[v] < k for v in range(n)]
+                for v in range(n):
+                    if inside[v]:
+                        fires[v] += need
+                for a, b in g._edges_idx:
+                    if inside[a] != inside[b]:
+                        if inside[a]:
+                            coeffs[a] -= need
+                            coeffs[b] += need
+                        else:
+                            coeffs[b] -= need
+                            coeffs[a] += need
+
+    rounds = 0
+    while True:
+        unburnt = _dhar_unburnt(adj, coeffs, q)
+        if unburnt is None:
+            return coeffs, fires
+        rounds += 1
+        if rounds > 10_000_000:
+            raise RuntimeError("reduction did not terminate; this is a bug")
+        in_set = [False] * n
+        for v in unburnt:
+            in_set[v] = True
+        for v in unburnt:
+            fires[v] += 1
+            for w in adj[v]:
+                if not in_set[w]:
+                    coeffs[v] -= 1
+                    coeffs[w] += 1
 
 
 def automorphism_perms_brute(g: Graph):

@@ -44,6 +44,14 @@ class TestQueryCommands:
 
         assert d + laplacian_apply(g, VertexFunction(g, w)) == Divisor.from_json(g, payload["reduced"])
 
+    def test_reduce_hundred_million_chips(self, capsys):
+        code, out, err = run(
+            capsys, "reduce", "--family", "cycle:3", "--divisor", '{"P2": 100000000}', "--base", "P1"
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        assert out.strip() == "99999999·P1 + 1·P2"
+
     def test_equiv(self, capsys):
         code, out, _ = run(
             capsys, "equiv", "--family", "complete:4",
