@@ -571,25 +571,37 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     return frozenset(members)
 
 
-def _empty_probe(g: "Graph", red: list[int], start: int, s: int) -> bool:
-    """True iff taking s more chips, at vertices numbered start or
-    higher, from the 0-reduced coefficients red leaves an empty linear
-    system.
+def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:
+    """True iff some effective e of degree s leaves d - e with an empty
+    linear system, where base is the 0-reduced form of d.
 
-    Taking a chip at vertex 0, or at a vertex with a positive
-    coefficient, leaves a 0-reduced divisor 0-reduced, so only a chip
-    taken from a zero costs a reduction.  red is mutated and restored.
+    Taking chips at vertex 0 leaves a 0-reduced divisor 0-reduced, so
+    the walk covers only the part e' of e off vertex 0, and d - e is
+    empty iff the reduced form of d - e' holds fewer than s - deg(e')
+    chips at vertex 0.  Each e' is derived from e' minus one chip at its
+    highest vertex, and a chip taken from a positive coefficient needs
+    no reduction either.  The stack holds (reduced form, lowest vertex
+    still open, chips left); an entry opens a higher vertex than the
+    entry it came from, so the walk's depth is bounded by the vertex
+    count, not by s.
     """
-    for v in range(start, len(red)):
-        red[v] -= 1
-        if v and red[v] < 0:
-            child, _ = _reduce_coeffs(g, list(red), 0)
-        else:
+    if base[0] < s:
+        return True
+    n = len(base)
+    stack = [(base, 1, s)]
+    while stack:
+        red, start, left = stack.pop()
+        for v in range(start, n):
             child = red
-        found = child[0] < 0 or (s > 1 and _empty_probe(g, child, v, s - 1))
-        red[v] += 1
-        if found:
-            return True
+            for rest in range(left - 1, -1, -1):
+                child = child.copy()
+                child[v] -= 1
+                if child[v] < 0:
+                    child, _ = _reduce_coeffs(g, child, 0)
+                if child[0] < rest:
+                    return True
+                if rest and v + 1 < n:
+                    stack.append((child, v + 1, rest))
     return False
 
 
@@ -602,10 +614,11 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     of the reduced form at the base vertex.  The enumeration runs
     s = 1, 2, ... and stops at the first degree containing a witness e
     with empty system.  The probes of degree s are walked depth-first
-    from the reduced form of d, one chip at a time, and each probe
-    reuses its parent's reduced form: a reduction is needed only when a
-    chip is taken from a vertex holding none.  The cap bounds the total
-    count of probes up to the degree about to be walked.
+    from the reduced form of d, one chip at a time and without
+    recursion, and each probe reuses its parent's reduced form: a
+    reduction is needed only when a chip is taken from a vertex other
+    than the base holding none.  The cap bounds the total count of
+    probes up to the degree about to be walked.
     """
     _check_bound(g, d)
     if d.degree < 0:
@@ -625,6 +638,6 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
                 required=enumerated,
                 cap=capv,
             )
-        if _empty_probe(g, base, 0, s):
+        if _empty_probe(g, base, s):
             return s - 1
         s += 1

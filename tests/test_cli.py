@@ -52,6 +52,14 @@ class TestQueryCommands:
         assert "Traceback" not in err
         assert out.strip() == "99999999·P1 + 1·P2"
 
+    def test_rank_two_thousand_chips_on_one_vertex(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"vertices": ["P1"], "edges": []}))
+        code, out, err = run(capsys, "rank", "--graph", str(path), "--divisor", '{"P1": 2000}')
+        assert code == 0
+        assert "Traceback" not in err
+        assert out.strip() == "2000"
+
     def test_equiv(self, capsys):
         code, out, _ = run(
             capsys, "equiv", "--family", "complete:4",

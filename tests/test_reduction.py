@@ -7,7 +7,9 @@ witness, and the fast one must need a number of burning rounds that does
 not grow with the chip count.
 """
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -117,6 +119,24 @@ class TestBurningRounds:
                 for e in range(3, 13)
             }
             assert len(counts) == 1 and counts.pop() <= 5
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, k",
+    [(["P1"], [], 2000), (["P1", "P2"], [("P1", "P2")], 300)],
+)
+def test_rank_probe_depth_is_not_bounded_by_the_call_stack(vertices, edges, k):
+    # Both graphs have genus 0, so rank(k·P1) = k and the probes reach
+    # degree k + 1.  With the recursion limit just above the current
+    # depth, a walk that took one stack frame per chip would fail.
+    g = Graph(vertices, edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        r = rank(g, k * Divisor.vertex(g, "P1"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r == k
 
 
 @pytest.mark.parametrize("spec", ["house4", "cycle:5", "wheel:6", "complete:5"])
