@@ -10,7 +10,8 @@ reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The BFS layering per base vertex and the reduced
 Laplacian's adjugate are computed once per graph and kept on it.  `rank`
-derives each probe's reduced form from its parent probe's.  The
+reduces d once and derives each probe's reduced form from its parent
+probe's by a one-grain sandpile avalanche (`_drop_chip`).  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -571,6 +572,36 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     return frozenset(members)
 
 
+def _drop_chip(adj, red: list[int], v: int) -> list[int]:
+    """The 0-reduced form of red - v, where red is 0-reduced.
+
+    Off the base, c is superstable iff deg - 1 - c is a recurrent
+    sandpile with sink 0 (Baker-Shokrieh), so taking a chip from a
+    vertex holding none is adding a grain to a recurrent configuration
+    and stabilising: every vertex off the base in debt borrows (gains
+    its degree, each neighbour loses one) until none is.  Each borrowing
+    is a legal move, and the result is superstable again.  No BFS
+    layering, debt stage or burning round is needed.
+    """
+    c = red.copy()
+    c[v] -= 1
+    if v == 0 or c[v] >= 0:
+        return c
+    # Every vertex off the base in debt is on the stack exactly once.
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        nbrs = adj[u]
+        c[u] += len(nbrs)
+        for w in nbrs:
+            c[w] -= 1
+            if c[w] == -1 and w:
+                stack.append(w)
+        if c[u] < 0:
+            stack.append(u)
+    return c
+
+
 def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:
     """True iff some effective e of degree s leaves d - e with an empty
     linear system, where base is the 0-reduced form of d.
@@ -579,14 +610,14 @@ def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:
     the walk covers only the part e' of e off vertex 0, and d - e is
     empty iff the reduced form of d - e' holds fewer than s - deg(e')
     chips at vertex 0.  Each e' is derived from e' minus one chip at its
-    highest vertex, and a chip taken from a positive coefficient needs
-    no reduction either.  The stack holds (reduced form, lowest vertex
-    still open, chips left); an entry opens a higher vertex than the
-    entry it came from, so the walk's depth is bounded by the vertex
-    count, not by s.
+    highest vertex by `_drop_chip`, so the walk never runs a full
+    reduction.  The stack holds (reduced form, lowest vertex still open,
+    chips left); an entry opens a higher vertex than the entry it came
+    from, so the walk's depth is bounded by the vertex count, not by s.
     """
     if base[0] < s:
         return True
+    adj = g._adj
     n = len(base)
     stack = [(base, 1, s)]
     while stack:
@@ -594,10 +625,7 @@ def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:
         for v in range(start, n):
             child = red
             for rest in range(left - 1, -1, -1):
-                child = child.copy()
-                child[v] -= 1
-                if child[v] < 0:
-                    child, _ = _reduce_coeffs(g, child, 0)
+                child = _drop_chip(adj, child, v)
                 if child[0] < rest:
                     return True
                 if rest and v + 1 < n:
@@ -615,10 +643,10 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     s = 1, 2, ... and stops at the first degree containing a witness e
     with empty system.  The probes of degree s are walked depth-first
     from the reduced form of d, one chip at a time and without
-    recursion, and each probe reuses its parent's reduced form: a
-    reduction is needed only when a chip is taken from a vertex other
-    than the base holding none.  The cap bounds the total count of
-    probes up to the degree about to be walked.
+    recursion; each probe's reduced form comes from its parent's by a
+    one-grain sandpile avalanche (`_drop_chip`), so d itself is the only
+    divisor fully reduced.  The cap bounds the total count of probes up
+    to the degree about to be walked.
     """
     _check_bound(g, d)
     if d.degree < 0:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _reduce_coeffs, _require_enumerable
+from .divisors import _drop_chip, _empty_probe, _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -237,23 +237,34 @@ def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Sm
     """Conditions for p to behave like a smooth plane-curve point:
     rank(d - p) = 1 and rank(d - p - q) = 0 for every q, including q = p.
 
-    Requires rank(d) = 2; returns the first violation found, scanning q
-    in vertex order.
+    Requires rank(d) = 2 (the cap applies to that rank computation);
+    returns the first violation found, scanning q in vertex order.
     """
     g.index_of(p)
     _require_rank_two(g, d, cap)
-    return _smoothness_unchecked(g, d, p, cap)
+    return _smoothness_unchecked(g, _reduce_coeffs(g, list(d.coeffs), 0)[0], p)
 
 
-def _smoothness_unchecked(g: Graph, d: Divisor, p: str, cap: int | None) -> SmoothnessCheck:
-    dp = d - Divisor.vertex(g, p)
-    r1 = rank(g, dp, cap)
-    if r1 != 1:
-        return SmoothnessCheck(False, Cond1Fail(p, r1))
-    for q in g.vertices:
-        r0 = rank(g, dp - Divisor.vertex(g, q), cap)
-        if r0 != 0:
-            return SmoothnessCheck(False, Cond2Fail(p, q, r0))
+def _smoothness_unchecked(g: Graph, red: list[int], p: str) -> SmoothnessCheck:
+    """The smoothness verdict at p for a rank-2 divisor d with 0-reduced
+    form red, read off reduced forms without calling `rank`.
+
+    Removing a vertex lowers the rank by at most one, and r(D) =
+    1 + min_v r(D - v) when |D| is nonempty.  With
+    r(d) = 2 this gives r(d - p - q) = 0 iff d - p - q - v is empty for
+    some v (the degree-1 probe), and r(d - p) = 1 iff that holds for some
+    q; otherwise r(d - p) = 2 and every r(d - p - q) = 1.  Each reduced
+    form is one `_drop_chip` away from the previous, and every probe
+    stays within degree 3, which rank(d) = 2 already passed under the cap.
+    """
+    adj = g._adj
+    dp = _drop_chip(adj, red, g.index_of(p))
+    rank_zero = [_empty_probe(g, _drop_chip(adj, dp, q), 1) for q in range(len(g.vertices))]
+    if not any(rank_zero):
+        return SmoothnessCheck(False, Cond1Fail(p, 2))
+    for q, zero in zip(g.vertices, rank_zero):
+        if not zero:
+            return SmoothnessCheck(False, Cond2Fail(p, q, 1))
     return SmoothnessCheck(True)
 
 
@@ -329,14 +340,15 @@ def _find_witness(g: Graph, d: Divisor, p: str, subs: tuple[Subgroup, ...],
     return None
 
 
-def _decide(g: Graph, d: Divisor, p: str, subgroups: Callable[[], tuple[Subgroup, ...]],
-            cap: int | None) -> GaloisCertificate:
-    """The verdict at p, for a rank-2 divisor d on a bridgeless graph.
+def _decide(g: Graph, d: Divisor, red: list[int], p: str,
+            subgroups: Callable[[], tuple[Subgroup, ...]], cap: int | None) -> GaloisCertificate:
+    """The verdict at p, for a rank-2 divisor d with 0-reduced form red
+    on a bridgeless graph.
 
     `subgroups()` returns the candidate subgroups of order deg(d) - 1;
     it is called only once p passes the smoothness conditions.
     """
-    sm = _smoothness_unchecked(g, d, p, cap)
+    sm = _smoothness_unchecked(g, red, p)
     if not sm.ok:
         return GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
     subs = subgroups()
@@ -359,16 +371,18 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
     g.index_of(p)
     _require_two_edge_connected(g)
     _require_rank_two(g, d, cap)
-    return _decide(g, d, p, lambda: _candidate_subgroups(g, d), cap)
+    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+    return _decide(g, d, red, p, lambda: _candidate_subgroups(g, d), cap)
 
 
 @lru_cache(maxsize=512)
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    The bridge check, rank(d) and the candidate subgroups depend on
-    (g, d) only, so each is computed at most once per call; the
-    subgroups only when some vertex passes the smoothness conditions.
+    The bridge check, rank(d), the reduced form of d and the candidate
+    subgroups depend on (g, d) only, so each is computed at most once
+    per call; the subgroups only when some vertex passes the smoothness
+    conditions, which are read off the reduced form of d.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
@@ -384,6 +398,7 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
             GaloisCertificate(vertex=v, verdict=False, reason=RankNotTwo(r)) for v in g.vertices
         )
     else:
+        red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
         subs = None
 
         def subgroups() -> tuple[Subgroup, ...]:
@@ -392,7 +407,7 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
                 subs = _candidate_subgroups(g, d)
             return subs
 
-        certs = tuple(_decide(g, d, p, subgroups, cap) for p in g.vertices)
+        certs = tuple(_decide(g, d, red, p, subgroups, cap) for p in g.vertices)
     count = sum(1 for c in certs if c.verdict)
     n = len(g.vertices)
     consistent = count in (0, 1, n) if (r == 2 and all_ones) else True

@@ -5,13 +5,17 @@ and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
 definition with full enumerations, group enumeration filters raw
 permutations, and `reduce_one_chip` reduces with a burning loop that
-fires one chip per round.  Slow on purpose; use at small sizes only.
+fires one chip per round.  `smoothness_by_rank` is the exception: it
+decides the smoothness conditions by their definition through the
+library's `rank` (itself checked against `rank_brute`), where the
+library reads them off reduced forms.  Slow on purpose; use at small
+sizes only.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from graphdivisors import Divisor, Graph
+from graphdivisors import Cond1Fail, Cond2Fail, Divisor, Graph, SmoothnessCheck, rank
 
 
 def is_connected(n, edges):
@@ -290,3 +294,17 @@ def random_divisor(rng, g, lo=-3, hi=6):
         coeffs = [rng.randint(-3, 4) for _ in range(n)]
         if lo <= sum(coeffs) <= hi:
             return Divisor.from_coeffs(g, coeffs)
+
+
+def smoothness_by_rank(g: Graph, d: Divisor, p: str):
+    """The smoothness check by its definition, one `rank` call per condition:
+    rank(d - p) = 1, then rank(d - p - q) = 0 for every q in vertex order."""
+    dp = d - Divisor.vertex(g, p)
+    r1 = rank(g, dp)
+    if r1 != 1:
+        return SmoothnessCheck(False, Cond1Fail(p, r1))
+    for q in g.vertices:
+        r0 = rank(g, dp - Divisor.vertex(g, q))
+        if r0 != 0:
+            return SmoothnessCheck(False, Cond2Fail(p, q, r0))
+    return SmoothnessCheck(True)

@@ -52,6 +52,26 @@ class TestQueryCommands:
         assert "Traceback" not in err
         assert out.strip() == "99999999·P1 + 1·P2"
 
+    def test_reduce_self_check_within_cap(self, capsys):
+        code, out, err = run(capsys, "reduce", "--family", "cycle:6", "--divisor", "all-ones",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["is_reduced"] is True
+
+    def test_reduce_self_check_skipped_past_cap(self, capsys):
+        # 2^23 subsets exceed the default cap: the check is skipped, not run.
+        argv = ("reduce", "--family", "cycle:24", "--divisor", "all-ones")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["is_reduced"] is None
+        assert err == "note: is_reduced not checked: the subset check needs 8388608 subsets (cap 5000000)\n"
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == "23·P1 + 1·P13\n"
+        assert err.startswith("note: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "reduce", "--family", "cycle:6", "--divisor", "all-ones",
+                             "--cap", "31", "--format", "json")
+        assert code == 0 and json.loads(out)["is_reduced"] is None and "(cap 31)" in err
+
     def test_rank_two_thousand_chips_on_one_vertex(self, capsys, tmp_path):
         path = tmp_path / "point.json"
         path.write_text(json.dumps({"vertices": ["P1"], "edges": []}))

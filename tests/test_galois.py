@@ -21,6 +21,7 @@ from graphdivisors import (
     genus,
     is_galois_point,
     linear_system,
+    rank,
     riemann_roch_check,
     verify_theorem,
 )
@@ -77,6 +78,52 @@ class TestCheckSmoothness:
     def test_wheel_rim_rank_confirmed_by_lattice_oracle(self, w5):
         d = Divisor.all_ones(w5) - Divisor(w5, {"P2": 1, "P4": 1})
         assert oracles.rank_brute(w5, d) == 1
+
+
+class TestSmoothnessAgainstRankOracle:
+    """`check_smoothness` reads the verdict off reduced forms; the oracle
+    calls `rank` on d - p and on every d - p - q."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_vertex_of_rank_two_corpus_graphs(self, n):
+        from graphdivisors import enumerate_corpus
+
+        labels = [f"P{i}" for i in range(1, n + 1)]
+        checked = 0
+        for record in enumerate_corpus(n).records:
+            if record.rank != 2:
+                continue
+            g = build_graph(labels, record.edges)
+            d = Divisor.all_ones(g)
+            for p in g.vertices:
+                assert check_smoothness(g, d, p) == oracles.smoothness_by_rank(g, d, p), (record, p)
+                checked += 1
+        assert checked > 0
+
+    def test_random_rank_two_divisors(self):
+        rng = random.Random(2024)
+        specs = ["house4", "cycle:4", "cycle:5", "cycle:6", "wheel:5", "wheel:6", "wheel:7",
+                 "complete:4", "complete:5", "complete:6"]
+        divisors = 0
+        failures = set()
+        for spec in specs:
+            g = generate(spec)
+            found = 0
+            while found < 60:
+                d = Divisor.from_coeffs(g, [rng.randint(-1, 3) for _ in g.vertices])
+                # rank <= degree, and rank = degree - genus above degree 2g - 2
+                if d == Divisor.all_ones(g) or not 2 <= d.degree <= genus(g) + 2:
+                    continue
+                if rank(g, d) != 2:
+                    continue
+                found += 1
+                for p in g.vertices:
+                    res = check_smoothness(g, d, p)
+                    assert res == oracles.smoothness_by_rank(g, d, p), (spec, d, p)
+                    failures.add(type(res.failure))
+            divisors += found
+        assert divisors >= 500
+        assert failures == {type(None), Cond1Fail, Cond2Fail}
 
 
 class TestFixedMembers:
@@ -339,6 +386,22 @@ class TestSinglePass:
         classify_galois_points.__wrapped__(g, d)
         assert len(rank_of_d) == 1
         assert len(aut_calls) <= 1
+
+    @pytest.mark.parametrize("family", ["wheel:5", "complete:5", "house4"])
+    def test_smoothness_makes_no_rank_call(self, family, monkeypatch):
+        import graphdivisors.galois as galois
+
+        g = generate(family)
+        calls = []
+        real_rank = galois.rank
+
+        def counting_rank(*args):
+            calls.append(args[1])
+            return real_rank(*args)
+
+        monkeypatch.setattr(galois, "rank", counting_rank)
+        classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+        assert calls == [Divisor.all_ones(g)]
 
     def test_witness_divisors_match_linear_system_oracle(self):
         from graphdivisors import enumerate_corpus

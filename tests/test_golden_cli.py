@@ -4,7 +4,9 @@ The digests are the sha256 of the exact stdout of each command, recorded
 before the single-pass classification refactor.  A change that alters a
 verdict, a witness, the order of certificates or the JSON layout shows
 up here as a digest mismatch.  Every certificate of the `classify`
-commands must also pass the independent audit.
+commands must also pass the independent audit.  The cap sweeps pin what
+`--cap` refuses: stdout, stderr and exit code of `classify`, `galois`
+and `verify-theorem` at caps on both sides of every threshold.
 """
 
 import hashlib
@@ -51,3 +53,50 @@ def test_json_output_matches_golden_digest(command, capsys):
         for obj in payload["certificates"]:
             cert = GaloisCertificate.from_json(g, obj)
             assert audit_certificate(g, d, cert) == [], cert.vertex
+
+
+# Caps on both sides of every threshold these graphs reach: the
+# cumulative rank-probe counts (sum over s <= k of C(s+n-1, n-1): 4, 14,
+# 34 on four vertices; 5, 20, 55, 125, 251 on five; 6, 27, 83 on six) and
+# the witness search's linear-system gate C(2n-2, n-1) (20, 70, 252).
+CAPS = (0, 3, 4, 5, 6, 13, 14, 19, 20, 26, 27, 33, 34, 54, 55, 69, 70, 82, 83, 124, 125,
+        250, 251, 252)
+
+# sha256 over the stdout, stderr and exit code of the command at every
+# cap in CAPS, in text and in JSON; recorded before smoothness stopped
+# calling `rank`.
+CAP_GOLDEN_SHA256 = {
+    "classify --family complete:4": "6c538f6bf7c026072f1287dcfa7aa1b0763d2b89f2a8689a772e88c5e819a27c",
+    "classify --family complete:5": "0329f3bfa8381f19e9d249184df9297bc5e891f44650376a8e21e4f835c4b657",
+    "classify --family cycle:5": "6aa419843566bdfd61b2b43b4848d8e0e089e53085cae0632b7f942bd46ad49d",
+    "classify --family house4": "844376f9b63d53ec69d6480b0f862acda7f2bd8d434eb36ff2e8601e2828bb0a",
+    "classify --family wheel:5": "8941f9a57a6cfe82bced5da3cd4e3b99f6ff2517ff6cea2ba1ffd4adbbfad56e",
+    "classify --family wheel:6": "70dae118c37886456edec4f1801aa8e8a860f6616f427fc0f883cb7f726a3c64",
+    "galois --vertex P1 --family complete:4": "f100b73a1f3fa47f3763fc66117868f925604b046c5e4edf87c288ed6a377b4e",
+    "galois --vertex P1 --family complete:5": "9c36488e9efa219f4f549737a1b0d3ec3fd79de125188295f5a4c4b04b7ff052",
+    "galois --vertex P1 --family cycle:5": "bb9ad7631628831838fc41b6361a077944a5c5f998442f94ea2b7e5dbff701e7",
+    "galois --vertex P1 --family house4": "9b8fc6c4c998991a29fcd53d700f053bdcc1d382d0ffae0cc0994836cfea38e1",
+    "galois --vertex P1 --family wheel:5": "9c36488e9efa219f4f549737a1b0d3ec3fd79de125188295f5a4c4b04b7ff052",
+    "galois --vertex P1 --family wheel:6": "7b03c9d3bfa3bed2a3e1a47260d4ab30e6bf8ab777945d6e34516642cf518a24",
+    "verify-theorem --family complete:4": "8139b5fcb076b40be1ec056f321b1b4246ae9cc4e7bb3911f96574a667dfeaeb",
+    "verify-theorem --family complete:5": "57fae8106dfa4db6f6799b369d9fe85d6477d9a2916c013cdf520833a24a4547",
+    "verify-theorem --family cycle:5": "30684c0d235904d675f84766a42412d75003fab08cee9d3290cddd2999cfb946",
+    "verify-theorem --family house4": "da00552e3e5baf66a4473ae350004cab1de7fc16cca883fed947d5a6b3aa4057",
+    "verify-theorem --family wheel:5": "08241390aa065c605ce48ff1441ae44ef0b046b339e7d755d942388ac50bd3eb",
+    "verify-theorem --family wheel:6": "6cae7333879aa91d490408563402e9b35cf8c48aed9f56c7636f7c588d37d96c",
+}
+
+
+def cap_sweep_digest(command, capsys):
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        for cap in CAPS:
+            code = main(command.split() + ["--cap", str(cap), "--format", fmt])
+            out = capsys.readouterr()
+            digest.update(json.dumps([fmt, cap, code, out.out, out.err]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CAP_GOLDEN_SHA256))
+def test_cap_sweep_matches_golden_digest(command, capsys):
+    assert cap_sweep_digest(command, capsys) == CAP_GOLDEN_SHA256[command]

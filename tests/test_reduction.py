@@ -153,6 +153,76 @@ def test_laplacian_adjugate(spec):
     assert det == trees
 
 
+@pytest.mark.parametrize("spec", ["wheel:8", "complete:6"])
+def test_rank_reduces_only_the_divisor_itself(spec, monkeypatch):
+    # Every probe's reduced form comes from its parent's by `_drop_chip`,
+    # so one rank call runs one full reduction, whatever the rank.
+    g = generate(spec)
+    one, p1 = Divisor.all_ones(g), Divisor.vertex(g, "P1")
+    by_rank = {}
+    for d in [k * p1 for k in range(8)] + [one + k * p1 for k in range(6)] + [2 * one]:
+        by_rank.setdefault(rank(g, d), d)
+        if set(range(6)) <= set(by_rank):
+            break
+    assert set(range(6)) <= set(by_rank)
+    calls = []
+    reduce_coeffs = divisors._reduce_coeffs
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_coeffs(*args)
+
+    monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
+    for r in range(6):
+        calls.clear()
+        assert rank(g, by_rank[r]) == r
+        assert len(calls) == 1, (r, by_rank[r])
+
+
+@st.composite
+def reduced_at_first_vertex(draw):
+    g, d = draw(graph_and_divisor(lo=-20, hi=20))
+    return g, divisors._reduce_coeffs(g, list(d.coeffs), 0)[0]
+
+
+class TestDropChip:
+    """`_drop_chip(adj, red, v)` is the 0-reduced form of red - v."""
+
+    @staticmethod
+    def assert_drop(g, red, v):
+        dropped = divisors._drop_chip(g._adj, red, v)
+        minus = red.copy()
+        minus[v] -= 1
+        assert dropped == divisors._reduce_coeffs(g, minus.copy(), 0)[0]
+        assert dropped == oracles.reduce_one_chip(g, minus.copy(), 0)[0]
+        assert is_q_reduced(g, Divisor.from_coeffs(g, dropped), g.vertices[0])
+        return dropped
+
+    @given(reduced_at_first_vertex())
+    def test_every_vertex(self, case):
+        g, red = case
+        before = red.copy()
+        for v in range(len(g)):
+            self.assert_drop(g, red, v)
+        assert red == before
+
+    def test_vertex_borrowing_twice(self):
+        # Taking a chip at P4 sends P2 (neighbours P1, P3) into debt three
+        # times over before it borrows, so it has to borrow twice.
+        g = Graph([f"P{i}" for i in range(1, 7)],
+                  [("P1", "P2"), ("P2", "P3"), ("P3", "P4"), ("P3", "P5"), ("P3", "P6"),
+                   ("P4", "P6"), ("P5", "P6")])
+        red = [10, 0, 0, 0, 0, 0]
+        assert divisors._reduce_coeffs(g, red.copy(), 0)[0] == red
+        self.assert_drop(g, red, 3)
+
+    @given(reduced_at_first_vertex(), st.data())
+    def test_chips_taken_one_after_another(self, case, data):
+        g, red = case
+        for v in data.draw(st.lists(st.integers(0, len(g) - 1), max_size=12)):
+            red = self.assert_drop(g, red, v)
+
+
 class TestProperties:
     @given(graph_and_divisor())
     def test_matches_one_chip_oracle(self, case):
