@@ -44,13 +44,14 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="path to a graph JSON file")
 
 
-def _add_common(p: argparse.ArgumentParser, divisor: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, divisor: bool = False, cap: bool = False) -> None:
     _add_graph_options(p)
     if divisor:
         p.add_argument("--divisor", default=None,
                        help="inline divisor JSON, or 'all-ones' or 'zero'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=_cap, default=None, help="enumeration cap override")
+    if cap:
+        p.add_argument("--cap", type=_cap, default=None, help="enumeration cap override")
 
 
 def _load_graph(args) -> Graph:
@@ -294,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("rank", help="rank of a divisor")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("reduce", help="reduced form of a divisor at a base vertex")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.add_argument("--base", help="base vertex (default: first vertex)")
     p.set_defaults(func=_cmd_reduce)
 
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("linsys", help="complete linear system of a divisor")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.set_defaults(func=_cmd_linsys)
 
     p = sub.add_parser("aut", help="full automorphism group")
@@ -332,20 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser("galois", help="Galois-point certificate for one vertex")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.add_argument("--vertex", help="vertex to test")
     p.set_defaults(func=_cmd_galois)
 
     p = sub.add_parser("classify", help="Galois-point classification of all vertices")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-theorem", help="completeness vs. two-galois-points equivalence")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("rr-check", help="rank identity check for a divisor")
-    _add_common(p, divisor=True)
+    _add_common(p, divisor=True, cap=True)
     p.set_defaults(func=_cmd_rr_check)
 
     p = sub.add_parser("corpus", help="sweep all labeled 2-edge-connected graphs on n vertices")

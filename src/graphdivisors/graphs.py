@@ -111,7 +111,7 @@ class Graph:
     def index_of(self, v: str) -> int:
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def has_vertex(self, v: str) -> bool:

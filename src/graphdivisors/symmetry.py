@@ -7,6 +7,7 @@ order so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping
@@ -251,7 +252,7 @@ def _as_perm(graph: Graph, e) -> tuple[int, ...]:
         return e
     if isinstance(e, Mapping):
         return Automorphism.from_mapping(graph, e).perm
-    raise TypeError(f"cannot interpret {e!r} as an automorphism")
+    raise InvalidMorphismError(f"cannot interpret {e!r} as an automorphism")
 
 
 def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> frozenset | None:
@@ -343,91 +344,70 @@ def _divisors_of(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _smallest_prime_factor(m: int) -> int:
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 1
-    return m
-
-
 def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
-    """All subgroups of `full` with exactly m elements, sorted.
-
-    Returns () whenever m does not divide the group order.  The search
-    is exhaustive for every m; see the inline notes for why each case
-    cannot miss a subgroup.
-    """
+    """All subgroups of `full` with exactly m elements, sorted by their
+    sorted element tuples.  Returns () whenever m does not divide the
+    group order."""
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
-    g = full.graph
-    n = len(g.vertices)
+    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(full, m))
+
+
+def _subgroups_in_order(full: Subgroup, m: int):
+    """Yield the order-m subgroups of `full` lazily, in sorted order.
+
+    Every subgroup H is reached exactly once, along its chain
+    g1 < g2 < ... where g(i+1) is the smallest element of H outside
+    C = <g1..gi>.  So a candidate x at group C must exceed the last
+    generator, and <C, x> may hold no element below x that C lacks.
+    The search runs depth first over candidates in increasing order;
+    two subgroups that first differ in the next generator x < x' agree
+    below x, and only the first holds x, so groups come out sorted.
+    """
+    if len(full.perms) % m:
+        return
+    n = len(full.graph.vertices)
     identity = tuple(range(n))
-    if m == 1:
-        return (Subgroup.trivial(g),)
-    if len(full.perms) % m != 0:
-        return ()
+    # Elements of a group of order m have orders dividing m.  An element
+    # with a power below itself can only extend a group holding that
+    # power, so it is filed under its smallest power.
+    fits = {x for x in full.perms if x != identity and m % _perm_order(x) == 0}
+    minimal = []
+    filed: dict[tuple, list] = {}
+    for x in sorted(fits):
+        low, power = x, _compose(x, x)
+        while power != identity:
+            low, power = min(low, power), _compose(power, x)
+        if low == x:
+            minimal.append(x)
+        else:
+            filed.setdefault(low, []).append(x)
 
-    found: set[frozenset] = set()
-    p = _smallest_prime_factor(m)
-    if m == p:
-        # Prime order: all subgroups are cyclic.
-        for x in full.perms:
-            if _perm_order(x) == m:
-                found.add(frozenset(_powers(x, identity)))
-    elif m // p != p and _smallest_prime_factor(m // p) == m // p:
-        # m = p*q with primes p < q: the q-part is normal, so every such
-        # subgroup is generated by an order-q cycle and a normalizing
-        # element of order p.
-        q = m // p
-        q_subs = subgroups_of_order(full, q)
-        xs = [x for x in full.perms if _perm_order(x) == p]
-        for sub in q_subs:
-            a = next(pp for pp in sub.perms if pp != identity)
-            for x in xs:
-                if _compose(_compose(x, a), _invert(x)) in sub.perms:
-                    xps = _powers(x, identity)
-                    elems = frozenset(_compose(b, xp) for b in sub.perms for xp in xps)
-                    found.add(elems)
-    else:
-        # General case: grow subgroups one generator at a time.  Any
-        # group of order m is the closure of a chain of subgroups whose
-        # orders divide m, so a breadth-first sweep over (subgroup,
-        # candidate element) pairs with closures aborted past m elements
-        # is exhaustive.
-        candidates = [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
-        seen: set[frozenset] = {frozenset({identity})}
-        frontier = [frozenset({identity})]
-        while frontier:
-            new = []
-            for k in frontier:
-                base = list(k)
-                for x in candidates:
-                    if x in k:
-                        continue
-                    h = _closure(base + [x], n, cap=m)
-                    if h is None or m % len(h) != 0 or h in seen:
-                        continue
-                    seen.add(h)
-                    if len(h) < m:
-                        new.append(h)
-                    else:
-                        found.add(h)
-            frontier = new
+    def extend(gens: list, group: frozenset, last: tuple):
+        if len(group) == m:
+            yield group
+            return
+        rest = [c for c in group if c != identity]
+        xs = sorted(minimal[bisect_right(minimal, last):]
+                    + [x for c in group for x in filed.get(c, ()) if x > last])
+        # x*c > x iff x maps c's first moved point v below c(v).
+        for v, w in {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}:
+            xs = [x for x in xs if x[v] < x[w]]
+        for x in xs:
+            if x in group:
+                continue
+            # The products x*c and c*x lie in <C, x> but not in C.
+            for c in rest:
+                cx = _compose(c, x)
+                if cx < x or cx not in fits or _compose(x, c) not in fits:
+                    break
+            else:
+                h = _closure(gens + [x], n, cap=m)
+                if h is None or m % len(h) or any(y < x and y not in group for y in h):
+                    continue
+                yield from extend(gens + [x], h, x)
 
-    subs = [Subgroup(g, perms, _checked=True) for perms in found]
-    subs.sort(key=lambda s: tuple(sorted(s.perms)))
-    return tuple(subs)
-
-
-def _powers(x: tuple[int, ...], identity: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = [identity]
-    cur = x
-    while cur != identity:
-        out.append(cur)
-        cur = _compose(cur, x)
-    return out
+    yield from extend([], frozenset({identity}), identity)
 
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:

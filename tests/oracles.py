@@ -4,12 +4,12 @@ Nothing here shares code with the package's fast paths: connectivity
 and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
 definition with full enumerations, group enumeration filters raw
-permutations, and `reduce_one_chip` reduces with a burning loop that
-fires one chip per round.  `smoothness_by_rank` is the exception: it
-decides the smoothness conditions by their definition through the
-library's `rank` (itself checked against `rank_brute`), where the
-library reads them off reduced forms.  Slow on purpose; use at small
-sizes only.
+permutations or closes small generating sets, and `reduce_one_chip`
+reduces with a burning loop that fires one chip per round.
+`smoothness_by_rank` is the exception: it decides the smoothness
+conditions by their definition through the library's `rank` (itself
+checked against `rank_brute`), where the library reads them off
+reduced forms.  Slow on purpose; use at small sizes only.
 """
 
 from fractions import Fraction
@@ -269,6 +269,34 @@ def subgroup_sets_brute(perms, m):
     if m == 1:
         out.add(frozenset({identity}))
     return out
+
+
+def subgroups_by_generators(perms, m):
+    """All order-m subgroups of a small group, as a sorted list of sorted
+    element tuples.  A group of order m is generated by at most log2(m)
+    of its elements, so closing every subset that small finds them all."""
+    identity = tuple(range(len(perms[0])))
+    # Only elements with x^m = identity can lie in a group of order m.
+    usable = []
+    for x in sorted(perms):
+        power = identity
+        for _ in range(m):
+            power = compose(power, x)
+        if power == identity and x != identity:
+            usable.append(x)
+    found = set()
+    for k in range(m.bit_length()):
+        for gens in combinations(usable, k):
+            elems, todo = {identity}, [identity]
+            while todo and len(elems) <= m:
+                a = todo.pop()
+                for b in (compose(a, x) for x in gens):
+                    if b not in elems:
+                        elems.add(b)
+                        todo.append(b)
+            if len(elems) == m:
+                found.add(tuple(sorted(elems)))
+    return sorted(found)
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.5):

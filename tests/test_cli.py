@@ -287,3 +287,24 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "rank", "--family", "cycle:4", "--divisor", '{"P1": -3}',
                            "--cap", "0")
         assert code == 0 and out.strip() == "-1"
+
+    @pytest.mark.parametrize("subgroup", [
+        "[1]",
+        "[null]",
+        '["x"]',
+        "[[0, 1, 2, 3]]",
+        '[{"P1": ["P2"], "P2": "P1", "P3": "P3", "P4": "P4"}]',
+    ])
+    def test_subgroup_item_not_a_vertex_mapping(self, capsys, subgroup):
+        for command in ("quotient", "harmonic"):
+            code, out, err = run(capsys, command, "--family", "complete:4", "--subgroup", subgroup)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("command", ["gen", "equiv", "aut", "subgroups --order 3", "quotient", "harmonic"])
+    def test_cap_only_on_commands_that_use_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--family", "complete:4", "--cap", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 1" in capsys.readouterr().err

@@ -187,7 +187,25 @@ class TestSubgroups:
                 got = {h.perms for h in subgroups_of_order(full, m)}
                 assert got == oracles.subgroup_sets_brute(perms, m), (g, m)
 
-    def test_order_6_in_s4_via_two_prime_path(self, k4):
+    @pytest.mark.parametrize("spec", ["house4", "cycle:3", "cycle:4", "cycle:5", "cycle:6",
+                                      "wheel:5", "wheel:6", "complete:3", "complete:4"])
+    def test_matches_generator_subset_oracle(self, spec):
+        full = automorphism_group(generate(spec))
+        perms = [p.perm for p in full]
+        for m in range(1, full.order + 1):
+            if full.order % m == 0:
+                got = tuple(tuple(sorted(h.perms)) for h in subgroups_of_order(full, m))
+                assert got == tuple(oracles.subgroups_by_generators(perms, m)), (spec, m)
+
+    def test_s5_subgroup_counts(self):
+        full = automorphism_group(generate("complete:5"))
+        expected = {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6, 12: 15, 15: 0,
+                    20: 6, 24: 5, 30: 0, 40: 0, 60: 1, 120: 1}
+        for m, count in expected.items():
+            assert len(subgroups_of_order(full, m)) == count, m
+        assert len(all_subgroups(full)) == sum(expected.values()) == 156
+
+    def test_order_6_in_s4(self, k4):
         # the four order-6 subgroups of S4 fix one vertex each
         subs = subgroups_of_order(automorphism_group(k4), 6)
         assert len(subs) == 4
