@@ -12,7 +12,8 @@ that reproduces in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
@@ -26,11 +27,13 @@ from .errors import (
 from .graphs import Graph, genus, is_two_edge_connected
 from .symmetry import (
     Subgroup,
+    _elements_of_order_dividing,
+    _harmonic_element,
+    _subgroups_in_order,
     _vertex_orbits,
     acts_harmonically,
     apply_to_divisor,
     automorphism_group,
-    subgroups_of_order,
 )
 
 
@@ -69,6 +72,11 @@ class Cond2Fail:
 
 @dataclass(frozen=True)
 class NoQualifyingSubgroup:
+    """No witness exists.  `subgroups_checked` is the number of harmonic
+    subgroups of the given order that the search examined, which is
+    all of them: a subgroup that acts harmonically but has a single
+    orbit or fixes fewer than two members still counts."""
+
     order: int
     subgroups_checked: int
 
@@ -299,29 +307,42 @@ def _invariant_effective_coeffs(orbits: list[list[int]], n: int, deg: int):
     yield from assign(0, deg, [])
 
 
-def _candidate_subgroups(g: Graph, d: Divisor) -> tuple[Subgroup, ...]:
-    return subgroups_of_order(automorphism_group(g), d.degree - 1)
+def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
+    """The elements a harmonic subgroup of order m of Aut(g) can hold:
+    non-identity automorphisms of order dividing m that fix no vertex
+    together with a neighbour."""
+    pool = _elements_of_order_dividing(automorphism_group(g), m)
+    return [x for x in pool if _harmonic_element(g._adj, x)]
 
 
-def _find_witness(g: Graph, d: Divisor, p: str, subs: tuple[Subgroup, ...],
-                  cap: int | None) -> GaloisCertificate | None:
-    """The first qualifying witness among the candidate subgroups, or None.
+def _find_witness(g: Graph, d: Divisor, p: str, pool: list[tuple[int, ...]],
+                  cap: int | None) -> GaloisCertificate:
+    """The certificate at a smooth vertex p: the first qualifying witness,
+    or, once every candidate fails, NoQualifyingSubgroup with their count.
 
-    Candidates that keep p fixed are tried first, each group in the
-    sorted order of `subgroups_of_order`.  The fixed members of the
-    linear system of d - p are the orbit-constant effective divisors of
-    degree deg(d) - 1 whose reduced form equals that of d - p, so each
-    costs one reduction.  The cap refuses the search whenever it would
-    refuse to enumerate that linear system.
+    The candidates are the harmonic subgroups of order deg(d) - 1, drawn
+    from `pool` (see `_admissible_elements`): a group acts harmonically
+    iff each of its elements does.  Those that keep p fixed come first,
+    in sorted order; only if none qualifies are the rest tried, in
+    sorted order.  The search stops at the first witness.  The fixed
+    members of the linear system of d - p are the orbit-constant
+    effective divisors of degree deg(d) - 1 whose reduced form equals
+    that of d - p, so each costs one reduction.  The cap refuses the
+    search whenever it would refuse to enumerate that linear system.
     """
     m = d.degree - 1
     n = len(g.vertices)
     pi = g.index_of(p)
     _require_enumerable(m, n, cap)
     target, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, p)).coeffs), 0)
-    for h in sorted(subs, key=lambda h: any(q[pi] != pi for q in h.perms)):
+    fixing_p = _subgroups_in_order([x for x in pool if x[pi] == pi], m, n)
+    moving_p = (h for h in _subgroups_in_order(pool, m, n) if any(x[pi] != pi for x in h))
+    checked = 0
+    for perms in chain(fixing_p, moving_p):
+        checked += 1
+        h = Subgroup(g, perms, _checked=True)
         orbits = _vertex_orbits(h)
-        if len(orbits) <= 1 or not acts_harmonically(g, h, "criterion"):
+        if len(orbits) <= 1:
             continue
         fixed = sorted(
             t for t in _invariant_effective_coeffs(orbits, n, m)
@@ -337,52 +358,46 @@ def _find_witness(g: Graph, d: Divisor, p: str, subs: tuple[Subgroup, ...],
                 quotient_vertex_count=len(orbits),
                 reason=None,
             )
-    return None
+    return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, checked))
 
 
 def _decide(g: Graph, d: Divisor, red: list[int], p: str,
-            subgroups: Callable[[], tuple[Subgroup, ...]], cap: int | None) -> GaloisCertificate:
+            pool: Callable[[], list[tuple[int, ...]]], cap: int | None) -> GaloisCertificate:
     """The verdict at p, for a rank-2 divisor d with 0-reduced form red
     on a bridgeless graph.
 
-    `subgroups()` returns the candidate subgroups of order deg(d) - 1;
-    it is called only once p passes the smoothness conditions.
+    `pool()` returns the admissible elements for order deg(d) - 1; it
+    is called only once p passes the smoothness conditions.
     """
     sm = _smoothness_unchecked(g, red, p)
     if not sm.ok:
         return GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
-    subs = subgroups()
-    cert = _find_witness(g, d, p, subs, cap)
-    if cert is None:
-        return GaloisCertificate(
-            vertex=p, verdict=False, reason=NoQualifyingSubgroup(d.degree - 1, len(subs))
-        )
-    return cert
+    return _find_witness(g, d, p, pool(), cap)
 
 
 def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> GaloisCertificate:
     """Decide whether p is a Galois point for the rank-2 divisor d.
 
-    The subgroup search ranges over all subgroups of the full
-    automorphism group of order deg(d) - 1; the first qualifying one is
-    returned as the witness, and exhaustion of the list yields a
-    NoQualifyingSubgroup verdict.
+    The witness search ranges over the harmonic subgroups of the full
+    automorphism group of order deg(d) - 1, those fixing p first, and
+    returns the first qualifying one; exhausting them yields a
+    NoQualifyingSubgroup verdict that counts them.
     """
     g.index_of(p)
     _require_two_edge_connected(g)
     _require_rank_two(g, d, cap)
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    return _decide(g, d, red, p, lambda: _candidate_subgroups(g, d), cap)
+    return _decide(g, d, red, p, lambda: _admissible_elements(g, d.degree - 1), cap)
 
 
 @lru_cache(maxsize=512)
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    The bridge check, rank(d), the reduced form of d and the candidate
-    subgroups depend on (g, d) only, so each is computed at most once
-    per call; the subgroups only when some vertex passes the smoothness
-    conditions, which are read off the reduced form of d.
+    The bridge check, rank(d), the reduced form of d and the admissible
+    automorphisms depend on (g, d) only, so each is computed at most
+    once per call; the automorphisms only when some vertex passes the
+    smoothness conditions, which are read off the reduced form of d.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
@@ -399,15 +414,8 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
         )
     else:
         red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-        subs = None
-
-        def subgroups() -> tuple[Subgroup, ...]:
-            nonlocal subs
-            if subs is None:
-                subs = _candidate_subgroups(g, d)
-            return subs
-
-        certs = tuple(_decide(g, d, red, p, subgroups, cap) for p in g.vertices)
+        pool = cache(lambda: _admissible_elements(g, d.degree - 1))
+        certs = tuple(_decide(g, d, red, p, pool, cap) for p in g.vertices)
     count = sum(1 for c in certs if c.verdict)
     n = len(g.vertices)
     consistent = count in (0, 1, n) if (r == 2 and all_ones) else True
@@ -544,11 +552,12 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         if r == 0 or r != reason.rank:
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
-        subs = _candidate_subgroups(g, d)
-        if _find_witness(g, d, cert.vertex, subs, cap) is not None:
+        again = _find_witness(g, d, cert.vertex, _admissible_elements(g, d.degree - 1), cap)
+        if again.verdict:
             problems.append("a qualifying subgroup exists after all")
-        if len(subs) != reason.subgroups_checked:
+        elif again.reason.subgroups_checked != reason.subgroups_checked:
             problems.append(
-                f"recorded {reason.subgroups_checked} candidate subgroups, search found {len(subs)}"
+                f"recorded {reason.subgroups_checked} candidate subgroups, "
+                f"search examined {again.reason.subgroups_checked}"
             )
     return problems

@@ -350,31 +350,42 @@ def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
     group order."""
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
-    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(full, m))
+    pool = _elements_of_order_dividing(full, m)
+    n = len(full.graph.vertices)
+    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(pool, m, n))
 
 
-def _subgroups_in_order(full: Subgroup, m: int):
-    """Yield the order-m subgroups of `full` lazily, in sorted order.
+def _elements_of_order_dividing(full: Subgroup, m: int) -> list[tuple[int, ...]]:
+    """The non-identity elements of `full` whose order divides m, the
+    only ones a subgroup of order m can hold; none when m does not
+    divide the group order."""
+    if len(full.perms) % m:
+        return []
+    identity = tuple(range(len(full.graph.vertices)))
+    return [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
 
-    Every subgroup H is reached exactly once, along its chain
+
+def _subgroups_in_order(pool: list[tuple[int, ...]], m: int, n: int):
+    """Yield lazily, in sorted order, the order-m groups of permutations
+    of n points whose non-identity elements all lie in `pool`.
+
+    The pool holds distinct non-identity elements whose orders divide
+    m.  Every group H is reached exactly once, along its chain
     g1 < g2 < ... where g(i+1) is the smallest element of H outside
     C = <g1..gi>.  So a candidate x at group C must exceed the last
-    generator, and <C, x> may hold no element below x that C lacks.
-    The search runs depth first over candidates in increasing order;
-    two subgroups that first differ in the next generator x < x' agree
-    below x, and only the first holds x, so groups come out sorted.
+    generator, and <C, x> may hold no element below x that C lacks, nor
+    any element outside the pool.  The search runs depth first over
+    candidates in increasing order; two groups that first differ in the
+    next generator x < x' agree below x, and only the first holds x, so
+    groups come out sorted.
     """
-    if len(full.perms) % m:
-        return
-    n = len(full.graph.vertices)
     identity = tuple(range(n))
-    # Elements of a group of order m have orders dividing m.  An element
-    # with a power below itself can only extend a group holding that
-    # power, so it is filed under its smallest power.
-    fits = {x for x in full.perms if x != identity and m % _perm_order(x) == 0}
+    fits = {identity, *pool}
+    # An element with a power below itself can only extend a group
+    # holding that power, so it is filed under its smallest power.
     minimal = []
     filed: dict[tuple, list] = {}
-    for x in sorted(fits):
+    for x in sorted(pool):
         low, power = x, _compose(x, x)
         while power != identity:
             low, power = min(low, power), _compose(power, x)
@@ -403,7 +414,8 @@ def _subgroups_in_order(full: Subgroup, m: int):
                     break
             else:
                 h = _closure(gens + [x], n, cap=m)
-                if h is None or m % len(h) or any(y < x and y not in group for y in h):
+                if h is None or m % len(h) or any(
+                        y not in fits or (y < x and y not in group) for y in h):
                     continue
                 yield from extend(gens + [x], h, x)
 
@@ -643,6 +655,13 @@ def is_harmonic_morphism(phi: GraphMorphism) -> bool:
     return True
 
 
+def _harmonic_element(adj, p: tuple[int, ...]) -> bool:
+    """Whether the non-identity permutation p fixes no vertex together
+    with one of its neighbours, the condition that every element of a
+    harmonically acting group must meet."""
+    return not any(p[v] == v and any(p[w] == w for w in adj[v]) for v in range(len(p)))
+
+
 def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
                       cap: int = DEFAULT_HARMONIC_DEFINITION_CAP) -> bool:
     """Whether h acts harmonically on g.
@@ -658,14 +677,7 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
         raise GraphMismatchError("subgroup acts on a different graph")
     if mode == "criterion":
         identity = tuple(range(len(g.vertices)))
-        adj = g._adj
-        for p in h.perms:
-            if p == identity:
-                continue
-            for v in range(len(p)):
-                if p[v] == v and any(p[w] == w for w in adj[v]):
-                    return False
-        return True
+        return all(_harmonic_element(g._adj, p) for p in h.perms if p != identity)
     if mode == "definition":
         if len(h.perms) > cap:
             raise SizeCapExceededError(

@@ -9,13 +9,33 @@ reduces with a burning loop that fires one chip per round.
 `smoothness_by_rank` is the exception: it decides the smoothness
 conditions by their definition through the library's `rank` (itself
 checked against `rank_brute`), where the library reads them off
-reduced forms.  Slow on purpose; use at small sizes only.
+reduced forms.  `witness_by_all_subgroups` is another: it runs the
+witness search over every subgroup of the right order, built by the
+library's `subgroups_of_order` (checked against
+`subgroups_by_generators`) and tested one by one with
+`acts_harmonically`, where the library only ever builds harmonic
+subgroups.  Slow on purpose; use at small sizes only.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from graphdivisors import Cond1Fail, Cond2Fail, Divisor, Graph, SmoothnessCheck, rank
+from graphdivisors import (
+    Cond1Fail,
+    Cond2Fail,
+    Divisor,
+    GaloisCertificate,
+    Graph,
+    NoQualifyingSubgroup,
+    SmoothnessCheck,
+    acts_harmonically,
+    automorphism_group,
+    fixed_members,
+    linear_system,
+    quotient_graph,
+    rank,
+    subgroups_of_order,
+)
 
 
 def is_connected(n, edges):
@@ -336,3 +356,26 @@ def smoothness_by_rank(g: Graph, d: Divisor, p: str):
         if r0 != 0:
             return SmoothnessCheck(False, Cond2Fail(p, q, r0))
     return SmoothnessCheck(True)
+
+
+def witness_by_all_subgroups(g: Graph, d: Divisor, p: str):
+    """The certificate at a smooth vertex p of a rank-2 divisor d, by
+    building every subgroup of order deg(d) - 1 of Aut(g).
+
+    Subgroups fixing p come first, each part in sorted order; the first
+    that acts harmonically, has two or more orbits, and fixes two members
+    of the linear system of d - p (the smallest two by coefficients) is
+    the witness.  A negative certificate counts the harmonic subgroups."""
+    m = d.degree - 1
+    pi = g.index_of(p)
+    subs = subgroups_of_order(automorphism_group(g), m)
+    harmonic = [h for h in subs if acts_harmonically(g, h, "criterion")]
+    system = linear_system(g, d - Divisor.vertex(g, p))
+    for h in sorted(harmonic, key=lambda h: any(x[pi] != pi for x in h.perms)):
+        orbits = quotient_graph(g, h).vertex_count
+        if orbits < 2:
+            continue
+        fixed = sorted(fixed_members(h, system), key=lambda e: e.coeffs)
+        if len(fixed) >= 2:
+            return GaloisCertificate(p, True, h, fixed[0], fixed[1], orbits)
+    return GaloisCertificate(p, False, reason=NoQualifyingSubgroup(m, len(harmonic)))

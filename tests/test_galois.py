@@ -422,3 +422,108 @@ class TestSinglePass:
                 fixed = sorted(fixed_members(cert.subgroup, system), key=lambda e: e.coeffs)
                 assert (cert.e1, cert.e2) == tuple(fixed[:2]), (g, cert.vertex)
         assert positives > 0
+
+
+def _rank_two_corpus_graphs(n):
+    from graphdivisors import enumerate_corpus
+
+    labels = [f"P{i}" for i in range(1, n + 1)]
+    return [build_graph(labels, r.edges) for r in enumerate_corpus(n).records if r.rank == 2]
+
+
+class TestWitnessSearch:
+    """The search builds only harmonic subgroups, those fixing p first,
+    and stops at the first witness; `oracles.witness_by_all_subgroups`
+    builds every subgroup of the order and sorts them."""
+
+    @staticmethod
+    def _check_against_oracle(g, d):
+        searched = []
+        for cert in classify_galois_points(g, d).certificates:
+            if isinstance(cert.reason, (Cond1Fail, Cond2Fail)):
+                continue
+            assert cert == oracles.witness_by_all_subgroups(g, d, cert.vertex), (g, d, cert.vertex)
+            searched.append(cert)
+        return searched
+
+    def test_all_ones_matches_oracle(self):
+        graphs = _rank_two_corpus_graphs(4) + _rank_two_corpus_graphs(5)
+        graphs += [generate(f"complete:{n}") for n in range(3, 8)]
+        graphs += [generate(f"wheel:{n}") for n in range(5, 9)]
+        graphs.append(generate("house4"))
+        verdicts = set()
+        for g in graphs:
+            for cert in self._check_against_oracle(g, Divisor.all_ones(g)):
+                verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    def test_random_divisors_match_oracle(self):
+        rng = random.Random(7)
+        graphs = rng.sample(_rank_two_corpus_graphs(4) + _rank_two_corpus_graphs(5), 20)
+        graphs += [generate(s) for s in ("complete:3", "complete:4", "complete:5", "complete:6",
+                                         "wheel:5", "wheel:6", "wheel:7", "house4")]
+        divisors = 0
+        moved, negatives = 0, 0
+        for g in graphs:
+            found = 0
+            while found < 15:
+                d = Divisor.from_coeffs(g, [rng.randint(-1, 3) for _ in g.vertices])
+                if d == Divisor.all_ones(g) or not 2 <= d.degree <= genus(g) + 2:
+                    continue
+                if rank(g, d) != 2:
+                    continue
+                found += 1
+                for cert in self._check_against_oracle(g, d):
+                    if cert.verdict:
+                        moved += any(x[g.index_of(cert.vertex)] != g.index_of(cert.vertex)
+                                     for x in cert.subgroup.perms)
+                    else:
+                        negatives += cert.reason.subgroups_checked > 0
+            divisors += found
+        assert divisors >= 300
+        assert moved > 0 and negatives > 0, (moved, negatives)
+
+    def test_negative_counts_are_all_harmonic_subgroups(self):
+        from graphdivisors import (
+            acts_harmonically,
+            automorphism_group,
+            enumerate_corpus,
+            subgroups_of_order,
+        )
+
+        labels = ["P1", "P2", "P3", "P4", "P5"]
+        graphs = [build_graph(labels, r.edges) for r in enumerate_corpus(5).records]
+        graphs.append(generate("house4"))
+        verdicts = 0
+        for g in graphs:
+            d = Divisor.all_ones(g)
+            m = d.degree - 1
+            harmonic = None
+            for cert in classify_galois_points(g, d).certificates:
+                if not isinstance(cert.reason, NoQualifyingSubgroup):
+                    continue
+                if harmonic is None:
+                    harmonic = len([h for h in subgroups_of_order(automorphism_group(g), m)
+                                    if acts_harmonically(g, h)])
+                assert cert.reason == NoQualifyingSubgroup(m, harmonic)
+                assert audit_certificate(g, d, cert) == []
+                verdicts += 1
+        assert verdicts == 170 + 2
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_complete_graph_stops_at_first_witness(self, n, monkeypatch):
+        import graphdivisors.galois as galois
+
+        produced = []
+        real = galois._subgroups_in_order
+
+        def counting(*args):
+            for h in real(*args):
+                produced.append(h)
+                yield h
+
+        monkeypatch.setattr(galois, "_subgroups_in_order", counting)
+        g = generate(f"complete:{n}")
+        report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+        assert report.galois_count == n
+        assert len(produced) == n

@@ -197,6 +197,34 @@ class TestSubgroups:
                 got = tuple(tuple(sorted(h.perms)) for h in subgroups_of_order(full, m))
                 assert got == tuple(oracles.subgroups_by_generators(perms, m)), (spec, m)
 
+    @pytest.mark.parametrize("spec", ["house4", "cycle:6", "wheel:6", "complete:4", "complete:5"])
+    def test_restricted_pool_yields_the_filtered_subgroups(self, spec):
+        # Harmonicity and fixing a vertex hold for a group iff they hold
+        # for each element, so a pool filtered by either yields exactly
+        # the subgroups that pass the filter, in the same order.
+        from graphdivisors.symmetry import (
+            _elements_of_order_dividing,
+            _harmonic_element,
+            _subgroups_in_order,
+        )
+
+        g = generate(spec)
+        full = automorphism_group(g)
+        n = len(g.vertices)
+        identity = tuple(range(n))
+        tests = {
+            "harmonic": lambda x: x == identity or _harmonic_element(g._adj, x),
+            "fixes P1": lambda x: x[0] == 0,
+        }
+        for m in range(1, full.order + 1):
+            if full.order % m:
+                continue
+            subs = subgroups_of_order(full, m)
+            for name, test in tests.items():
+                pool = [x for x in _elements_of_order_dividing(full, m) if test(x)]
+                expected = [h.perms for h in subs if all(map(test, h.perms))]
+                assert list(_subgroups_in_order(pool, m, n)) == expected, (spec, m, name)
+
     def test_s5_subgroup_counts(self):
         full = automorphism_group(generate("complete:5"))
         expected = {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6, 12: 15, 15: 0,
