@@ -10,8 +10,8 @@ reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The BFS layering per base vertex and the reduced
 Laplacian's adjugate are computed once per graph and kept on it.  `rank`
-reduces d once and derives each probe's reduced form from its parent
-probe's by a one-grain sandpile avalanche (`_drop_chip`).  The
+and `linear_system` reduce d once and derive every other reduced form
+from a parent's by a one-grain sandpile avalanche (`_drop_chip`).  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -20,7 +20,7 @@ they never silently truncate.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     EnumerationCapExceededError,
@@ -527,16 +527,6 @@ def linearly_equivalent(g: "Graph", d1: Divisor, d2: Divisor) -> bool:
     return r1 == r2
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _require_enumerable(k: int, n: int, cap: int | None) -> None:
     """Refuse up front when the C(k+n-1, n-1) effective divisors of
     degree k >= 0 on n vertices exceed the cap."""
@@ -552,10 +542,10 @@ def _require_enumerable(k: int, n: int, cap: int | None) -> None:
 
 
 def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[Divisor]:
-    """All effective divisors linearly equivalent to d.
-
-    Enumerates every effective divisor of degree deg(d) and keeps those
-    with the same reduced form as d.  Empty for negative degree.
+    """All effective divisors linearly equivalent to d; empty for
+    negative degree.  Reduces d once and walks the members by `_members`
+    with one orbit per vertex, so the cost follows the members, not the
+    C(k+n-1, n-1) candidates, though the cap still counts those.
     """
     _check_bound(g, d)
     k = d.degree
@@ -563,13 +553,9 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
         return frozenset()
     n = len(g.vertices)
     _require_enumerable(k, n, cap)
-    target, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    members = []
-    for e in _compositions(k, n):
-        red, _ = _reduce_coeffs(g, list(e), 0)
-        if red == target:
-            members.append(Divisor.from_coeffs(g, e))
-    return frozenset(members)
+    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+    members = _members(g._adj, red, [[v] for v in range(n)], k)
+    return frozenset(Divisor.from_coeffs(g, e) for e in members)
 
 
 def _drop_chip(adj, red: list[int], v: int) -> list[int]:
@@ -600,6 +586,41 @@ def _drop_chip(adj, red: list[int], v: int) -> list[int]:
         if c[u] < 0:
             stack.append(u)
     return c
+
+
+def _members(adj, red: list[int], orbits: list[list[int]], k: int) -> list[tuple[int, ...]]:
+    """The effective e of degree k, constant on each orbit, equivalent to
+    the divisor whose 0-reduced form is red.
+
+    e is built orbit by orbit, in increasing order, carrying the reduced
+    form (the remainder) of red - e' for the part e' taken so far, chip
+    by chip with `_drop_chip`.  A remainder negative at the base has an empty linear
+    system, and stays empty, so it is not extended; a complete e is a
+    member iff its remainder is zero.  The walk keeps its own stack of
+    (remainder, lowest open orbit, chips left, (orbit, value) pairs).
+    """
+    found = []
+    stack = [(red, 0, k, ())] if red[0] >= 0 else []
+    while stack:
+        rest, start, left, taken = stack.pop()
+        if not left:
+            if not any(rest):
+                coeffs = [0] * len(red)
+                for i, value in taken:
+                    for v in orbits[i]:
+                        coeffs[v] = value
+                found.append(tuple(coeffs))
+            continue
+        for i in range(start, len(orbits)):
+            orbit = orbits[i]
+            child = rest
+            for value in range(1, left // len(orbit) + 1):
+                for v in orbit:
+                    child = _drop_chip(adj, child, v)
+                if child[0] < 0:
+                    break
+                stack.append((child, i + 1, left - value * len(orbit), taken + ((i, value),)))
+    return found
 
 
 def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:

@@ -12,12 +12,12 @@ that reproduces in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _drop_chip, _empty_probe, _reduce_coeffs, _require_enumerable
+from .divisors import _drop_chip, _empty_probe, _members, _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -248,25 +248,25 @@ def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Sm
     Requires rank(d) = 2 (the cap applies to that rank computation);
     returns the first violation found, scanning q in vertex order.
     """
-    g.index_of(p)
+    pi = g.index_of(p)
     _require_rank_two(g, d, cap)
-    return _smoothness_unchecked(g, _reduce_coeffs(g, list(d.coeffs), 0)[0], p)
+    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+    return _smoothness_unchecked(g, _drop_chip(g._adj, red, pi), p)
 
 
-def _smoothness_unchecked(g: Graph, red: list[int], p: str) -> SmoothnessCheck:
-    """The smoothness verdict at p for a rank-2 divisor d with 0-reduced
-    form red, read off reduced forms without calling `rank`.
+def _smoothness_unchecked(g: Graph, dp: list[int], p: str) -> SmoothnessCheck:
+    """The smoothness verdict at p for a rank-2 divisor d, read off the
+    0-reduced form dp of d - p and its avalanches without calling `rank`.
 
     Removing a vertex lowers the rank by at most one, and r(D) =
     1 + min_v r(D - v) when |D| is nonempty.  With
     r(d) = 2 this gives r(d - p - q) = 0 iff d - p - q - v is empty for
     some v (the degree-1 probe), and r(d - p) = 1 iff that holds for some
     q; otherwise r(d - p) = 2 and every r(d - p - q) = 1.  Each reduced
-    form is one `_drop_chip` away from the previous, and every probe
-    stays within degree 3, which rank(d) = 2 already passed under the cap.
+    form is one `_drop_chip` away from dp, and every probe stays within
+    degree 3, which rank(d) = 2 already passed under the cap.
     """
     adj = g._adj
-    dp = _drop_chip(adj, red, g.index_of(p))
     rank_zero = [_empty_probe(g, _drop_chip(adj, dp, q), 1) for q in range(len(g.vertices))]
     if not any(rank_zero):
         return SmoothnessCheck(False, Cond1Fail(p, 2))
@@ -288,25 +288,6 @@ def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor
     return frozenset(out)
 
 
-def _invariant_effective_coeffs(orbits: list[list[int]], n: int, deg: int):
-    """Effective orbit-constant coefficient tuples of the given degree."""
-    sizes = [len(o) for o in orbits]
-
-    def assign(i: int, remaining: int, acc: list[int]):
-        if i == len(orbits):
-            if remaining == 0:
-                coeffs = [0] * n
-                for orb, value in zip(orbits, acc):
-                    for v in orb:
-                        coeffs[v] = value
-                yield tuple(coeffs)
-            return
-        for value in range(remaining // sizes[i], -1, -1):
-            yield from assign(i + 1, remaining - value * sizes[i], acc + [value])
-
-    yield from assign(0, deg, [])
-
-
 def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
     """The elements a harmonic subgroup of order m of Aut(g) can hold:
     non-identity automorphisms of order dividing m that fix no vertex
@@ -315,26 +296,23 @@ def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
     return [x for x in pool if _harmonic_element(g._adj, x)]
 
 
-def _find_witness(g: Graph, d: Divisor, p: str, pool: list[tuple[int, ...]],
+def _find_witness(g: Graph, p: str, dp: list[int], pool: list[tuple[int, ...]],
                   cap: int | None) -> GaloisCertificate:
-    """The certificate at a smooth vertex p: the first qualifying witness,
-    or, once every candidate fails, NoQualifyingSubgroup with their count.
+    """The certificate at a smooth vertex p, where dp is the 0-reduced
+    form of d - p: the first qualifying witness, or, once every
+    candidate fails, NoQualifyingSubgroup with their count.
 
-    The candidates are the harmonic subgroups of order deg(d) - 1, drawn
-    from `pool` (see `_admissible_elements`): a group acts harmonically
-    iff each of its elements does.  Those that keep p fixed come first,
-    in sorted order; only if none qualifies are the rest tried, in
-    sorted order.  The search stops at the first witness.  The fixed
-    members of the linear system of d - p are the orbit-constant
-    effective divisors of degree deg(d) - 1 whose reduced form equals
-    that of d - p, so each costs one reduction.  The cap refuses the
-    search whenever it would refuse to enumerate that linear system.
+    The candidates are the harmonic subgroups of order m = deg(d) - 1,
+    drawn from `pool` (see `_admissible_elements`), those fixing p
+    first, each pass in sorted order; the search stops at the first
+    witness.  A subgroup fixes the orbit-constant members of |d - p|,
+    which `_members` walks from dp.  The cap refuses the search whenever
+    it would refuse to enumerate that linear system.
     """
-    m = d.degree - 1
-    n = len(g.vertices)
+    m = sum(dp)
+    n = len(dp)
     pi = g.index_of(p)
     _require_enumerable(m, n, cap)
-    target, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, p)).coeffs), 0)
     fixing_p = _subgroups_in_order([x for x in pool if x[pi] == pi], m, n)
     moving_p = (h for h in _subgroups_in_order(pool, m, n) if any(x[pi] != pi for x in h))
     checked = 0
@@ -344,10 +322,7 @@ def _find_witness(g: Graph, d: Divisor, p: str, pool: list[tuple[int, ...]],
         orbits = _vertex_orbits(h)
         if len(orbits) <= 1:
             continue
-        fixed = sorted(
-            t for t in _invariant_effective_coeffs(orbits, n, m)
-            if _reduce_coeffs(g, list(t), 0)[0] == target
-        )
+        fixed = sorted(_members(g._adj, dp, orbits, m))
         if len(fixed) >= 2:
             return GaloisCertificate(
                 vertex=p,
@@ -361,18 +336,21 @@ def _find_witness(g: Graph, d: Divisor, p: str, pool: list[tuple[int, ...]],
     return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, checked))
 
 
-def _decide(g: Graph, d: Divisor, red: list[int], p: str,
-            pool: Callable[[], list[tuple[int, ...]]], cap: int | None) -> GaloisCertificate:
-    """The verdict at p, for a rank-2 divisor d with 0-reduced form red
-    on a bridgeless graph.
-
-    `pool()` returns the admissible elements for order deg(d) - 1; it
-    is called only once p passes the smoothness conditions.
+def _certificates(g: Graph, d: Divisor, vertices: Iterable[str],
+                  cap: int | None) -> tuple[GaloisCertificate, ...]:
+    """The verdicts at the given vertices for a rank-2 divisor d on a
+    bridgeless graph.  d is reduced once, each d - p is one `_drop_chip`
+    from it, and the admissible elements are built once if any p is smooth.
     """
-    sm = _smoothness_unchecked(g, red, p)
-    if not sm.ok:
-        return GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
-    return _find_witness(g, d, p, pool(), cap)
+    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+    dps = [(p, _drop_chip(g._adj, red, g.index_of(p))) for p in vertices]
+    checks = [_smoothness_unchecked(g, dp, p) for p, dp in dps]
+    pool = _admissible_elements(g, d.degree - 1) if any(sm.ok for sm in checks) else []
+    return tuple(
+        _find_witness(g, p, dp, pool, cap) if sm.ok
+        else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
+        for (p, dp), sm in zip(dps, checks)
+    )
 
 
 def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> GaloisCertificate:
@@ -386,8 +364,7 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
     g.index_of(p)
     _require_two_edge_connected(g)
     _require_rank_two(g, d, cap)
-    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    return _decide(g, d, red, p, lambda: _admissible_elements(g, d.degree - 1), cap)
+    return _certificates(g, d, (p,), cap)[0]
 
 
 @lru_cache(maxsize=512)
@@ -413,9 +390,7 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
             GaloisCertificate(vertex=v, verdict=False, reason=RankNotTwo(r)) for v in g.vertices
         )
     else:
-        red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-        pool = cache(lambda: _admissible_elements(g, d.degree - 1))
-        certs = tuple(_decide(g, d, red, p, pool, cap) for p in g.vertices)
+        certs = _certificates(g, d, g.vertices, cap)
     count = sum(1 for c in certs if c.verdict)
     n = len(g.vertices)
     consistent = count in (0, 1, n) if (r == 2 and all_ones) else True
@@ -552,7 +527,8 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         if r == 0 or r != reason.rank:
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
-        again = _find_witness(g, d, cert.vertex, _admissible_elements(g, d.degree - 1), cap)
+        dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
+        again = _find_witness(g, cert.vertex, dp, _admissible_elements(g, d.degree - 1), cap)
         if again.verdict:
             problems.append("a qualifying subgroup exists after all")
         elif again.reason.subgroups_checked != reason.subgroups_checked:

@@ -101,6 +101,14 @@ class TestQueryCommands:
         assert payload["count"] == 2
         assert {"P1": 3} in payload["divisors"]
 
+    def test_linsys_on_twelve_hundred_vertices(self, capsys):
+        # The default cap admits these 1,200 candidates; the walk keeps
+        # its own stack instead of taking one call frame per vertex.
+        code, out, err = run(capsys, "linsys", "--family", "wheel:1200", "--divisor", '{"P1": 1}')
+        assert code == 0
+        assert "Traceback" not in err
+        assert out.strip() == "1·P1"
+
     def test_gen_round_trips(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--family", "house4", "--format", "json")
         assert code == 0

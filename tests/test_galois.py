@@ -403,6 +403,30 @@ class TestSinglePass:
         classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert calls == [Divisor.all_ones(g)]
 
+    @pytest.mark.parametrize(
+        "family", [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)] + ["house4"]
+    )
+    def test_d_is_the_only_divisor_reduced(self, family, monkeypatch):
+        # One reduction inside rank(d) and one for the decision: every
+        # d - p and every member of its linear system is derived by
+        # one-grain avalanches from the reduced form of d.
+        import graphdivisors.divisors as divisors
+        import graphdivisors.galois as galois
+
+        g = generate(family)
+        calls = []
+        real_reduce = divisors._reduce_coeffs
+
+        def counting(*args):
+            calls.append(1)
+            return real_reduce(*args)
+
+        monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
+        monkeypatch.setattr(galois, "_reduce_coeffs", counting)
+        report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+        assert report.rank == 2
+        assert len(calls) == 2
+
     def test_witness_divisors_match_linear_system_oracle(self):
         from graphdivisors import enumerate_corpus
 

@@ -55,6 +55,37 @@ def test_json_output_matches_golden_digest(command, capsys):
             assert audit_certificate(g, d, cert) == [], cert.vertex
 
 
+# sha256 of `linsys ... --format json` stdout, recorded before the
+# linear system was walked by one-grain avalanches: an empty system, a
+# negative degree, and systems of 28, 6, 7, 5, 10 and 8 members.
+LINSYS_GOLDEN_SHA256 = {
+    'linsys --family complete:5 --divisor {"P1":3,"P2":-1}':
+        "88a567b4d8d48d44663b4f1209bce57dcd1d3d7a6ff4888b008e278efe60df6c",
+    'linsys --family complete:4 --divisor {"P1":-1}':
+        "4ec628d58844e9108215f3a6fa7e157044f708a23b5d0ab9cb241e50037b77c7",
+    'linsys --family complete:6 --divisor {"P1":2,"P2":2,"P3":2,"P4":2,"P5":2,"P6":2}':
+        "bc581c9287b863775b763bfff8d62a00784bc2142231a172245bcf2e282031c3",
+    "linsys --family complete:5 --divisor all-ones":
+        "b0b20128b9c2fcff2909c7eebc650b042b213f636e1f503f837bea665bc5e54e",
+    "linsys --family wheel:6 --divisor all-ones":
+        "f0c5e71aa50ee97fa0f3622c6d768de5340adc8793ac7a8af8893dd75f1129cd",
+    "linsys --family house4 --divisor all-ones":
+        "d52618ebafcdd31cfcac1935345405805e4e0bc2f7b1af310a4d38b1c005124f",
+    'linsys --family cycle:6 --divisor {"P1":3}':
+        "575450255dbfdaba1122b98c0857f9022307df27495f0011b28b69bf2e1f7ab9",
+    "linsys --family wheel:7 --divisor all-ones":
+        "95e9cb380fd439bd2797e05e09c423b4948be998e6d52e6a0181acba7cc60980",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LINSYS_GOLDEN_SHA256))
+def test_linsys_output_matches_golden_digest(command, capsys):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LINSYS_GOLDEN_SHA256[command]
+
+
 # Caps on both sides of every threshold these graphs reach: the
 # cumulative rank-probe counts (sum over s <= k of C(s+n-1, n-1): 4, 14,
 # 34 on four vertices; 5, 20, 55, 125, 251 on five; 6, 27, 83 on six) and

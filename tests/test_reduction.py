@@ -26,6 +26,7 @@ from graphdivisors import (
     genus,
     is_q_reduced,
     laplacian_apply,
+    linear_system,
     q_reduce,
     q_reduce_with_witness,
     rank,
@@ -221,6 +222,70 @@ class TestDropChip:
         g, red = case
         for v in data.draw(st.lists(st.integers(0, len(g) - 1), max_size=12)):
             red = self.assert_drop(g, red, v)
+
+
+class TestMembers:
+    """`_members(adj, red, orbits, k)` walks the orbit-constant members of
+    a linear system from the reduced form of the divisor."""
+
+    @given(graph_and_divisor(lo=-2, hi=4, max_n=5))
+    def test_linear_system_matches_brute_oracle(self, case):
+        g, d = case
+        assert linear_system(g, d) == oracles.linear_system_brute(g, d)
+
+    @given(graph_and_divisor(lo=-2, hi=4, max_n=5), st.data())
+    def test_orbit_constant_members_match_brute_oracle(self, case, data):
+        g, d = case
+        n = len(g)
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        orbits = sorted(
+            [v for v in range(n) if labels[v] == label] for label in sorted(set(labels))
+        )
+        red = divisors._reduce_coeffs(g, list(d.coeffs), 0)[0]
+        expected = set()
+        if d.degree >= 0:
+            expected = {
+                e for e in oracles.effective_tuples(d.degree, n)
+                if all(len({e[v] for v in orbit}) == 1 for orbit in orbits)
+                and oracles.equivalent(g, d, Divisor.from_coeffs(g, e))
+            }
+        walked = divisors._members(g._adj, red, orbits, d.degree)
+        assert len(walked) == len(set(walked))
+        assert set(walked) == expected
+
+    def test_depth_is_not_bounded_by_the_call_stack(self):
+        # On a cycle, Pa + Pb ~ 2·P1 iff a + b = 0 mod n (indices from 0).
+        # With the recursion limit just above the current depth, a walk
+        # that took one stack frame per vertex would fail.
+        n = 60
+        g = generate(f"cycle:{n}")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            system = linear_system(g, 2 * Divisor.vertex(g, "P1"))
+        finally:
+            sys.setrecursionlimit(limit)
+        expected = set()
+        for a in range(n):
+            coeffs = [0] * n
+            coeffs[a] += 1
+            coeffs[-a % n] += 1
+            expected.add(Divisor.from_coeffs(g, coeffs))
+        assert system == expected and len(system) == n // 2 + 1
+
+    @pytest.mark.parametrize("spec, k", [("complete:6", 2), ("wheel:7", 1), ("cycle:6", 2)])
+    def test_linear_system_reduces_only_the_divisor_itself(self, spec, k, monkeypatch):
+        g = generate(spec)
+        calls = []
+        reduce_coeffs = divisors._reduce_coeffs
+
+        def counting(*args):
+            calls.append(1)
+            return reduce_coeffs(*args)
+
+        monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
+        assert linear_system(g, k * Divisor.all_ones(g))
+        assert len(calls) == 1
 
 
 class TestProperties:
