@@ -27,13 +27,11 @@ from .errors import (
 from .graphs import Graph, genus, is_two_edge_connected
 from .symmetry import (
     Subgroup,
-    _elements_of_order_dividing,
-    _harmonic_element,
+    _automorphisms,
     _subgroups_in_order,
     _vertex_orbits,
     acts_harmonically,
     apply_to_divisor,
-    automorphism_group,
 )
 
 
@@ -291,9 +289,11 @@ def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor
 def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
     """The elements a harmonic subgroup of order m of Aut(g) can hold:
     non-identity automorphisms of order dividing m that fix no vertex
-    together with a neighbour."""
-    pool = _elements_of_order_dividing(automorphism_group(g), m)
-    return [x for x in pool if _harmonic_element(g._adj, x)]
+    together with a neighbour.  One pruned automorphism search finds
+    them without building Aut(g); when m does not divide |Aut(g)| they
+    may be nonempty, but then no subgroup of order m exists and
+    `_subgroups_in_order` yields none."""
+    return _automorphisms(g, m=m)
 
 
 def _find_witness(g: Graph, p: str, dp: list[int], pool: list[tuple[int, ...]],

@@ -28,7 +28,7 @@ DEFAULT_HARMONIC_DEFINITION_CAP = 48
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """p after q: (p * q)(v) = p(q(v))."""
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -275,11 +275,23 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
 
 
 def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> Subgroup:
-    """The full automorphism group of g.
+    """The full automorphism group of g, found by `_automorphisms`
+    with no order or harmonicity prune."""
+    return Subgroup(g, frozenset(_automorphisms(g, cap)), _checked=True)
 
-    Exhaustive by construction: a backtracking search over vertex
-    assignments, pruned to same-degree images and adjacency-consistent
-    partial maps (the pruning cannot drop a valid automorphism).
+
+def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+                   m: int | None = None) -> list[tuple[int, ...]]:
+    """The automorphisms of g; given m, only the non-identity ones whose
+    order divides m and that fix no vertex together with a neighbour.
+
+    Exhaustive by construction: a backtracking search that gives vertex
+    0, 1, ... its image in turn, pruned to same-degree images and
+    adjacency-consistent partial maps.  Given m, vertex i may not stay
+    put next to a fixed neighbour j < i, and i -> c may not close a
+    cycle (c, images[c], ..., i) whose length does not divide m.  Every
+    cycle closes at its last vertex and every fixed pair is seen at its
+    later end, so no prune drops a wanted automorphism.
     """
     n = len(g.vertices)
     if n > cap:
@@ -288,32 +300,37 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> 
         )
     masks = g._adj_masks
     degrees = [len(a) for a in g._adj]
+    lower = [[j for j in a if j < i] for i, a in enumerate(g._adj)]
     results: list[tuple[int, ...]] = []
-    images = [-1] * n
-    used = [False] * n
+    images = [0] * n
 
-    def extend(i: int) -> None:
+    def extend(i: int, taken: int, fixed: int) -> None:
+        # taken and fixed: bit masks of the images so far and of the
+        # fixed points so far.  c fits adjacency iff its neighbours among
+        # the taken images are exactly the images of i's neighbours.
         if i == n:
             results.append(tuple(images))
             return
+        want = 0
+        for j in lower[i]:
+            want |= 1 << images[j]
         for c in range(n):
-            if used[c] or degrees[c] != degrees[i]:
+            if taken >> c & 1 or degrees[c] != degrees[i] or masks[c] & taken != want:
                 continue
-            mi, mc = masks[i], masks[c]
-            ok = True
-            for j in range(i):
-                if ((mi >> j) & 1) != ((mc >> images[j]) & 1):
-                    ok = False
-                    break
-            if ok:
-                images[i] = c
-                used[c] = True
-                extend(i + 1)
-                used[c] = False
-                images[i] = -1
+            if m is not None:
+                if c == i and masks[i] & fixed:
+                    continue
+                x, length = c, 1
+                while x < i:
+                    x, length = images[x], length + 1
+                if x == i and m % length:
+                    continue
+            images[i] = c
+            extend(i + 1, taken | 1 << c, fixed | (c == i) << i)
 
-    extend(0)
-    return Subgroup(g, frozenset(results), _checked=True)
+    extend(0, 0, 0)
+    identity = tuple(range(n))
+    return results if m is None else [x for x in results if x != identity]
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:

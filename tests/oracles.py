@@ -275,6 +275,23 @@ def compose(p, q):
     return tuple(p[x] for x in q)
 
 
+def admissible_brute(g: Graph, m: int):
+    """The elements a harmonic subgroup of order m can hold, filtered
+    from every permutation: non-identity automorphisms whose powers
+    return to the identity after a number of steps dividing m, and that
+    fix the two ends of no edge."""
+    identity = tuple(range(len(g.vertices)))
+    out = []
+    for p in automorphism_perms_brute(g):
+        order, power = 1, p
+        while power != identity:
+            order, power = order + 1, compose(p, power)
+        if p != identity and m % order == 0 and not any(
+                p[i] == i and p[j] == j for i, j in g._edges_idx):
+            out.append(p)
+    return out
+
+
 def subgroup_sets_brute(perms, m):
     """All order-m subgroups of a tiny group by raw subset filtering."""
     perms = list(perms)

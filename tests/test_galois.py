@@ -364,28 +364,41 @@ class TestRiemannRoch:
 class TestSinglePass:
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5"])
     def test_rank_and_symmetry_computed_once(self, family, monkeypatch):
+        # One rank(d), at most one pool search, and Aut(G) never built:
+        # automorphism_group is replaced wherever the package binds it.
         import graphdivisors.galois as galois
+        import graphdivisors.symmetry as symmetry
 
         g = generate(family)
         d = Divisor.all_ones(g)
         rank_of_d = []
+        pool_calls = []
         aut_calls = []
-        real_rank, real_aut = galois.rank, galois.automorphism_group
+        real_rank, real_pool = galois.rank, galois._admissible_elements
+        real_aut = symmetry.automorphism_group
 
         def counting_rank(graph, divisor, *args):
             if divisor == d:
                 rank_of_d.append(divisor)
             return real_rank(graph, divisor, *args)
 
+        def counting_pool(graph, *args):
+            pool_calls.append(graph)
+            return real_pool(graph, *args)
+
         def counting_aut(graph, *args):
             aut_calls.append(graph)
             return real_aut(graph, *args)
 
         monkeypatch.setattr(galois, "rank", counting_rank)
-        monkeypatch.setattr(galois, "automorphism_group", counting_aut)
+        monkeypatch.setattr(galois, "_admissible_elements", counting_pool)
+        for module in (symmetry, galois):
+            for attr in [a for a, v in vars(module).items() if v is real_aut]:
+                monkeypatch.setattr(module, attr, counting_aut)
         classify_galois_points.__wrapped__(g, d)
         assert len(rank_of_d) == 1
-        assert len(aut_calls) <= 1
+        assert len(pool_calls) <= 1
+        assert aut_calls == []
 
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5", "house4"])
     def test_smoothness_makes_no_rank_call(self, family, monkeypatch):
@@ -551,3 +564,47 @@ class TestWitnessSearch:
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.galois_count == n
         assert len(produced) == n
+
+
+class TestAdmissiblePool:
+    """The witness pool from the pruned automorphism search against
+    `oracles.admissible_brute`.  Where m does not divide |Aut(G)| the
+    pool may hold elements no subgroup of order m can use (Lagrange),
+    so no subgroup may come out of it."""
+
+    @staticmethod
+    def check(g, m, order):
+        from graphdivisors.galois import _admissible_elements
+        from graphdivisors.symmetry import _subgroups_in_order
+
+        pool = _admissible_elements(g, m)
+        assert len(set(pool)) == len(pool)
+        assert set(pool) == set(oracles.admissible_brute(g, m)), m
+        if order % m:
+            assert list(_subgroups_in_order(pool, m, len(g.vertices))) == []
+
+    def test_corpus5_graphs_for_small_orders(self):
+        from graphdivisors import automorphism_group, enumerate_corpus
+
+        labels = ["P1", "P2", "P3", "P4", "P5"]
+        for record in enumerate_corpus(5).records:
+            g = build_graph(labels, record.edges)
+            order = automorphism_group(g).order
+            for m in range(1, 9):
+                self.check(g, m, order)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_edgeless_graph_leaves_out_the_identity(self, m):
+        # With no edge to fix, only the identity test keeps it out.
+        self.check(build_graph(["P1"], []), m, 1)
+
+    @pytest.mark.parametrize(
+        "family",
+        ["house4"] + [f"cycle:{n}" for n in range(4, 7)] + [f"complete:{n}" for n in range(3, 8)]
+        + [f"wheel:{n}" for n in range(5, 11)],
+    )
+    def test_families_at_the_classification_order(self, family):
+        from graphdivisors import automorphism_group
+
+        g = generate(family)
+        self.check(g, len(g.vertices) - 1, automorphism_group(g).order)

@@ -131,3 +131,43 @@ def cap_sweep_digest(command, capsys):
 @pytest.mark.parametrize("command", sorted(CAP_GOLDEN_SHA256))
 def test_cap_sweep_matches_golden_digest(command, capsys):
     assert cap_sweep_digest(command, capsys) == CAP_GOLDEN_SHA256[command]
+
+
+# sha256 of `--format json` stdout, recorded before the witness pool was
+# found by a pruned automorphism search: the largest classification
+# under the vertex cap, and full automorphism groups of three sizes.
+SYMMETRY_GOLDEN_SHA256 = {
+    "classify --family complete:9": "51c9529d69234c5a1faad43fc2dd15f36925d7f1b4d8263a5470f41c7ada03bf",
+    "aut --family complete:5": "9e95e551db592da86eb024088016e209a3710fba365f8917224892b3a7a48790",
+    "aut --family wheel:6": "57489a589ed10bed2bd16d6ca5521aae225729dd3a4f83c4627340effa06619d",
+    "aut --family house4": "31037cfd269651118b347f53d3c030dc9399fa84dbe2583b01a288e3c4bfbf3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SYMMETRY_GOLDEN_SHA256))
+def test_symmetry_output_matches_golden_digest(command, capsys):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRY_GOLDEN_SHA256[command]
+    if command.startswith("classify"):
+        payload = json.loads(out)
+        g = generate(command.split()[-1])
+        d = Divisor.from_json(g, payload["divisor"])
+        for obj in payload["certificates"]:
+            cert = GaloisCertificate.from_json(g, obj)
+            assert audit_certificate(g, d, cert) == [], cert.vertex
+
+
+@pytest.mark.parametrize("command", [
+    "classify --family wheel:11",
+    "classify --family complete:11",
+    "galois --vertex P1 --family complete:11",
+    "verify-theorem --family wheel:11",
+])
+def test_refused_past_the_automorphism_vertex_cap(command, capsys):
+    code = main(command.split())
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: automorphism search is capped at 10 vertices, graph has 11\n"
