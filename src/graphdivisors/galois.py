@@ -11,10 +11,11 @@ that reproduces in isolation.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Mapping, Union
+from itertools import chain, tee
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
 from .divisors import _drop_chip, _empty_probe, _members, _reduce_coeffs, _require_enumerable
@@ -28,6 +29,9 @@ from .graphs import Graph, genus, is_two_edge_connected
 from .symmetry import (
     Subgroup,
     _automorphisms,
+    _harmonic_element,
+    _perm_order,
+    _require_searchable,
     _subgroups_in_order,
     _vertex_orbits,
     acts_harmonically,
@@ -287,36 +291,85 @@ def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor
 
 
 def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
-    """The elements a harmonic subgroup of order m of Aut(g) can hold:
-    non-identity automorphisms of order dividing m that fix no vertex
-    together with a neighbour.  One pruned automorphism search finds
-    them without building Aut(g); when m does not divide |Aut(g)| they
-    may be nonempty, but then no subgroup of order m exists and
-    `_subgroups_in_order` yields none."""
-    return _automorphisms(g, m=m)
+    """The elements a harmonic subgroup of order m of Aut(g) can hold,
+    sorted: non-identity automorphisms of order dividing m that fix no
+    vertex together with a neighbour.  One pruned automorphism search
+    finds them without building Aut(g); when m does not divide |Aut(g)|
+    they may be nonempty, but then no subgroup of order m exists and
+    `_subgroups_in_order` yields none.  The witness search builds this
+    pool only when some vertex needs the subgroups that move it."""
+    return list(_automorphisms(g, m=m))
 
 
-def _find_witness(g: Graph, p: str, dp: list[int], pool: list[tuple[int, ...]],
+def _witness_search(g: Graph, m: int) -> Callable[[int], Iterator[frozenset]]:
+    """For order m, a map from a vertex index pi to its candidates: the
+    harmonic subgroups of order m, lazily, those fixing pi first, each
+    part in sorted order.  Building it checks the automorphism vertex cap.
+
+    The groups fixing pi are searched on the admissible elements that
+    fix pi, streamed from a search pinned at pi as far as the subgroup
+    search reads them.  The full pool and its subgroups are built once,
+    and only when some vertex needs the groups that move it; the
+    vertices searched after that take their fixing elements from it.
+    Every element's smallest power is worked out once across all passes.
+    """
+    _require_searchable(g)
+    n = len(g.vertices)
+    lows: dict = {}
+    known: dict = {}
+    built: list = []
+
+    def every_group():
+        # A generator, so the pool is built at the first read, not here.
+        built.append(_admissible_elements(g, m))
+        yield from _subgroups_in_order(built[0], m, n, None, lows)
+
+    # Each copy of the unread tee rereads one lazily drawn list.
+    every, = tee(every_group(), 1)
+
+    def candidates(pi: int) -> Iterator[frozenset]:
+        elements = (x for x in built[0] if x[pi] == pi) if built else _automorphisms(g, m=m, pin=pi)
+        fixing = _subgroups_in_order(elements, m, n, _pinned_fits(g, m, pi, known), lows)
+        return chain(fixing, (h for h in copy(every) if any(x[pi] != pi for x in h)))
+
+    return candidates
+
+
+def _pinned_fits(g: Graph, m: int, pi: int, known: dict) -> Callable[[tuple[int, ...]], bool]:
+    """Whether an automorphism y is the identity or one of the elements
+    `_automorphisms(g, m=m, pin=pi)` streams: it fixes pi, its order
+    divides m and it is harmonic.  A test on y alone, so the subgroup
+    search over the stream needs no pool; `known` keeps the verdicts on
+    order and harmonicity, which do not depend on pi."""
+    identity = tuple(range(len(g.vertices)))
+    adj = g._adj
+
+    def fits(y):
+        if y[pi] != pi:
+            return False
+        ok = known.get(y)
+        if ok is None:
+            ok = known[y] = y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y))
+        return ok
+
+    return fits
+
+
+def _find_witness(g: Graph, p: str, dp: list[int], candidates: Iterable[frozenset],
                   cap: int | None) -> GaloisCertificate:
     """The certificate at a smooth vertex p, where dp is the 0-reduced
-    form of d - p: the first qualifying witness, or, once every
-    candidate fails, NoQualifyingSubgroup with their count.
+    form of d - p: the first qualifying witness among `candidates` (see
+    `_witness_search`), or, once every candidate fails,
+    NoQualifyingSubgroup with their count.
 
-    The candidates are the harmonic subgroups of order m = deg(d) - 1,
-    drawn from `pool` (see `_admissible_elements`), those fixing p
-    first, each pass in sorted order; the search stops at the first
-    witness.  A subgroup fixes the orbit-constant members of |d - p|,
-    which `_members` walks from dp.  The cap refuses the search whenever
-    it would refuse to enumerate that linear system.
+    A subgroup fixes the orbit-constant members of |d - p|, which
+    `_members` walks from dp.  The cap refuses the search whenever it
+    would refuse to enumerate that linear system.
     """
     m = sum(dp)
-    n = len(dp)
-    pi = g.index_of(p)
-    _require_enumerable(m, n, cap)
-    fixing_p = _subgroups_in_order([x for x in pool if x[pi] == pi], m, n)
-    moving_p = (h for h in _subgroups_in_order(pool, m, n) if any(x[pi] != pi for x in h))
+    _require_enumerable(m, len(dp), cap)
     checked = 0
-    for perms in chain(fixing_p, moving_p):
+    for perms in candidates:
         checked += 1
         h = Subgroup(g, perms, _checked=True)
         orbits = _vertex_orbits(h)
@@ -340,14 +393,15 @@ def _certificates(g: Graph, d: Divisor, vertices: Iterable[str],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
     bridgeless graph.  d is reduced once, each d - p is one `_drop_chip`
-    from it, and the admissible elements are built once if any p is smooth.
+    from it, and every smooth vertex draws its candidates from one
+    `_witness_search`, built only if some vertex is smooth.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     dps = [(p, _drop_chip(g._adj, red, g.index_of(p))) for p in vertices]
     checks = [_smoothness_unchecked(g, dp, p) for p, dp in dps]
-    pool = _admissible_elements(g, d.degree - 1) if any(sm.ok for sm in checks) else []
+    search = _witness_search(g, d.degree - 1) if any(sm.ok for sm in checks) else None
     return tuple(
-        _find_witness(g, p, dp, pool, cap) if sm.ok
+        _find_witness(g, p, dp, search(g.index_of(p)), cap) if sm.ok
         else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
         for (p, dp), sm in zip(dps, checks)
     )
@@ -371,10 +425,12 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    The bridge check, rank(d), the reduced form of d and the admissible
-    automorphisms depend on (g, d) only, so each is computed at most
-    once per call; the automorphisms only when some vertex passes the
-    smoothness conditions, which are read off the reduced form of d.
+    The bridge check, rank(d) and the reduced form of d depend on
+    (g, d) only, so each is computed once per call.  The smoothness
+    conditions are read off the reduced form of d.  Each smooth vertex
+    streams the admissible automorphisms that fix it until the first
+    witness; the full admissible pool and its subgroups are built at
+    most once, only if some vertex needs the subgroups that move it.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
@@ -528,7 +584,8 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
         dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
-        again = _find_witness(g, cert.vertex, dp, _admissible_elements(g, d.degree - 1), cap)
+        candidates = _witness_search(g, d.degree - 1)(g.index_of(cert.vertex))
+        again = _find_witness(g, cert.vertex, dp, candidates, cap)
         if again.verdict:
             problems.append("a qualifying subgroup exists after all")
         elif again.reason.subgroups_checked != reason.subgroups_checked:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .divisors import Divisor
 from .errors import (
@@ -280,42 +280,59 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> 
     return Subgroup(g, frozenset(_automorphisms(g, cap)), _checked=True)
 
 
-def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
-                   m: int | None = None) -> list[tuple[int, ...]]:
-    """The automorphisms of g; given m, only the non-identity ones whose
-    order divides m and that fix no vertex together with a neighbour.
-
-    Exhaustive by construction: a backtracking search that gives vertex
-    0, 1, ... its image in turn, pruned to same-degree images and
-    adjacency-consistent partial maps.  Given m, vertex i may not stay
-    put next to a fixed neighbour j < i, and i -> c may not close a
-    cycle (c, images[c], ..., i) whose length does not divide m.  Every
-    cycle closes at its last vertex and every fixed pair is seen at its
-    later end, so no prune drops a wanted automorphism.
-    """
+def _require_searchable(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> None:
+    """Refuse up front a graph past the automorphism search's vertex cap."""
     n = len(g.vertices)
     if n > cap:
         raise SizeCapExceededError(
             f"automorphism search is capped at {cap} vertices, graph has {n}"
         )
+
+
+def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+                   m: int | None = None, pin: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The automorphisms of g, lazily and in sorted order; given m, only
+    the non-identity ones whose order divides m and that fix no vertex
+    together with a neighbour; given pin, only those fixing that vertex.
+
+    Exhaustive by construction: a backtracking search that gives vertex
+    0, 1, ... its image in turn, smallest first, pruned to same-degree
+    images and adjacency-consistent partial maps.  Given m, vertex i may
+    not stay put next to a fixed neighbour, and i -> c may not close a
+    cycle (c, images[c], ..., i) whose length does not divide m.  Every
+    cycle closes at its last vertex and every fixed pair is seen at its
+    later end, so no prune drops a wanted automorphism.  The pinned
+    vertex is mapped to itself and marked fixed before the search
+    starts.  The vertex cap is checked at the call, not at the first draw.
+    """
+    _require_searchable(g, cap)
+    n = len(g.vertices)
     masks = g._adj_masks
     degrees = [len(a) for a in g._adj]
-    lower = [[j for j in a if j < i] for i, a in enumerate(g._adj)]
-    results: list[tuple[int, ...]] = []
-    images = [0] * n
+    lower = [[j for j in a if j < i or j == pin] for i, a in enumerate(g._adj)]
+    identity = tuple(range(n))
+    images = list(identity)
 
-    def extend(i: int, taken: int, fixed: int) -> None:
+    def extend(i: int, taken: int, fixed: int):
         # taken and fixed: bit masks of the images so far and of the
         # fixed points so far.  c fits adjacency iff its neighbours among
         # the taken images are exactly the images of i's neighbours.
+        if i == pin:
+            i += 1
         if i == n:
-            results.append(tuple(images))
+            x = tuple(images)
+            if m is None or x != identity:
+                yield x
             return
         want = 0
         for j in lower[i]:
             want |= 1 << images[j]
-        for c in range(n):
-            if taken >> c & 1 or degrees[c] != degrees[i] or masks[c] & taken != want:
+        free = ~taken & (1 << n) - 1
+        while free:  # the untaken images, lowest first
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            if degrees[c] != degrees[i] or masks[c] & taken != want:
                 continue
             if m is not None:
                 if c == i and masks[i] & fixed:
@@ -326,11 +343,15 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
                 if x == i and m % length:
                     continue
             images[i] = c
-            extend(i + 1, taken | 1 << c, fixed | (c == i) << i)
+            if i == n - 1:  # a whole map: yield it here, not one call deeper
+                x = tuple(images)
+                if m is None or x != identity:
+                    yield x
+            else:
+                yield from extend(i + 1, taken | bit, fixed | (c == i) << i)
 
-    extend(0, 0, 0)
-    identity = tuple(range(n))
-    return results if m is None else [x for x in results if x != identity]
+    start = 0 if pin is None else 1 << pin
+    return extend(0, start, start)
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:
@@ -382,12 +403,23 @@ def _elements_of_order_dividing(full: Subgroup, m: int) -> list[tuple[int, ...]]
     return [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
 
 
-def _subgroups_in_order(pool: list[tuple[int, ...]], m: int, n: int):
+def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
+                        fits: Callable[[tuple[int, ...]], bool] | None = None,
+                        lows: dict | None = None):
     """Yield lazily, in sorted order, the order-m groups of permutations
     of n points whose non-identity elements all lie in `pool`.
 
     The pool holds distinct non-identity elements whose orders divide
-    m.  Every group H is reached exactly once, along its chain
+    m.  Given `fits`, it must come in sorted order, and it is drawn only
+    as far as the search reads: `fits(y)` must then say exactly whether
+    the product y of pool elements is the identity or in the pool.
+    Without `fits`, the pool is sorted into a set first.  Once the pool
+    is drawn to its end, each element is filed under its smallest power,
+    and every later group reads its candidates off that filing.  `lows`
+    maps the elements scanned to their smallest powers; callers that
+    search the same elements again pass the same dict.
+
+    Every group H is reached exactly once, along its chain
     g1 < g2 < ... where g(i+1) is the smallest element of H outside
     C = <g1..gi>.  So a candidate x at group C must exceed the last
     generator, and <C, x> may hold no element below x that C lacks, nor
@@ -397,42 +429,86 @@ def _subgroups_in_order(pool: list[tuple[int, ...]], m: int, n: int):
     groups come out sorted.
     """
     identity = tuple(range(n))
-    fits = {identity, *pool}
-    # An element with a power below itself can only extend a group
-    # holding that power, so it is filed under its smallest power.
-    minimal = []
-    filed: dict[tuple, list] = {}
-    for x in sorted(pool):
-        low, power = x, _compose(x, x)
-        while power != identity:
-            low, power = min(low, power), _compose(power, x)
-        if low == x:
-            minimal.append(x)
-        else:
-            filed.setdefault(low, []).append(x)
+    if lows is None:
+        lows = {}
+    drawn: list = []
+    filing: list = []  # (minimal, filed) once the whole pool is drawn
+
+    def low_of(x: tuple) -> tuple:
+        # The smallest of the non-identity powers of x, x included.
+        low = lows.get(x)
+        if low is None:
+            low, power = x, _compose(x, x)
+            while power != identity:
+                low, power = min(low, power), _compose(power, x)
+            lows[x] = low
+        return low
+
+    def file_pool() -> None:
+        # An element with a power below itself can only extend a group
+        # holding that power, so it is filed under its smallest power.
+        minimal, filed = [], {}
+        for x in drawn:
+            low = low_of(x)
+            if low == x:
+                minimal.append(x)
+            else:
+                filed.setdefault(low, []).append(x)
+        filing.append((minimal, filed))
+
+    source = iter(pool)
+    if fits is None:
+        drawn = sorted(source)
+        fits = {identity, *drawn}.__contains__
+        file_pool()
+
+    def candidates(group: frozenset, last: tuple, moved: set):
+        # The elements after `last` that may extend `group`, in order.
+        # x*c > x iff x maps c's first moved point v below c(v).  Once
+        # the pool is drawn, they come from its filing; until then the
+        # pool is drawn one element at a time, as far as the caller reads.
+        if filing:
+            minimal, filed = filing[0]
+            xs = sorted(minimal[bisect_right(minimal, last):]
+                        + [x for c in group for x in filed.get(c, ()) if x > last])
+            for v, w in moved:
+                xs = [x for x in xs if x[v] < x[w]]
+            yield from xs
+            return
+        k = bisect_right(drawn, last)
+        while True:
+            if k == len(drawn):
+                for x in source:  # one more element, if any is left
+                    drawn.append(x)
+                    break
+                else:
+                    if not filing:
+                        file_pool()
+                    return
+            x, k = drawn[k], k + 1
+            if all(x[v] < x[w] for v, w in moved):
+                low = low_of(x)
+                if low == x or low in group:
+                    yield x
 
     def extend(gens: list, group: frozenset, last: tuple):
         if len(group) == m:
             yield group
             return
         rest = [c for c in group if c != identity]
-        xs = sorted(minimal[bisect_right(minimal, last):]
-                    + [x for c in group for x in filed.get(c, ()) if x > last])
-        # x*c > x iff x maps c's first moved point v below c(v).
-        for v, w in {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}:
-            xs = [x for x in xs if x[v] < x[w]]
-        for x in xs:
+        moved = {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}
+        for x in candidates(group, last, moved):
             if x in group:
                 continue
             # The products x*c and c*x lie in <C, x> but not in C.
             for c in rest:
                 cx = _compose(c, x)
-                if cx < x or cx not in fits or _compose(x, c) not in fits:
+                if cx < x or not fits(cx) or not fits(_compose(x, c)):
                     break
             else:
                 h = _closure(gens + [x], n, cap=m)
                 if h is None or m % len(h) or any(
-                        y not in fits or (y < x and y not in group) for y in h):
+                        y < x and y not in group or not fits(y) for y in h):
                     continue
                 yield from extend(gens + [x], h, x)
 

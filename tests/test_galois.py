@@ -440,6 +440,40 @@ class TestSinglePass:
         assert report.rank == 2
         assert len(calls) == 2
 
+    def test_fixing_passes_stream_without_the_pool(self, monkeypatch):
+        # Complete graphs and wheels find every witness among the
+        # elements that fix the vertex, so the full pool is never built;
+        # on K8 each vertex's first streamed element generates its
+        # witness.  house4 has negatives and builds the pool once.
+        import graphdivisors.galois as galois
+
+        pool_calls, drawn = [], []
+        real_pool, real_search = galois._admissible_elements, galois._automorphisms
+
+        def counting_pool(*args):
+            pool_calls.append(args)
+            return real_pool(*args)
+
+        def counting_search(*args, **kwargs):
+            for x in real_search(*args, **kwargs):
+                if kwargs.get("pin") is not None:
+                    drawn.append(x)
+                yield x
+
+        monkeypatch.setattr(galois, "_admissible_elements", counting_pool)
+        monkeypatch.setattr(galois, "_automorphisms", counting_search)
+        for family in [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)]:
+            g = generate(family)
+            drawn.clear()
+            report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+            assert report.galois_count > 0 and pool_calls == [], family
+            if family == "complete:8":
+                assert 0 < len(drawn) <= 8
+        g = generate("house4")
+        report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+        assert any(isinstance(c.reason, NoQualifyingSubgroup) for c in report.certificates)
+        assert len(pool_calls) == 1
+
     def test_witness_divisors_match_linear_system_oracle(self):
         from graphdivisors import enumerate_corpus
 
@@ -608,3 +642,48 @@ class TestAdmissiblePool:
 
         g = generate(family)
         self.check(g, len(g.vertices) - 1, automorphism_group(g).order)
+
+
+class TestPinnedStream:
+    """Each vertex's stream from the pinned automorphism search against
+    the brute-force admissible elements that fix it, in exact order, and
+    the subgroup search on the stream against the same search on that
+    list."""
+
+    @staticmethod
+    def check(g, m=None):
+        from graphdivisors.galois import _pinned_fits
+        from graphdivisors.symmetry import _automorphisms, _subgroups_in_order
+
+        n = len(g.vertices)
+        m = m or n - 1
+        brute = oracles.admissible_brute(g, m)
+        for pi in range(n):
+            expected = sorted(x for x in brute if x[pi] == pi)
+            assert list(_automorphisms(g, m=m, pin=pi)) == expected, (g, pi)
+            streamed = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n,
+                                           _pinned_fits(g, m, pi, {}))
+            assert list(streamed) == list(_subgroups_in_order(expected, m, n)), (g, pi)
+
+    def test_corpus5_graphs(self):
+        from graphdivisors import enumerate_corpus
+
+        labels = ["P1", "P2", "P3", "P4", "P5"]
+        for record in enumerate_corpus(5).records:
+            self.check(build_graph(labels, record.edges))
+
+    @pytest.mark.parametrize(
+        "family",
+        ["house4"] + [f"cycle:{n}" for n in range(4, 7)] + [f"complete:{n}" for n in range(3, 8)]
+        + [f"wheel:{n}" for n in range(5, 9)],
+    )
+    def test_families(self, family):
+        self.check(generate(family))
+
+    def test_products_are_checked_for_harmonicity(self):
+        # In K(2,4) at order 6, harmonic elements fixing P1 generate a
+        # group with a non-harmonic element of order dividing 6, so the
+        # stream's test must check harmonicity, not only the order.
+        labels = ["P1", "P2", "P3", "P4", "P5", "P6"]
+        g = build_graph(labels, [(a, b) for a in labels[:4] for b in labels[4:]])
+        self.check(g, 6)

@@ -134,10 +134,13 @@ def test_cap_sweep_matches_golden_digest(command, capsys):
 
 
 # sha256 of `--format json` stdout, recorded before the witness pool was
-# found by a pruned automorphism search: the largest classification
-# under the vertex cap, and full automorphism groups of three sizes.
+# found by a pruned automorphism search: a large classification and full
+# automorphism groups of three sizes.  complete:10, the largest
+# classification under the vertex cap, was recorded before each
+# vertex's stabiliser was streamed into the subgroup search.
 SYMMETRY_GOLDEN_SHA256 = {
     "classify --family complete:9": "51c9529d69234c5a1faad43fc2dd15f36925d7f1b4d8263a5470f41c7ada03bf",
+    "classify --family complete:10": "ef9125ad64f8398157193da243945af368006dadc4de11e5b3ca6c41ddb82057",
     "aut --family complete:5": "9e95e551db592da86eb024088016e209a3710fba365f8917224892b3a7a48790",
     "aut --family wheel:6": "57489a589ed10bed2bd16d6ca5521aae225729dd3a4f83c4627340effa06619d",
     "aut --family house4": "31037cfd269651118b347f53d3c030dc9399fa84dbe2583b01a288e3c4bfbf3f",
