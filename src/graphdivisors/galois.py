@@ -31,7 +31,6 @@ from .symmetry import (
     _automorphisms,
     _harmonic_element,
     _perm_order,
-    _require_searchable,
     _subgroups_in_order,
     _vertex_orbits,
     acts_harmonically,
@@ -304,32 +303,28 @@ def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
 def _witness_search(g: Graph, m: int) -> Callable[[int], Iterator[frozenset]]:
     """For order m, a map from a vertex index pi to its candidates: the
     harmonic subgroups of order m, lazily, those fixing pi first, each
-    part in sorted order.  Building it checks the automorphism vertex cap.
+    part in sorted order.  Each call checks the automorphism vertex cap.
 
     The groups fixing pi are searched on the admissible elements that
     fix pi, streamed from a search pinned at pi as far as the subgroup
     search reads them.  The full pool and its subgroups are built once,
-    and only when some vertex needs the groups that move it; the
-    vertices searched after that take their fixing elements from it.
-    Every element's smallest power is worked out once across all passes.
+    and only when some vertex needs the groups that move it.  Every
+    element's smallest power is worked out once across all passes.
     """
-    _require_searchable(g)
     n = len(g.vertices)
     lows: dict = {}
     known: dict = {}
-    built: list = []
 
     def every_group():
         # A generator, so the pool is built at the first read, not here.
-        built.append(_admissible_elements(g, m))
-        yield from _subgroups_in_order(built[0], m, n, None, lows)
+        yield from _subgroups_in_order(_admissible_elements(g, m), m, n, None, lows)
 
     # Each copy of the unread tee rereads one lazily drawn list.
     every, = tee(every_group(), 1)
 
     def candidates(pi: int) -> Iterator[frozenset]:
-        elements = (x for x in built[0] if x[pi] == pi) if built else _automorphisms(g, m=m, pin=pi)
-        fixing = _subgroups_in_order(elements, m, n, _pinned_fits(g, m, pi, known), lows)
+        fixing = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n,
+                                     _pinned_fits(g, m, pi, known), lows)
         return chain(fixing, (h for h in copy(every) if any(x[pi] != pi for x in h)))
 
     return candidates

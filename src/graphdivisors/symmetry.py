@@ -280,15 +280,6 @@ def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> 
     return Subgroup(g, frozenset(_automorphisms(g, cap)), _checked=True)
 
 
-def _require_searchable(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> None:
-    """Refuse up front a graph past the automorphism search's vertex cap."""
-    n = len(g.vertices)
-    if n > cap:
-        raise SizeCapExceededError(
-            f"automorphism search is capped at {cap} vertices, graph has {n}"
-        )
-
-
 def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
                    m: int | None = None, pin: int | None = None) -> Iterator[tuple[int, ...]]:
     """The automorphisms of g, lazily and in sorted order; given m, only
@@ -305,8 +296,11 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     vertex is mapped to itself and marked fixed before the search
     starts.  The vertex cap is checked at the call, not at the first draw.
     """
-    _require_searchable(g, cap)
     n = len(g.vertices)
+    if n > cap:
+        raise SizeCapExceededError(
+            f"automorphism search is capped at {cap} vertices, graph has {n}"
+        )
     masks = g._adj_masks
     degrees = [len(a) for a in g._adj]
     lower = [[j for j in a if j < i or j == pin] for i, a in enumerate(g._adj)]
@@ -351,7 +345,17 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
                 yield from extend(i + 1, taken | bit, fixed | (c == i) << i)
 
     start = 0 if pin is None else 1 << pin
-    return extend(0, start, start)
+
+    def search():
+        # extend refers to itself; clearing that reference when the search
+        # ends or is dropped frees it without the cyclic garbage collector.
+        nonlocal extend
+        try:
+            yield from extend(0, start, start)
+        finally:
+            del extend
+
+    return search()
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:
@@ -512,7 +516,10 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
                     continue
                 yield from extend(gens + [x], h, x)
 
-    yield from extend([], frozenset({identity}), identity)
+    try:  # as in `_automorphisms`: free the recursive extend without the collector
+        yield from extend([], frozenset({identity}), identity)
+    finally:
+        del extend
 
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:

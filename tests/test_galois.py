@@ -474,6 +474,24 @@ class TestSinglePass:
         assert any(isinstance(c.reason, NoQualifyingSubgroup) for c in report.certificates)
         assert len(pool_calls) == 1
 
+    @pytest.mark.parametrize("family", ["complete:6", "wheel:6", "house4"])
+    def test_classification_leaves_no_cyclic_garbage(self, family):
+        # The recursive searches release themselves when they run out or
+        # are dropped at the first witness, so reference counting frees
+        # everything a classification made and the cyclic collector,
+        # which costs corpus sweeps a few percent, finds nothing.
+        import gc
+
+        g = generate(family)
+        d = Divisor.all_ones(g)
+        gc.collect()
+        gc.disable()
+        try:
+            classify_galois_points.__wrapped__(g, d)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_witness_divisors_match_linear_system_oracle(self):
         from graphdivisors import enumerate_corpus
 
