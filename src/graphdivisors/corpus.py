@@ -13,7 +13,7 @@ from itertools import combinations
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, _unreachable_from, is_two_edge_connected
+from .graphs import Graph, _labels, _unreachable_from, is_two_edge_connected
 
 MAX_CORPUS_VERTICES = 6
 
@@ -69,7 +69,7 @@ def enumerate_corpus(n: int, filter: str = "two_edge_connected",
     if n < 3:
         raise ParameterOutOfRangeError(f"corpus sweep needs n >= 3, got {n}")
 
-    labels = [f"P{i}" for i in range(1, n + 1)]
+    labels = _labels(n)
     all_pairs = list(combinations(range(n), 2))
     records: list[GraphRecord] = []
     for mask in range(1 << len(all_pairs)):

@@ -307,45 +307,37 @@ def _witness_search(g: Graph, m: int) -> Callable[[int], Iterator[frozenset]]:
 
     The groups fixing pi are searched on the admissible elements that
     fix pi, streamed from a search pinned at pi as far as the subgroup
-    search reads them.  The full pool and its subgroups are built once,
-    and only when some vertex needs the groups that move it.  Every
-    element's smallest power is worked out once across all passes.
+    search reads them; each such pass keeps only its own state.  The
+    full pool and its subgroups are built once, and only when some
+    vertex needs the groups that move it.
     """
     n = len(g.vertices)
-    lows: dict = {}
-    known: dict = {}
 
     def every_group():
         # A generator, so the pool is built at the first read, not here.
-        yield from _subgroups_in_order(_admissible_elements(g, m), m, n, None, lows)
+        yield from _subgroups_in_order(_admissible_elements(g, m), m, n)
 
     # Each copy of the unread tee rereads one lazily drawn list.
     every, = tee(every_group(), 1)
 
     def candidates(pi: int) -> Iterator[frozenset]:
-        fixing = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n,
-                                     _pinned_fits(g, m, pi, known), lows)
+        fixing = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n, _pinned_fits(g, m, pi))
         return chain(fixing, (h for h in copy(every) if any(x[pi] != pi for x in h)))
 
     return candidates
 
 
-def _pinned_fits(g: Graph, m: int, pi: int, known: dict) -> Callable[[tuple[int, ...]], bool]:
+def _pinned_fits(g: Graph, m: int, pi: int) -> Callable[[tuple[int, ...]], bool]:
     """Whether an automorphism y is the identity or one of the elements
     `_automorphisms(g, m=m, pin=pi)` streams: it fixes pi, its order
     divides m and it is harmonic.  A test on y alone, so the subgroup
-    search over the stream needs no pool; `known` keeps the verdicts on
-    order and harmonicity, which do not depend on pi."""
+    search over the stream needs no pool."""
     identity = tuple(range(len(g.vertices)))
     adj = g._adj
 
     def fits(y):
-        if y[pi] != pi:
-            return False
-        ok = known.get(y)
-        if ok is None:
-            ok = known[y] = y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y))
-        return ok
+        return y[pi] == pi and (
+            y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y)))
 
     return fits
 

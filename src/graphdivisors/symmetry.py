@@ -408,8 +408,7 @@ def _elements_of_order_dividing(full: Subgroup, m: int) -> list[tuple[int, ...]]
 
 
 def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
-                        fits: Callable[[tuple[int, ...]], bool] | None = None,
-                        lows: dict | None = None):
+                        fits: Callable[[tuple[int, ...]], bool] | None = None):
     """Yield lazily, in sorted order, the order-m groups of permutations
     of n points whose non-identity elements all lie in `pool`.
 
@@ -419,9 +418,9 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
     the product y of pool elements is the identity or in the pool.
     Without `fits`, the pool is sorted into a set first.  Once the pool
     is drawn to its end, each element is filed under its smallest power,
-    and every later group reads its candidates off that filing.  `lows`
-    maps the elements scanned to their smallest powers; callers that
-    search the same elements again pass the same dict.
+    and every later group reads its candidates off that filing.  Each
+    element's smallest power is worked out once per call, when a scan
+    first reaches it.
 
     Every group H is reached exactly once, along its chain
     g1 < g2 < ... where g(i+1) is the smallest element of H outside
@@ -433,8 +432,7 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
     groups come out sorted.
     """
     identity = tuple(range(n))
-    if lows is None:
-        lows = {}
+    lows: dict = {}  # element -> its smallest power
     drawn: list = []
     filing: list = []  # (minimal, filed) once the whole pool is drawn
 
@@ -572,7 +570,7 @@ class QuotientGraph:
         self._orbit_label = tuple(labels[orbit_id[v]] for v in range(n))
 
         seen: set[tuple[int, int]] = set()
-        classes: list[EdgeClass] = []
+        classes = []  # (endpoints, members) of each edge orbit kept
         for a, b in source._edges_idx:
             if (a, b) in seen:
                 continue
@@ -581,17 +579,11 @@ class QuotientGraph:
             if orbit_id[a] == orbit_id[b]:
                 continue
             ka, kb = sorted((orbit_id[a], orbit_id[b]))
-            classes.append(
-                EdgeClass(
-                    key=0,
-                    endpoints=(labels[ka], labels[kb]),
-                    members=tuple((source.vertices[i], source.vertices[j]) for i, j in members),
-                )
-            )
-        classes.sort(key=lambda c: (c.endpoints, c.members))
+            classes.append(((labels[ka], labels[kb]),
+                            tuple((source.vertices[i], source.vertices[j]) for i, j in members)))
         self.edge_classes = tuple(
-            EdgeClass(key=k, endpoints=c.endpoints, members=c.members)
-            for k, c in enumerate(classes)
+            EdgeClass(key=k, endpoints=ends, members=members)
+            for k, (ends, members) in enumerate(sorted(classes))
         )
         at: dict[str, list[EdgeClass]] = {v: [] for v in labels}
         for c in self.edge_classes:

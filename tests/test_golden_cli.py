@@ -162,6 +162,30 @@ def test_symmetry_output_matches_golden_digest(command, capsys):
             assert audit_certificate(g, d, cert) == [], cert.vertex
 
 
+# sha256 of `quotient ... --format json` stdout, recorded before each
+# edge class was built once from its sorted (endpoints, members) pair:
+# quotients by the full automorphism group, and by an involution of
+# complete:6 whose quotient has two parallel classes per orbit pair.
+QUOTIENT_GOLDEN_SHA256 = {
+    "quotient --family complete:5":
+        "e14be56360851a090a1e46ec08f9861b1fb9d08dae0abd1b31decae459d7feb3",
+    "quotient --family wheel:6":
+        "3fafe97439b3051755fbefbc35a8f521fd0151c92d11f732ff803332b3975b0b",
+    "quotient --family house4":
+        "ca43ad445d0b29e60f2fce687b2237708169a08b61a27eeb5e9d16b545c1ccf4",
+    'quotient --family complete:6 --subgroup [{"P1":"P2","P2":"P1","P3":"P4","P4":"P3","P5":"P6","P6":"P5"}]':
+        "85bef37d60e10a07defc8477d6b4b9e410f0f13a0e2ef3c77809de84f065827c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUOTIENT_GOLDEN_SHA256))
+def test_quotient_output_matches_golden_digest(command, capsys):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUOTIENT_GOLDEN_SHA256[command]
+
+
 @pytest.mark.parametrize("command", [
     "classify --family wheel:11",
     "classify --family complete:11",
