@@ -137,13 +137,26 @@ def test_cap_sweep_matches_golden_digest(command, capsys):
 # found by a pruned automorphism search: a large classification and full
 # automorphism groups of three sizes.  complete:10, the largest
 # classification under the vertex cap, was recorded before each
-# vertex's stabiliser was streamed into the subgroup search.
+# vertex's stabiliser was streamed into the subgroup search.  The
+# quotients were recorded before each edge class was built once from its
+# sorted (endpoints, members) pair; the involution of complete:6 gives
+# two parallel classes per pair of orbits, and the reflection of
+# cycle:10 a class whose label order ("P1" < "P10" < "P2") differs from
+# the order of its edges.
 SYMMETRY_GOLDEN_SHA256 = {
     "classify --family complete:9": "51c9529d69234c5a1faad43fc2dd15f36925d7f1b4d8263a5470f41c7ada03bf",
     "classify --family complete:10": "ef9125ad64f8398157193da243945af368006dadc4de11e5b3ca6c41ddb82057",
     "aut --family complete:5": "9e95e551db592da86eb024088016e209a3710fba365f8917224892b3a7a48790",
     "aut --family wheel:6": "57489a589ed10bed2bd16d6ca5521aae225729dd3a4f83c4627340effa06619d",
     "aut --family house4": "31037cfd269651118b347f53d3c030dc9399fa84dbe2583b01a288e3c4bfbf3f",
+    "quotient --family complete:5": "e14be56360851a090a1e46ec08f9861b1fb9d08dae0abd1b31decae459d7feb3",
+    "quotient --family wheel:6": "3fafe97439b3051755fbefbc35a8f521fd0151c92d11f732ff803332b3975b0b",
+    "quotient --family house4": "ca43ad445d0b29e60f2fce687b2237708169a08b61a27eeb5e9d16b545c1ccf4",
+    'quotient --family complete:6 --subgroup [{"P1":"P2","P2":"P1","P3":"P4","P4":"P3","P5":"P6","P6":"P5"}]':
+        "85bef37d60e10a07defc8477d6b4b9e410f0f13a0e2ef3c77809de84f065827c",
+    'quotient --family cycle:10 --subgroup [{"P1":"P9","P9":"P1","P2":"P8","P8":"P2","P3":"P7",'
+    '"P7":"P3","P4":"P6","P6":"P4","P5":"P5","P10":"P10"}]':
+        "7c11a359ea4f71c56076dfd12db5b543c06b38c09a65423325f26cbd92fdde4e",
 }
 
 
@@ -160,30 +173,6 @@ def test_symmetry_output_matches_golden_digest(command, capsys):
         for obj in payload["certificates"]:
             cert = GaloisCertificate.from_json(g, obj)
             assert audit_certificate(g, d, cert) == [], cert.vertex
-
-
-# sha256 of `quotient ... --format json` stdout, recorded before each
-# edge class was built once from its sorted (endpoints, members) pair:
-# quotients by the full automorphism group, and by an involution of
-# complete:6 whose quotient has two parallel classes per orbit pair.
-QUOTIENT_GOLDEN_SHA256 = {
-    "quotient --family complete:5":
-        "e14be56360851a090a1e46ec08f9861b1fb9d08dae0abd1b31decae459d7feb3",
-    "quotient --family wheel:6":
-        "3fafe97439b3051755fbefbc35a8f521fd0151c92d11f732ff803332b3975b0b",
-    "quotient --family house4":
-        "ca43ad445d0b29e60f2fce687b2237708169a08b61a27eeb5e9d16b545c1ccf4",
-    'quotient --family complete:6 --subgroup [{"P1":"P2","P2":"P1","P3":"P4","P4":"P3","P5":"P6","P6":"P5"}]':
-        "85bef37d60e10a07defc8477d6b4b9e410f0f13a0e2ef3c77809de84f065827c",
-}
-
-
-@pytest.mark.parametrize("command", sorted(QUOTIENT_GOLDEN_SHA256))
-def test_quotient_output_matches_golden_digest(command, capsys):
-    code = main(command.split() + ["--format", "json"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == QUOTIENT_GOLDEN_SHA256[command]
 
 
 @pytest.mark.parametrize("command", [
