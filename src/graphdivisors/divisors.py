@@ -19,6 +19,7 @@ they never silently truncate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -623,51 +624,25 @@ def _members(adj, red: list[int], orbits: list[list[int]], k: int) -> list[tuple
     return found
 
 
-def _empty_probe(g: "Graph", base: list[int], s: int) -> bool:
-    """True iff some effective e of degree s leaves d - e with an empty
-    linear system, where base is the 0-reduced form of d.
-
-    Taking chips at vertex 0 leaves a 0-reduced divisor 0-reduced, so
-    the walk covers only the part e' of e off vertex 0, and d - e is
-    empty iff the reduced form of d - e' holds fewer than s - deg(e')
-    chips at vertex 0.  Each e' is derived from e' minus one chip at its
-    highest vertex by `_drop_chip`, so the walk never runs a full
-    reduction.  The stack holds (reduced form, lowest vertex still open,
-    chips left); an entry opens a higher vertex than the entry it came
-    from, so the walk's depth is bounded by the vertex count, not by s.
-    """
-    if base[0] < s:
-        return True
-    adj = g._adj
-    n = len(base)
-    stack = [(base, 1, s)]
-    while stack:
-        red, start, left = stack.pop()
-        for v in range(start, n):
-            child = red
-            for rest in range(left - 1, -1, -1):
-                child = _drop_chip(adj, child, v)
-                if child[0] < rest:
-                    return True
-                if rest and v + 1 < n:
-                    stack.append((child, v + 1, rest))
-    return False
-
-
 def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     """Rank of the divisor class of d.
 
     -1 when the linear system of d is empty; otherwise the largest r
     such that removing any effective divisor of degree r leaves a
-    nonempty linear system.  Nonemptiness of d - e is read off the sign
-    of the reduced form at the base vertex.  The enumeration runs
-    s = 1, 2, ... and stops at the first degree containing a witness e
-    with empty system.  The probes of degree s are walked depth-first
-    from the reduced form of d, one chip at a time and without
-    recursion; each probe's reduced form comes from its parent's by a
-    one-grain sandpile avalanche (`_drop_chip`), so d itself is the only
-    divisor fully reduced.  The cap bounds the total count of probes up
-    to the degree about to be walked.
+    nonempty linear system.  Taking chips at vertex 0 keeps a 0-reduced
+    form 0-reduced, so if the reduced form of d - e' holds c0 chips
+    there, where e' of degree j avoids vertex 0, then r <= j - 1 when
+    c0 < 0 and r <= c0 + j otherwise, and r is the least such bound.
+    d is reduced once, and one depth-first branch-and-bound walk with
+    its own stack visits each e' at most once, its reduced form one
+    `_drop_chip` from its parent's.  Every e' above one of degree j
+    bounds r by at least j, so a node is extended only while j is below
+    the bound, and its children stop at an empty one.
+
+    The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
+    least s where that exceeds the cap, the call refuses iff r >= s - 1,
+    that is iff a probe of degree s would be needed, and the walk never
+    goes past degree s - 1.
     """
     _check_bound(g, d)
     if d.degree < 0:
@@ -677,16 +652,32 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     if base[0] < 0:
         return -1
-    enumerated = 0
-    s = 1
-    while True:
-        enumerated += comb(s + n - 1, n - 1)
-        if enumerated > capv:
-            raise EnumerationCapExceededError(
-                f"rank probe at degree {s} needs {enumerated} effective divisors (cap {capv})",
-                required=enumerated,
-                cap=capv,
-            )
-        if _empty_probe(g, base, s):
-            return s - 1
-        s += 1
+    # The least s >= 1 whose probes of degrees 1..s exceed the cap: doubling, then bisection.
+    hi = 1
+    while comb(hi + n, n) - 1 <= capv:
+        hi *= 2
+    s = bisect_left(range(hi), True, (hi + 1) // 2, key=lambda t: comb(t + n, n) - 1 > capv)
+    adj = g._adj
+    bound = base[0]
+    stack = [(base, 1, 0)]
+    while stack:
+        red, start, j = stack.pop()
+        if j >= bound or j >= s - 1:
+            continue
+        for v in range(start, n):
+            child = _drop_chip(adj, red, v)
+            c0 = child[0]
+            if c0 < 0:
+                bound = j
+                break
+            if c0 + j + 1 < bound:
+                bound = c0 + j + 1
+            stack.append((child, v, j + 1))
+    if bound >= s - 1:
+        required = comb(s + n, n) - 1
+        raise EnumerationCapExceededError(
+            f"rank probe at degree {s} needs {required} effective divisors (cap {capv})",
+            required=required,
+            cap=capv,
+        )
+    return bound

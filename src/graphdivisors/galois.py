@@ -12,13 +12,13 @@ that reproduces in isolation.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, tee
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _drop_chip, _empty_probe, _members, _reduce_coeffs, _require_enumerable
+from .divisors import _drop_chip, _members, _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -97,10 +97,7 @@ FailureReason = Union[RankNotTwo, Cond1Fail, Cond2Fail, NoQualifyingSubgroup]
 def _reason_to_json(reason: FailureReason | None):
     if reason is None:
         return None
-    out = {"tag": reason.tag}
-    for field in reason.__dataclass_fields__:
-        out[field] = getattr(reason, field)
-    return out
+    return {"tag": reason.tag, **asdict(reason)}
 
 
 def _reason_from_json(obj) -> FailureReason | None:
@@ -199,14 +196,7 @@ class TheoremCheck:
         return self.equivalence_holds and self.all_vertices_galois is not False
 
     def to_json(self) -> dict:
-        return {
-            "is_complete": self.is_complete,
-            "has_two_galois": self.has_two_galois,
-            "equivalence_holds": self.equivalence_holds,
-            "all_vertices_galois": self.all_vertices_galois,
-            "galois_count": self.galois_count,
-            "rank": self.rank,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -220,15 +210,7 @@ class RiemannRochCheck:
     genus: int
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "rank": self.rank,
-            "canonical_rank": self.canonical_rank,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "degree": self.degree,
-            "genus": self.genus,
-        }
+        return asdict(self)
 
 
 def _require_two_edge_connected(g: Graph) -> None:
@@ -252,29 +234,49 @@ def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Sm
     pi = g.index_of(p)
     _require_rank_two(g, d, cap)
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    return _smoothness_unchecked(g, _drop_chip(g._adj, red, pi), p)
+    return _smoothness(g, red)[pi]
 
 
-def _smoothness_unchecked(g: Graph, dp: list[int], p: str) -> SmoothnessCheck:
-    """The smoothness verdict at p for a rank-2 divisor d, read off the
-    0-reduced form dp of d - p and its avalanches without calling `rank`.
+def _smoothness(g: Graph, red: list[int]) -> list[SmoothnessCheck]:
+    """The smoothness verdict at every vertex p for a rank-2 divisor d,
+    read off its 0-reduced form red without calling `rank`.
 
     Removing a vertex lowers the rank by at most one, and r(D) =
-    1 + min_v r(D - v) when |D| is nonempty.  With
-    r(d) = 2 this gives r(d - p - q) = 0 iff d - p - q - v is empty for
-    some v (the degree-1 probe), and r(d - p) = 1 iff that holds for some
-    q; otherwise r(d - p) = 2 and every r(d - p - q) = 1.  Each reduced
-    form is one `_drop_chip` away from dp, and every probe stays within
-    degree 3, which rank(d) = 2 already passed under the cap.
+    1 + min_v r(D - v) when |D| is nonempty.  With r(d) = 2 this gives
+    r(d - p - q) = 0 iff some d - p - q - v is empty, and r(d - p) = 1
+    iff that holds for some q.  One walk takes each multiset e' of at
+    most three chips off vertex 0 one `_drop_chip` from its parent; as
+    taking chips at vertex 0 keeps a reduced form reduced, e' padded
+    with vertex 0 is an empty probe p + q + v iff the reduced form of
+    d - e' holds fewer chips at vertex 0 than the padding takes.
     """
     adj = g._adj
-    rank_zero = [_empty_probe(g, _drop_chip(adj, dp, q), 1) for q in range(len(g.vertices))]
-    if not any(rank_zero):
-        return SmoothnessCheck(False, Cond1Fail(p, 2))
-    for q, zero in zip(g.vertices, rank_zero):
-        if not zero:
-            return SmoothnessCheck(False, Cond2Fail(p, q, 1))
-    return SmoothnessCheck(True)
+    n = len(red)
+    zero = [[False] * n for _ in range(n)]
+
+    def mark(p, q, v):
+        zero[p][q] = zero[q][p] = zero[p][v] = zero[v][p] = zero[q][v] = zero[v][q] = True
+
+    if red[0] < 3:
+        mark(0, 0, 0)
+    for p in range(1, n):
+        dp = _drop_chip(adj, red, p)
+        if dp[0] < 2:
+            mark(p, 0, 0)
+        for q in range(p, n):
+            dpq = _drop_chip(adj, dp, q)
+            if dpq[0] < 1:
+                mark(p, q, 0)
+            for v in range(q, n):
+                if _drop_chip(adj, dpq, v)[0] < 0:
+                    mark(p, q, v)
+    checks = []
+    for p, row in zip(g.vertices, zero):
+        missed = [q for q, z in zip(g.vertices, row) if not z]
+        checks.append(SmoothnessCheck(True) if not missed
+                      else SmoothnessCheck(False, Cond1Fail(p, 2)) if len(missed) == n
+                      else SmoothnessCheck(False, Cond2Fail(p, missed[0], 1)))
+    return checks
 
 
 def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor]:
@@ -376,21 +378,22 @@ def _find_witness(g: Graph, p: str, dp: list[int], candidates: Iterable[frozense
     return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, checked))
 
 
-def _certificates(g: Graph, d: Divisor, vertices: Iterable[str],
+def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
-    bridgeless graph.  d is reduced once, each d - p is one `_drop_chip`
-    from it, and every smooth vertex draws its candidates from one
+    bridgeless graph.  d is reduced once, the smoothness verdicts are
+    read off it by `_smoothness`, each d - p is one `_drop_chip` from
+    it, and every smooth vertex draws its candidates from one
     `_witness_search`, built only if some vertex is smooth.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    dps = [(p, _drop_chip(g._adj, red, g.index_of(p))) for p in vertices]
-    checks = [_smoothness_unchecked(g, dp, p) for p, dp in dps]
+    every = _smoothness(g, red)
+    checks = [every[g.index_of(p)] for p in vertices]
     search = _witness_search(g, d.degree - 1) if any(sm.ok for sm in checks) else None
     return tuple(
-        _find_witness(g, p, dp, search(g.index_of(p)), cap) if sm.ok
-        else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
-        for (p, dp), sm in zip(dps, checks)
+        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), search(g.index_of(p)), cap)
+        if sm.ok else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
+        for p, sm in zip(vertices, checks)
     )
 
 
@@ -556,18 +559,14 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     reason = cert.reason
     if reason is None:
         return ["negative certificate carries no reason"]
-    if isinstance(reason, RankNotTwo):
-        r = rank(g, d, cap)
-        if r == 2 or r != reason.rank:
-            problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
-    elif isinstance(reason, Cond1Fail):
-        r = rank(g, d - Divisor.vertex(g, reason.vertex), cap)
-        if r == 1 or r != reason.rank:
-            problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
-    elif isinstance(reason, Cond2Fail):
-        probe = d - Divisor.vertex(g, reason.vertex) - Divisor.vertex(g, reason.other)
+    if isinstance(reason, (RankNotTwo, Cond1Fail, Cond2Fail)):
+        # The rank of d, d - p or d - p - q, which must not be 2, 1 or 0.
+        removed = [getattr(reason, f) for f in ("vertex", "other") if hasattr(reason, f)]
+        probe = d
+        for label in removed:
+            probe = probe - Divisor.vertex(g, label)
         r = rank(g, probe, cap)
-        if r == 0 or r != reason.rank:
+        if r == 2 - len(removed) or r != reason.rank:
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
         dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)

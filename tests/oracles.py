@@ -6,10 +6,12 @@ Laplacian system exactly over the rationals, rank follows its
 definition with full enumerations, group enumeration filters raw
 permutations or closes small generating sets, and `reduce_one_chip`
 reduces with a burning loop that fires one chip per round.
-`smoothness_by_rank` is the exception: it decides the smoothness
-conditions by their definition through the library's `rank` (itself
-checked against `rank_brute`), where the library reads them off
-reduced forms.  `witness_by_all_subgroups` is another: it runs the
+`smoothness_by_rank` decides the smoothness conditions by their
+definition, one rank per condition, where the library reads them off a
+table of reduced forms.  Given `rank=rank_brute` it shares no code with
+the library; by default it calls the library's `rank` (itself checked
+against `rank_brute`), for sizes the brute force cannot reach, and is
+then an exception.  `witness_by_all_subgroups` is another: it runs the
 witness search over every subgroup of the right order, built by the
 library's `subgroups_of_order` (checked against
 `subgroups_by_generators`) and tested one by one with
@@ -361,9 +363,10 @@ def random_divisor(rng, g, lo=-3, hi=6):
             return Divisor.from_coeffs(g, coeffs)
 
 
-def smoothness_by_rank(g: Graph, d: Divisor, p: str):
-    """The smoothness check by its definition, one `rank` call per condition:
-    rank(d - p) = 1, then rank(d - p - q) = 0 for every q in vertex order."""
+def smoothness_by_rank(g: Graph, d: Divisor, p: str, rank=rank):
+    """The smoothness check by its definition, one `rank(g, divisor)` call
+    per condition: rank(d - p) = 1, then rank(d - p - q) = 0 for every q
+    in vertex order."""
     dp = d - Divisor.vertex(g, p)
     r1 = rank(g, dp)
     if r1 != 1:

@@ -1,0 +1,218 @@
+"""`rank` as one branch-and-bound walk, against checks that share no code with it.
+
+The walk visits each probe off vertex 0 at most once and refuses past
+the cap exactly where a degree-by-degree search would stop.  These tests
+pin that refusal point against a per-degree count, the values against
+`oracles.rank_brute` and, beyond the brute force's reach, against the
+Baker-Norine facts, the smoothness table against the brute-force
+smoothness oracle, and the work of both in `_drop_chip` calls.
+"""
+
+import random
+import time
+from collections import Counter
+from math import comb
+
+import pytest
+
+import graphdivisors.divisors as divisors
+import graphdivisors.galois as galois
+from graphdivisors import (
+    DEFAULT_ENUMERATION_CAP,
+    Divisor,
+    EnumerationCapExceededError,
+    GaloisCertificate,
+    Graph,
+    NoQualifyingSubgroup,
+    VertexFunction,
+    build_graph,
+    canonical_divisor,
+    check_smoothness,
+    classify_galois_points,
+    enumerate_corpus,
+    generate,
+    laplacian_apply,
+    rank,
+)
+
+import oracles
+
+
+def refusal(n, cap):
+    """(degree, probes) where a degree-by-degree search on n vertices
+    stops: the first degree s at which the count of effective divisors
+    of degrees 1..s, added up one degree at a time, exceeds the cap."""
+    s, probes = 1, n
+    while probes <= cap:
+        s += 1
+        probes += comb(s + n - 1, n - 1)
+    return s, probes
+
+
+def refused(g, d, cap=None):
+    with pytest.raises(EnumerationCapExceededError) as exc:
+        rank(g, d, cap)
+    return str(exc.value), exc.value.required, exc.value.cap
+
+
+@pytest.fixture
+def drops(monkeypatch):
+    """The vertices of every `_drop_chip` call made after setup, wherever
+    the package binds the function."""
+    calls = []
+    real = divisors._drop_chip
+
+    def counting(adj, red, v):
+        calls.append(v)
+        return real(adj, red, v)
+
+    for module in (divisors, galois):
+        monkeypatch.setattr(module, "_drop_chip", counting)
+    return calls
+
+
+class TestCapThreshold:
+    def test_one_vertex_refuses_at_once(self):
+        # Counting the probes one degree at a time took about 1.9 s on a
+        # 2-core Xeon host: 5,000,001 degrees of one probe each.
+        g = Graph(["P1"], [])
+        start = time.perf_counter()
+        outcome = refused(g, 10**7 * Divisor.vertex(g, "P1"))
+        assert time.perf_counter() - start < 0.5
+        assert outcome == (
+            "rank probe at degree 5000001 needs 5000001 effective divisors (cap 5000000)",
+            5_000_001,
+            DEFAULT_ENUMERATION_CAP,
+        )
+
+    def test_cycle3_refuses_at_degree_309(self):
+        # rank(1000·P1) = 999 on a genus-1 graph; the walk stops at degree
+        # 308 instead of enumerating the 5,013,319 probes of degrees 1..309.
+        g = generate("cycle:3")
+        start = time.perf_counter()
+        outcome = refused(g, 1000 * Divisor.vertex(g, "P1"))
+        assert time.perf_counter() - start < 1.0
+        assert outcome == (
+            "rank probe at degree 309 needs 5013319 effective divisors (cap 5000000)",
+            5_013_319,
+            DEFAULT_ENUMERATION_CAP,
+        )
+        assert refusal(3, DEFAULT_ENUMERATION_CAP) == (309, 5_013_319)
+
+    def test_value_or_refusal_where_the_degree_search_stops(self):
+        # rank r comes back iff r < s - 1 for the refusal degree s, so the
+        # search never needed a probe of degree s; otherwise it refuses
+        # at s with the per-degree count.
+        rng = random.Random(1313)
+        seen = Counter()
+        for _ in range(50):
+            g = oracles.random_connected_graph(rng, rng.randint(2, 5))
+            d = oracles.random_divisor(rng, g, lo=-1, hi=5)
+            expected = oracles.rank_brute(g, d)
+            n = len(g.vertices)
+            for cap in (0, 1, 5, 20, 100, 1000, None):
+                capv = DEFAULT_ENUMERATION_CAP if cap is None else cap
+                s, probes = refusal(n, capv)
+                if expected < s - 1:
+                    assert rank(g, d, cap) == expected, (g, d, cap)
+                    seen["value"] += 1
+                    seen["value just below"] += expected == s - 2
+                else:
+                    message = f"rank probe at degree {s} needs {probes} effective divisors (cap {capv})"
+                    assert refused(g, d, cap) == (message, probes, capv), (g, d, cap)
+                    seen["refusal"] += 1
+                    seen["refusal at the limit"] += expected == s - 1
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+def two_edge_connected_graph(rng, n, max_genus=7):
+    """A random bridgeless graph on n vertices, redrawn until its genus
+    is at most max_genus, which bounds the probes the walks need."""
+    while True:
+        g = oracles.random_connected_graph(rng, n, extra_edge_prob=0.3)
+        if len(g.edges) - n + 1 <= max_genus and oracles.two_edge_connected(n, list(g._edges_idx)):
+            return g
+
+
+class TestBakerNorineFacts:
+    """Random 2-edge-connected graphs on 6-9 vertices, beyond `rank_brute`.
+    The genus is counted from the edges here, not by the library."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_facts(self, seed):
+        rng = random.Random(f"baker-norine:{seed}")
+        for n in range(6, 10):
+            g = two_edge_connected_graph(rng, n)
+            genus = len(g.edges) - n + 1
+            k = canonical_divisor(g)
+            assert rank(g, k) == genus - 1
+            for degree in (2 * genus - 1, 2 * genus, 2 * genus + 1, -1, -3):
+                coeffs = [rng.randint(-3, 3) for _ in range(n)]
+                coeffs[rng.randrange(n)] += degree - sum(coeffs)
+                d = Divisor.from_coeffs(g, coeffs)
+                expected = degree - genus if degree >= 0 else -1
+                assert rank(g, d) == expected, (g, d)
+                f = VertexFunction.from_values(g, [rng.randint(-4, 4) for _ in range(n)])
+                assert rank(g, d + laplacian_apply(g, f)) == expected
+            for degree in (0, genus - 1, 2 * genus - 2):
+                coeffs = [0] * n
+                for _ in range(degree):
+                    coeffs[rng.randrange(n)] += 1
+                d = Divisor.from_coeffs(g, coeffs)
+                assert rank(g, d) - rank(g, k - d) == degree + 1 - genus, (g, d)
+
+
+def smoothness_cases():
+    """The rank-2 graphs of `enumerate_corpus(4)` and five named graphs."""
+    labels = [f"P{i}" for i in range(1, 5)]
+    records = enumerate_corpus(4).records
+    cases = [pytest.param(build_graph(labels, r.edges), id=f"corpus4-{i}")
+             for i, r in enumerate(records) if r.rank == 2]
+    specs = ("house4", "complete:4", "complete:5", "wheel:5", "wheel:6")
+    return cases + [pytest.param(generate(s), id=s) for s in specs]
+
+
+class TestSmoothnessOracle:
+    @pytest.mark.parametrize("g", smoothness_cases())
+    def test_brute_force_rank_agrees(self, g):
+        d = Divisor.all_ones(g)
+        report = classify_galois_points.__wrapped__(g, d)
+        assert report.rank == 2
+        for p, cert in zip(g.vertices, report.certificates):
+            expected = oracles.smoothness_by_rank(g, d, p, rank=oracles.rank_brute)
+            assert check_smoothness(g, d, p) == expected, p
+            if expected.ok:
+                assert cert.verdict or isinstance(cert.reason, NoQualifyingSubgroup), p
+            else:
+                assert not cert.verdict and cert.reason == expected.failure, p
+
+
+class TestWork:
+    @pytest.mark.parametrize("spec, chips, r, walked", [
+        # A search restarting from d at every degree made 6,427, 11,601
+        # and 990 calls.
+        ("wheel:7", 2, 8, 3_002),
+        ("complete:7", 3, 9, 5_050),
+        ("house4", 3, 10, 285),
+    ])
+    def test_rank_drops(self, spec, chips, r, walked, drops):
+        g = generate(spec)
+        n = len(g.vertices)
+        assert rank(g, chips * n * Divisor.vertex(g, g.vertices[-1])) == r
+        assert len(drops) == walked
+
+    @pytest.mark.parametrize(
+        "spec", ["house4"] + [f"complete:{n}" for n in range(4, 9)] + [f"wheel:{n}" for n in range(5, 9)]
+    )
+    def test_smoothness_decisions(self, spec, monkeypatch, drops):
+        # One table of the probes of degree <= 3 off vertex 0, and one
+        # d - p per smooth vertex for its witness search (stubbed out).
+        g = generate(spec)
+        n = len(g.vertices)
+        d = Divisor.all_ones(g)
+        assert rank(g, d) == 2
+        drops.clear()
+        monkeypatch.setattr(galois, "_find_witness",
+                            lambda g, p, dp, candidates, cap: GaloisCertificate(p, False))
+        galois._certificates(g, d, g.vertices, None)
+        assert len(drops) <= comb(n + 2, 3) - 1 + n
