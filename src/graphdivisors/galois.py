@@ -11,11 +11,10 @@ that reproduces in isolation.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, tee
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from itertools import chain
+from typing import Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
 from .divisors import _drop_chip, _members, _reduce_coeffs, _require_enumerable
@@ -26,16 +25,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphs import Graph, genus, is_two_edge_connected
-from .symmetry import (
-    Subgroup,
-    _automorphisms,
-    _harmonic_element,
-    _perm_order,
-    _subgroups_in_order,
-    _vertex_orbits,
-    acts_harmonically,
-    apply_to_divisor,
-)
+from .symmetry import Subgroup, _harmonic_subgroups, _vertex_orbits, acts_harmonically, apply_to_divisor
 
 
 @dataclass(frozen=True)
@@ -291,74 +281,34 @@ def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor
     return frozenset(out)
 
 
-def _admissible_elements(g: Graph, m: int) -> list[tuple[int, ...]]:
-    """The elements a harmonic subgroup of order m of Aut(g) can hold,
-    sorted: non-identity automorphisms of order dividing m that fix no
-    vertex together with a neighbour.  One pruned automorphism search
-    finds them without building Aut(g); when m does not divide |Aut(g)|
-    they may be nonempty, but then no subgroup of order m exists and
-    `_subgroups_in_order` yields none.  The witness search builds this
-    pool only when some vertex needs the subgroups that move it."""
-    return list(_automorphisms(g, m=m))
-
-
-def _witness_search(g: Graph, m: int) -> Callable[[int], Iterator[frozenset]]:
-    """For order m, a map from a vertex index pi to its candidates: the
-    harmonic subgroups of order m, lazily, those fixing pi first, each
-    part in sorted order.  Each call checks the automorphism vertex cap.
-
-    The groups fixing pi are searched on the admissible elements that
-    fix pi, streamed from a search pinned at pi as far as the subgroup
-    search reads them; each such pass keeps only its own state.  The
-    full pool and its subgroups are built once, and only when some
-    vertex needs the groups that move it.
-    """
-    n = len(g.vertices)
-
-    def every_group():
-        # A generator, so the pool is built at the first read, not here.
-        yield from _subgroups_in_order(_admissible_elements(g, m), m, n)
-
-    # Each copy of the unread tee rereads one lazily drawn list.
-    every, = tee(every_group(), 1)
-
-    def candidates(pi: int) -> Iterator[frozenset]:
-        fixing = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n, _pinned_fits(g, m, pi))
-        return chain(fixing, (h for h in copy(every) if any(x[pi] != pi for x in h)))
-
-    return candidates
-
-
-def _pinned_fits(g: Graph, m: int, pi: int) -> Callable[[tuple[int, ...]], bool]:
-    """Whether an automorphism y is the identity or one of the elements
-    `_automorphisms(g, m=m, pin=pi)` streams: it fixes pi, its order
-    divides m and it is harmonic.  A test on y alone, so the subgroup
-    search over the stream needs no pool."""
-    identity = tuple(range(len(g.vertices)))
-    adj = g._adj
-
-    def fits(y):
-        return y[pi] == pi and (
-            y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y)))
-
-    return fits
-
-
-def _find_witness(g: Graph, p: str, dp: list[int], candidates: Iterable[frozenset],
-                  cap: int | None) -> GaloisCertificate:
+def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCertificate:
     """The certificate at a smooth vertex p, where dp is the 0-reduced
-    form of d - p: the first qualifying witness among `candidates` (see
-    `_witness_search`), or, once every candidate fails,
+    form of d - p: the first qualifying witness among the harmonic
+    subgroups of order deg(d) - 1, or, once every one fails,
     NoQualifyingSubgroup with their count.
 
-    A subgroup fixes the orbit-constant members of |d - p|, which
-    `_members` walks from dp.  The cap refuses the search whenever it
-    would refuse to enumerate that linear system.
+    The groups fixing p come first, streamed from a search pinned at p.
+    The pass over the groups that move p, which files the whole
+    admissible pool, is started only once that stream is exhausted;
+    each pass keeps only its own state.  A subgroup fixes the
+    orbit-constant members of |d - p|, which `_members` walks from dp.
+    The cap refuses the search whenever it would refuse to enumerate
+    that linear system, after the automorphism vertex cap.
     """
+    pi = g.index_of(p)
     m = sum(dp)
+    fixing = _harmonic_subgroups(g, m, pi)
     _require_enumerable(m, len(dp), cap)
+
+    def moving():
+        # A generator, so no search exists before the fixing pass ends:
+        # one created and dropped unstarted is left to the cyclic collector.
+        for perms in _harmonic_subgroups(g, m):
+            if any(x[pi] != pi for x in perms):
+                yield perms
+
     checked = 0
-    for perms in candidates:
+    for perms in chain(fixing, moving()):
         checked += 1
         h = Subgroup(g, perms, _checked=True)
         orbits = _vertex_orbits(h)
@@ -382,16 +332,14 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
     bridgeless graph.  d is reduced once, the smoothness verdicts are
-    read off it by `_smoothness`, each d - p is one `_drop_chip` from
-    it, and every smooth vertex draws its candidates from one
-    `_witness_search`, built only if some vertex is smooth.
+    read off it by `_smoothness`, and each smooth vertex p runs its own
+    `_find_witness` on d - p, one `_drop_chip` from the reduced form.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     every = _smoothness(g, red)
     checks = [every[g.index_of(p)] for p in vertices]
-    search = _witness_search(g, d.degree - 1) if any(sm.ok for sm in checks) else None
     return tuple(
-        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), search(g.index_of(p)), cap)
+        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), cap)
         if sm.ok else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
         for p, sm in zip(vertices, checks)
     )
@@ -419,8 +367,8 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     (g, d) only, so each is computed once per call.  The smoothness
     conditions are read off the reduced form of d.  Each smooth vertex
     streams the admissible automorphisms that fix it until the first
-    witness; the full admissible pool and its subgroups are built at
-    most once, only if some vertex needs the subgroups that move it.
+    witness; only a vertex whose fixing pass finds none runs one pass
+    over the full admissible pool for the subgroups that move it.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
@@ -506,7 +454,8 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     (group axioms, order, harmonicity, quotient size, fixedness, and
     membership of both divisors in the linear system via independent
     equivalence checks).  Negative verdicts must reproduce their stated
-    failure.
+    failure; a NoQualifyingSubgroup verdict also needs the ranks that
+    put its vertex in the search, checked by `rank` alone.
     """
     problems: list[str] = []
     try:
@@ -569,14 +518,20 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         if r == 2 - len(removed) or r != reason.rank:
             problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
     elif isinstance(reason, NoQualifyingSubgroup):
-        dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
-        candidates = _witness_search(g, d.degree - 1)(g.index_of(cert.vertex))
-        again = _find_witness(g, cert.vertex, dp, candidates, cap)
+        # The search runs only where rank(d) = 2, rank(d - p) = 1 and
+        # rank(d - p - q) = 0 for every q.
+        p = cert.vertex
+        dp = d - Divisor.vertex(g, p)
+        probes = [(d, 2, "d"), (dp, 1, f"d - {p}")]
+        probes += [(dp - Divisor.vertex(g, q), 0, f"d - {p} - {q}") for q in g.vertices]
+        for probe, want, name in probes:
+            r = rank(g, probe, cap)
+            if r != want:
+                return [f"rank({name}) is {r}, not {want}, so no subgroup search applies"]
+        red, _ = _reduce_coeffs(g, list(dp.coeffs), 0)
+        again = _find_witness(g, p, red, cap)
         if again.verdict:
             problems.append("a qualifying subgroup exists after all")
-        elif again.reason.subgroups_checked != reason.subgroups_checked:
-            problems.append(
-                f"recorded {reason.subgroups_checked} candidate subgroups, "
-                f"search examined {again.reason.subgroups_checked}"
-            )
+        elif again.reason != reason:
+            problems.append(f"recorded {reason}, the search gives {again.reason}")
     return problems

@@ -392,19 +392,13 @@ def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
     group order."""
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
-    pool = _elements_of_order_dividing(full, m)
-    n = len(full.graph.vertices)
-    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(pool, m, n))
-
-
-def _elements_of_order_dividing(full: Subgroup, m: int) -> list[tuple[int, ...]]:
-    """The non-identity elements of `full` whose order divides m, the
-    only ones a subgroup of order m can hold; none when m does not
-    divide the group order."""
     if len(full.perms) % m:
-        return []
-    identity = tuple(range(len(full.graph.vertices)))
-    return [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
+        return ()
+    n = len(full.graph.vertices)
+    identity = tuple(range(n))
+    # A subgroup of order m holds only elements whose order divides m.
+    pool = [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
+    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(pool, m, n))
 
 
 def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
@@ -518,6 +512,34 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
         yield from extend([], frozenset({identity}), identity)
     finally:
         del extend
+
+
+def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[frozenset]:
+    """The subgroups of order m of Aut(g) that act harmonically, lazily
+    and in sorted order; given the vertex index pin, only those fixing
+    it.  Harmonicity holds for a group iff it holds for each element,
+    so the groups are built from the admissible elements
+    `_automorphisms(g, m=m)` finds, without building Aut(g).
+
+    Given pin, the pinned search streams into the subgroup search as far
+    as that reads; without pin, the first read draws and files the whole
+    pool.  Either way the vertex cap is checked at this call, so call it
+    only where the result is read: a search dropped unstarted does not
+    free itself (see `_automorphisms`).
+    """
+    n = len(g.vertices)
+    if pin is None:
+        return _subgroups_in_order(_automorphisms(g, m=m), m, n)
+    identity = tuple(range(n))
+    adj = g._adj
+
+    def fits(y):
+        # Exactly whether y is the identity or an element the pinned
+        # search streams, so the subgroup search needs no pool.
+        return y[pin] == pin and (
+            y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y)))
+
+    return _subgroups_in_order(_automorphisms(g, m=m, pin=pin), m, n, fits)
 
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:

@@ -268,6 +268,19 @@ class TestAudit:
         fake = GaloisCertificate(vertex="P1", verdict=False, reason=Cond1Fail("P1", 0))
         assert audit_certificate(k4, d, fake) != []
 
+    @pytest.mark.parametrize("family, vertex, reason", [
+        # The search at P1 gives NoQualifyingSubgroup(3, 0): the order differs.
+        ("house4", "P1", NoQualifyingSubgroup(99, 0)),
+        # P2 is not smooth: its verdict is Cond2Fail(P2, P4, 1).
+        ("house4", "P2", NoQualifyingSubgroup(3, 0)),
+        # The all-ones divisor on cycle:5 has rank 4, not 2.
+        ("cycle:5", "P1", NoQualifyingSubgroup(4, 0)),
+    ])
+    def test_misplaced_no_qualifying_subgroup_rejected(self, family, vertex, reason):
+        g = generate(family)
+        fake = GaloisCertificate(vertex=vertex, verdict=False, reason=reason)
+        assert audit_certificate(g, Divisor.all_ones(g), fake) != []
+
 
 class TestClassification:
     def test_k5_all_vertices(self):
@@ -364,8 +377,9 @@ class TestRiemannRoch:
 class TestSinglePass:
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5"])
     def test_rank_and_symmetry_computed_once(self, family, monkeypatch):
-        # One rank(d), at most one pool search, and Aut(G) never built:
-        # automorphism_group is replaced wherever the package binds it.
+        # One rank(d), no pool search (every witness fixes its vertex),
+        # and Aut(G) never built: automorphism_group is replaced wherever
+        # the package binds it.
         import graphdivisors.galois as galois
         import graphdivisors.symmetry as symmetry
 
@@ -374,7 +388,7 @@ class TestSinglePass:
         rank_of_d = []
         pool_calls = []
         aut_calls = []
-        real_rank, real_pool = galois.rank, galois._admissible_elements
+        real_rank, real_groups = galois.rank, galois._harmonic_subgroups
         real_aut = symmetry.automorphism_group
 
         def counting_rank(graph, divisor, *args):
@@ -382,22 +396,23 @@ class TestSinglePass:
                 rank_of_d.append(divisor)
             return real_rank(graph, divisor, *args)
 
-        def counting_pool(graph, *args):
-            pool_calls.append(graph)
-            return real_pool(graph, *args)
+        def counting_groups(graph, m, pin=None):
+            if pin is None:
+                pool_calls.append(graph)
+            return real_groups(graph, m, pin)
 
         def counting_aut(graph, *args):
             aut_calls.append(graph)
             return real_aut(graph, *args)
 
         monkeypatch.setattr(galois, "rank", counting_rank)
-        monkeypatch.setattr(galois, "_admissible_elements", counting_pool)
+        monkeypatch.setattr(galois, "_harmonic_subgroups", counting_groups)
         for module in (symmetry, galois):
             for attr in [a for a, v in vars(module).items() if v is real_aut]:
                 monkeypatch.setattr(module, attr, counting_aut)
         classify_galois_points.__wrapped__(g, d)
         assert len(rank_of_d) == 1
-        assert len(pool_calls) <= 1
+        assert pool_calls == []
         assert aut_calls == []
 
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5", "house4"])
@@ -444,15 +459,19 @@ class TestSinglePass:
         # Complete graphs and wheels find every witness among the
         # elements that fix the vertex, so the full pool is never built;
         # on K8 each vertex's first streamed element generates its
-        # witness.  house4 has negatives and builds the pool once.
+        # witness.  Only a vertex whose fixing pass comes up empty runs
+        # a pass over the pool: on house4, each NoQualifyingSubgroup
+        # vertex runs one.
         import graphdivisors.galois as galois
+        import graphdivisors.symmetry as symmetry
 
         pool_calls, drawn = [], []
-        real_pool, real_search = galois._admissible_elements, galois._automorphisms
+        real_groups, real_search = galois._harmonic_subgroups, symmetry._automorphisms
 
-        def counting_pool(*args):
-            pool_calls.append(args)
-            return real_pool(*args)
+        def counting_groups(graph, m, pin=None):
+            if pin is None:
+                pool_calls.append(graph)
+            return real_groups(graph, m, pin)
 
         def counting_search(*args, **kwargs):
             for x in real_search(*args, **kwargs):
@@ -460,8 +479,8 @@ class TestSinglePass:
                     drawn.append(x)
                 yield x
 
-        monkeypatch.setattr(galois, "_admissible_elements", counting_pool)
-        monkeypatch.setattr(galois, "_automorphisms", counting_search)
+        monkeypatch.setattr(galois, "_harmonic_subgroups", counting_groups)
+        monkeypatch.setattr(symmetry, "_automorphisms", counting_search)
         for family in [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)]:
             g = generate(family)
             drawn.clear()
@@ -471,19 +490,32 @@ class TestSinglePass:
                 assert 0 < len(drawn) <= 8
         g = generate("house4")
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
-        assert any(isinstance(c.reason, NoQualifyingSubgroup) for c in report.certificates)
-        assert len(pool_calls) == 1
+        negatives = [c for c in report.certificates if isinstance(c.reason, NoQualifyingSubgroup)]
+        assert len(negatives) == 2
+        assert len(pool_calls) == len(negatives)
 
-    @pytest.mark.parametrize("family", ["complete:6", "wheel:6", "house4"])
-    def test_classification_leaves_no_cyclic_garbage(self, family):
+    @pytest.mark.parametrize("family, coeffs", [
+        pytest.param("complete:6", None, id="complete:6"),
+        pytest.param("wheel:6", None, id="wheel:6"),
+        pytest.param("house4", None, id="house4"),
+        # At P1 and P2 the witness moves the vertex and is the first of
+        # the two groups that do, so the moving pass is dropped mid-way.
+        pytest.param("complete:3", {"P1": 1, "P3": 2}, id="complete:3 moved witness"),
+    ])
+    def test_classification_leaves_no_cyclic_garbage(self, family, coeffs):
         # The recursive searches release themselves when they run out or
-        # are dropped at the first witness, so reference counting frees
-        # everything a classification made and the cyclic collector,
-        # which costs corpus sweeps a few percent, finds nothing.
+        # are dropped at the first witness, and a pass over the groups
+        # that move p is not even created before the fixing pass ends,
+        # so reference counting frees everything a classification made
+        # and the cyclic collector, which costs corpus sweeps a few
+        # percent, finds nothing.
         import gc
 
         g = generate(family)
-        d = Divisor.all_ones(g)
+        d = Divisor(g, coeffs) if coeffs else Divisor.all_ones(g)
+        if coeffs:
+            witness = classify_galois_points(g, d).certificates[0].subgroup
+            assert any(x[0] != 0 for x in witness.perms)
         gc.collect()
         gc.disable()
         try:
@@ -502,18 +534,17 @@ class TestSinglePass:
         # count them alike.
         import tracemalloc
 
-        from graphdivisors.galois import _witness_search
+        from graphdivisors.symmetry import _harmonic_subgroups
 
         g = generate("complete:9")
         tracemalloc.start()
         try:
-            next(_witness_search(g, 8)(0))
+            next(_harmonic_subgroups(g, 8, 0))
             tracemalloc.reset_peak()
-            search = _witness_search(g, 8)
-            next(search(0))
+            next(_harmonic_subgroups(g, 8, 0))
             alone = tracemalloc.get_traced_memory()[1]
-            next(search(1))
-            next(search(2))
+            next(_harmonic_subgroups(g, 8, 1))
+            next(_harmonic_subgroups(g, 8, 2))
             assert tracemalloc.get_traced_memory()[1] <= 1.25 * alone
         finally:
             tracemalloc.stop()
@@ -627,17 +658,17 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_complete_graph_stops_at_first_witness(self, n, monkeypatch):
-        import graphdivisors.galois as galois
+        import graphdivisors.symmetry as symmetry
 
         produced = []
-        real = galois._subgroups_in_order
+        real = symmetry._subgroups_in_order
 
         def counting(*args):
             for h in real(*args):
                 produced.append(h)
                 yield h
 
-        monkeypatch.setattr(galois, "_subgroups_in_order", counting)
+        monkeypatch.setattr(symmetry, "_subgroups_in_order", counting)
         g = generate(f"complete:{n}")
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.galois_count == n
@@ -652,14 +683,13 @@ class TestAdmissiblePool:
 
     @staticmethod
     def check(g, m, order):
-        from graphdivisors.galois import _admissible_elements
-        from graphdivisors.symmetry import _subgroups_in_order
+        from graphdivisors.symmetry import _automorphisms, _harmonic_subgroups
 
-        pool = _admissible_elements(g, m)
+        pool = list(_automorphisms(g, m=m))
         assert len(set(pool)) == len(pool)
         assert set(pool) == set(oracles.admissible_brute(g, m)), m
         if order % m:
-            assert list(_subgroups_in_order(pool, m, len(g.vertices))) == []
+            assert list(_harmonic_subgroups(g, m)) == []
 
     def test_corpus5_graphs_for_small_orders(self):
         from graphdivisors import automorphism_group, enumerate_corpus
@@ -696,8 +726,7 @@ class TestPinnedStream:
 
     @staticmethod
     def check(g, m=None):
-        from graphdivisors.galois import _pinned_fits
-        from graphdivisors.symmetry import _automorphisms, _subgroups_in_order
+        from graphdivisors.symmetry import _automorphisms, _harmonic_subgroups, _subgroups_in_order
 
         n = len(g.vertices)
         m = m or n - 1
@@ -705,8 +734,7 @@ class TestPinnedStream:
         for pi in range(n):
             expected = sorted(x for x in brute if x[pi] == pi)
             assert list(_automorphisms(g, m=m, pin=pi)) == expected, (g, pi)
-            streamed = _subgroups_in_order(_automorphisms(g, m=m, pin=pi), m, n,
-                                           _pinned_fits(g, m, pi))
+            streamed = _harmonic_subgroups(g, m, pi)
             assert list(streamed) == list(_subgroups_in_order(expected, m, n)), (g, pi)
 
     def test_corpus5_graphs(self):

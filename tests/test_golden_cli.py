@@ -180,6 +180,10 @@ def test_symmetry_output_matches_golden_digest(command, capsys):
     "classify --family complete:11",
     "galois --vertex P1 --family complete:11",
     "verify-theorem --family wheel:11",
+    # Past both caps, the automorphism vertex cap refuses first.
+    "classify --family complete:11 --cap 1000",
+    "galois --vertex P1 --family complete:11 --cap 1000",
+    "classify --family wheel:11 --cap 1000",
 ])
 def test_refused_past_the_automorphism_vertex_cap(command, capsys):
     code = main(command.split())

@@ -213,6 +213,6 @@ class TestWork:
         assert rank(g, d) == 2
         drops.clear()
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, candidates, cap: GaloisCertificate(p, False))
+                            lambda g, p, dp, cap: GaloisCertificate(p, False))
         galois._certificates(g, d, g.vertices, None)
         assert len(drops) <= comb(n + 2, 3) - 1 + n

@@ -202,11 +202,7 @@ class TestSubgroups:
         # Harmonicity and fixing a vertex hold for a group iff they hold
         # for each element, so a pool filtered by either yields exactly
         # the subgroups that pass the filter, in the same order.
-        from graphdivisors.symmetry import (
-            _elements_of_order_dividing,
-            _harmonic_element,
-            _subgroups_in_order,
-        )
+        from graphdivisors.symmetry import _harmonic_element, _perm_order, _subgroups_in_order
 
         g = generate(spec)
         full = automorphism_group(g)
@@ -221,7 +217,7 @@ class TestSubgroups:
                 continue
             subs = subgroups_of_order(full, m)
             for name, test in tests.items():
-                pool = [x for x in _elements_of_order_dividing(full, m) if test(x)]
+                pool = [x for x in full.perms if x != identity and m % _perm_order(x) == 0 and test(x)]
                 expected = [h.perms for h in subs if all(map(test, h.perms))]
                 assert list(_subgroups_in_order(pool, m, n)) == expected, (spec, m, name)
 
@@ -374,3 +370,41 @@ class TestActsHarmonically:
     def test_unknown_mode(self, k4):
         with pytest.raises(ValueError):
             acts_harmonically(k4, Subgroup.trivial(k4), "hopeful")
+
+
+class TestHarmonicSubgroups:
+    """`_harmonic_subgroups` against the public path: the subgroups of
+    order m of the full group that act harmonically (and fix the pin),
+    in the same order."""
+
+    @staticmethod
+    def check(g, m=None):
+        from graphdivisors.symmetry import _harmonic_subgroups
+
+        n = len(g.vertices)
+        m = m or n - 1
+        harmonic = [h.perms for h in subgroups_of_order(automorphism_group(g), m)
+                    if acts_harmonically(g, h)]
+        assert list(_harmonic_subgroups(g, m)) == harmonic, g
+        for pi in range(n):
+            fixing = [h for h in harmonic if all(x[pi] == pi for x in h)]
+            assert list(_harmonic_subgroups(g, m, pi)) == fixing, (g, pi)
+
+    def test_corpus5_graphs(self):
+        from graphdivisors import enumerate_corpus
+
+        labels = ["P1", "P2", "P3", "P4", "P5"]
+        for record in enumerate_corpus(5).records:
+            self.check(build_graph(labels, record.edges))
+
+    @pytest.mark.parametrize(
+        "family",
+        ["house4"] + [f"cycle:{n}" for n in range(4, 7)] + [f"complete:{n}" for n in range(3, 8)]
+        + [f"wheel:{n}" for n in range(5, 9)],
+    )
+    def test_families(self, family):
+        self.check(generate(family))
+
+    def test_complete_bipartite_at_order_6(self):
+        labels = ["P1", "P2", "P3", "P4", "P5", "P6"]
+        self.check(build_graph(labels, [(a, b) for a in labels[:4] for b in labels[4:]]), 6)
