@@ -13,7 +13,7 @@ from itertools import combinations
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, _labels, _unreachable_from, is_two_edge_connected
+from .graphs import Graph, _bfs_distances, _labels, is_two_edge_connected
 
 MAX_CORPUS_VERTICES = 6
 
@@ -52,16 +52,13 @@ class CorpusResult:
         }
 
 
-def enumerate_corpus(n: int, filter: str = "two_edge_connected",
-                     cap: int | None = None) -> CorpusResult:
+def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
     """Classify every labeled 2-edge-connected graph on n vertices.
 
     Each graph is tested with the all-ones divisor: the completeness
     equivalence must hold, and at rank 2 the number of Galois points
     must be 0, 1, or n.
     """
-    if filter != "two_edge_connected":
-        raise ValueError(f"unsupported corpus filter {filter!r}")
     if n > MAX_CORPUS_VERTICES:
         raise SizeCapExceededError(
             f"corpus sweep is capped at {MAX_CORPUS_VERTICES} vertices, got {n}"
@@ -81,7 +78,7 @@ def enumerate_corpus(n: int, filter: str = "two_edge_connected",
         for a, b in pairs:
             adj[a].append(b)
             adj[b].append(a)
-        if _unreachable_from(0, adj) is not None:
+        if -1 in _bfs_distances(adj, 0):
             continue
         g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
         if not is_two_edge_connected(g):

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     EnumerationCapExceededError,
     GraphMismatchError,
     MissingVertexValueError,
 )
-
-if TYPE_CHECKING:
-    from .graphs import Graph
+from .graphs import Graph, _bfs_distances
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -294,21 +292,6 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
         if not any(coeffs[v] < (masks[v] & outside).bit_count() for v in members):
             return False
     return True
-
-
-def _bfs_distances(adj, q: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[q] = 0
-    frontier = [q]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 def _layers(g: "Graph", q: int) -> list[tuple]:

@@ -288,8 +288,8 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCer
     NoQualifyingSubgroup with their count.
 
     The groups fixing p come first, streamed from a search pinned at p.
-    The pass over the groups that move p, which files the whole
-    admissible pool, is started only once that stream is exhausted;
+    The pass over the groups that move p files the whole admissible
+    pool, so it is not even set up until that stream is exhausted;
     each pass keeps only its own state.  A subgroup fixes the
     orbit-constant members of |d - p|, which `_members` walks from dp.
     The cap refuses the search whenever it would refuse to enumerate
@@ -301,8 +301,6 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCer
     _require_enumerable(m, len(dp), cap)
 
     def moving():
-        # A generator, so no search exists before the fixing pass ends:
-        # one created and dropped unstarted is left to the cyclic collector.
         for perms in _harmonic_subgroups(g, m):
             if any(x[pi] != pi for x in perms):
                 yield perms

@@ -76,10 +76,10 @@ class Graph:
             adj[i].append(j)
             adj[j].append(i)
 
-        unreachable = _unreachable_from(0, adj)
-        if unreachable is not None:
+        dist = _bfs_distances(adj, 0)
+        if -1 in dist:
             raise DisconnectedError(
-                f"vertex {verts[unreachable]!r} is not reachable from {verts[0]!r}"
+                f"vertex {verts[dist.index(-1)]!r} is not reachable from {verts[0]!r}"
             )
 
         self.vertices = verts
@@ -167,20 +167,20 @@ class Graph:
         return cls(obj["vertices"], obj["edges"])
 
 
-def _unreachable_from(start: int, adj: list[list[int]]) -> int | None:
-    seen = [False] * len(adj)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    for v, ok in enumerate(seen):
-        if not ok:
-            return v
-    return None
+def _bfs_distances(adj, q: int) -> list[int]:
+    """The edge distance of every vertex from q; -1 where q cannot reach."""
+    dist = [-1] * len(adj)
+    dist[q] = 0
+    frontier = [q]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> Graph:

@@ -295,6 +295,9 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     later end, so no prune drops a wanted automorphism.  The pinned
     vertex is mapped to itself and marked fixed before the search
     starts.  The vertex cap is checked at the call, not at the first draw.
+    The recursive step takes itself as its first argument, so no closure
+    refers to the search, and reference counting frees it whether it is
+    run out, dropped mid-way or never started.
     """
     n = len(g.vertices)
     if n > cap:
@@ -307,7 +310,7 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     identity = tuple(range(n))
     images = list(identity)
 
-    def extend(i: int, taken: int, fixed: int):
+    def extend(extend, i: int, taken: int, fixed: int):
         # taken and fixed: bit masks of the images so far and of the
         # fixed points so far.  c fits adjacency iff its neighbours among
         # the taken images are exactly the images of i's neighbours.
@@ -342,20 +345,10 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
                 if m is None or x != identity:
                     yield x
             else:
-                yield from extend(i + 1, taken | bit, fixed | (c == i) << i)
+                yield from extend(extend, i + 1, taken | bit, fixed | (c == i) << i)
 
     start = 0 if pin is None else 1 << pin
-
-    def search():
-        # extend refers to itself; clearing that reference when the search
-        # ends or is dropped frees it without the cyclic garbage collector.
-        nonlocal extend
-        try:
-            yield from extend(0, start, start)
-        finally:
-            del extend
-
-    return search()
+    return extend(extend, 0, start, start)
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:
@@ -423,7 +416,8 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
     any element outside the pool.  The search runs depth first over
     candidates in increasing order; two groups that first differ in the
     next generator x < x' agree below x, and only the first holds x, so
-    groups come out sorted.
+    groups come out sorted.  As in `_automorphisms`, the recursive step
+    takes itself as an argument, so the search frees itself.
     """
     identity = tuple(range(n))
     lows: dict = {}  # element -> its smallest power
@@ -487,7 +481,7 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
                 if low == x or low in group:
                     yield x
 
-    def extend(gens: list, group: frozenset, last: tuple):
+    def extend(extend, gens: list, group: frozenset, last: tuple):
         if len(group) == m:
             yield group
             return
@@ -506,12 +500,9 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
                 if h is None or m % len(h) or any(
                         y < x and y not in group or not fits(y) for y in h):
                     continue
-                yield from extend(gens + [x], h, x)
+                yield from extend(extend, gens + [x], h, x)
 
-    try:  # as in `_automorphisms`: free the recursive extend without the collector
-        yield from extend([], frozenset({identity}), identity)
-    finally:
-        del extend
+    yield from extend(extend, [], frozenset({identity}), identity)
 
 
 def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[frozenset]:
@@ -523,9 +514,7 @@ def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[fr
 
     Given pin, the pinned search streams into the subgroup search as far
     as that reads; without pin, the first read draws and files the whole
-    pool.  Either way the vertex cap is checked at this call, so call it
-    only where the result is read: a search dropped unstarted does not
-    free itself (see `_automorphisms`).
+    pool.  Either way the vertex cap is checked at this call.
     """
     n = len(g.vertices)
     if pin is None:

@@ -201,7 +201,7 @@ class TestCorpusApi:
             enumerate_corpus(7)
         with pytest.raises(ParameterOutOfRangeError):
             enumerate_corpus(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             enumerate_corpus(4, filter="planar")
 
     def test_n3_only_triangle(self):

@@ -503,12 +503,11 @@ class TestSinglePass:
         pytest.param("complete:3", {"P1": 1, "P3": 2}, id="complete:3 moved witness"),
     ])
     def test_classification_leaves_no_cyclic_garbage(self, family, coeffs):
-        # The recursive searches release themselves when they run out or
-        # are dropped at the first witness, and a pass over the groups
-        # that move p is not even created before the fixing pass ends,
-        # so reference counting frees everything a classification made
-        # and the cyclic collector, which costs corpus sweeps a few
-        # percent, finds nothing.
+        # The recursive searches take themselves as an argument, so no
+        # closure refers to one, and reference counting frees everything
+        # a classification made whether a search runs out or is dropped
+        # at the first witness.  The cyclic collector, which costs corpus
+        # sweeps a few percent, finds nothing.
         import gc
 
         g = generate(family)
@@ -520,6 +519,36 @@ class TestSinglePass:
         gc.disable()
         try:
             classify_galois_points.__wrapped__(g, d)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("case", ["refused by the linear-system cap",
+                                      "pinned search never read", "unpinned search never read"])
+    def test_searches_dropped_unstarted_leave_no_cyclic_garbage(self, case):
+        # A search dropped before its first draw frees itself as well.
+        # The refused classification has made the pinned search at P1
+        # when `_require_enumerable` raises.  The collector runs only
+        # after the exception is released: until then its traceback
+        # keeps the refusing frame, and with it the search, alive.
+        import gc
+
+        from graphdivisors import EnumerationCapExceededError
+        from graphdivisors.symmetry import _harmonic_subgroups
+
+        g = generate("complete:7")
+        gc.collect()
+        gc.disable()
+        try:
+            if case == "refused by the linear-system cap":
+                try:
+                    classify_galois_points.__wrapped__(g, Divisor.all_ones(g), 900)
+                except EnumerationCapExceededError:
+                    pass
+                else:
+                    pytest.fail("cap 900 should refuse the linear system of K7")
+            else:
+                _harmonic_subgroups(g, 6, 0 if case.startswith("pinned") else None)
             assert gc.collect() == 0
         finally:
             gc.enable()
