@@ -13,7 +13,7 @@ from itertools import combinations
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, _bfs_distances, _labels, is_two_edge_connected
+from .graphs import Graph, _bfs_distances, _bridgeless, _labels
 
 MAX_CORPUS_VERTICES = 6
 
@@ -78,11 +78,9 @@ def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
         for a, b in pairs:
             adj[a].append(b)
             adj[b].append(a)
-        if -1 in _bfs_distances(adj, 0):
+        if -1 in _bfs_distances(adj, 0) or not _bridgeless(adj):
             continue
         g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
-        if not is_two_edge_connected(g):
-            continue
         report = classify_galois_points(g, Divisor.all_ones(g), cap)
         theorem = _theorem_from_report(g, report)
         records.append(

@@ -9,9 +9,11 @@ Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
 reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The BFS layering per base vertex and the reduced
-Laplacian's adjugate are computed once per graph and kept on it.  `rank`
-and `linear_system` reduce d once and derive every other reduced form
-from a parent's by a one-grain sandpile avalanche (`_drop_chip`).  The
+Laplacian's adjugate are computed once per graph and kept on it.  The
+rank walk and `linear_system` reduce their divisor once and derive every
+other reduced form from a parent's by a one-grain sandpile avalanche
+(`_drop_chip`); `rank` walks d or K - d, whichever Riemann-Roch makes
+cheaper, or reads the rank off the degree.  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -608,7 +610,62 @@ def _members(adj, red: list[int], orbits: list[list[int]], k: int) -> list[tuple
 
 
 def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
-    """Rank of the divisor class of d.
+    """Rank of the divisor class of d, from the cheaper side of
+    Riemann-Roch (Baker-Norine): r(d) - r(K - d) = deg(d) + 1 - g.
+
+    Above degree 2g - 2, K - d has negative degree, so r(d) = deg(d) - g
+    with no walk.  From degree g - 1 up, r(K - d) <= r(d), and
+    `_rank_walk` walks K - d with its limit lowered by delta =
+    deg(d) + 1 - g, which it then adds back.  Below g - 1 it walks d.
+    The walk's cost grows with the rank it certifies, so each branch
+    certifies the smaller of the two ranks.  Every branch refuses
+    exactly where the walk of d would, with the same message,
+    `required` and `cap`: past the cap iff r(d) >= s - 1 (see
+    `_rank_walk`).
+    """
+    _check_bound(g, d)
+    k = d.degree
+    genus = len(g._edges_idx) - len(g._adj) + 1
+    if k <= 2 * genus - 2:
+        if k < genus - 1:
+            return _rank_walk(g, d, cap)
+        delta = k + 1 - genus
+        return _rank_walk(g, canonical_divisor(g) - d, cap, delta) + delta
+    n, capv = len(g._adj), _resolve_cap(cap)
+    if _past_cap(k - genus, n, capv):
+        _refuse(n, capv)
+    return k - genus
+
+
+def _refusal_degree(n: int, capv: int) -> int:
+    """The least s >= 1 whose C(s+n, n) - 1 probes of degrees 1..s on n
+    vertices exceed the cap: doubling, then bisection."""
+    hi = 1
+    while comb(hi + n, n) - 1 <= capv:
+        hi *= 2
+    return bisect_left(range(hi), True, (hi + 1) // 2, key=lambda t: comb(t + n, n) - 1 > capv)
+
+
+def _past_cap(r: int, n: int, capv: int) -> bool:
+    """Whether r >= s - 1 for the refusal degree s: certifying a rank r
+    >= 0 takes a probe of degree r + 1, past the cap iff the probes of
+    degrees 1..r+1 exceed it."""
+    return r >= 0 and comb(r + 1 + n, n) - 1 > capv
+
+
+def _refuse(n: int, capv: int) -> None:
+    s = _refusal_degree(n, capv)
+    required = comb(s + n, n) - 1
+    raise EnumerationCapExceededError(
+        f"rank probe at degree {s} needs {required} effective divisors (cap {capv})",
+        required=required,
+        cap=capv,
+    )
+
+
+def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -> int:
+    """Rank of the divisor class of d by one branch-and-bound walk,
+    refusing as a divisor of rank r(d) + shift would.
 
     -1 when the linear system of d is empty; otherwise the largest r
     such that removing any effective divisor of degree r leaves a
@@ -623,29 +680,28 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     the bound, and its children stop at an empty one.
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
-    least s where that exceeds the cap, the call refuses iff r >= s - 1,
-    that is iff a probe of degree s would be needed, and the walk never
-    goes past degree s - 1.
+    least s where that exceeds the cap, the call refuses iff r + shift
+    >= s - 1, that is iff a probe of degree s - shift would be needed,
+    and the walk never goes past degree s - shift - 1.  With shift 0
+    that is the walk of d itself; `rank` walks K - d with shift
+    deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
+    further than the walk of d would.
     """
     _check_bound(g, d)
-    if d.degree < 0:
-        return -1
     capv = _resolve_cap(cap)
     n = len(g.vertices)
-    base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    if base[0] < 0:
-        return -1
-    # The least s >= 1 whose probes of degrees 1..s exceed the cap: doubling, then bisection.
-    hi = 1
-    while comb(hi + n, n) - 1 <= capv:
-        hi *= 2
-    s = bisect_left(range(hi), True, (hi + 1) // 2, key=lambda t: comb(t + n, n) - 1 > capv)
+    bound, stack = -1, []
+    if d.degree >= 0:
+        base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+        if base[0] >= 0:
+            bound, stack = base[0], [(base, 1, 0)]
+    # The bound only falls, so the limit can cut the walk only when the
+    # starting bound is already past the cap.
+    limit = _refusal_degree(n, capv) - shift - 1 if _past_cap(bound + shift, n, capv) else bound + 1
     adj = g._adj
-    bound = base[0]
-    stack = [(base, 1, 0)]
     while stack:
         red, start, j = stack.pop()
-        if j >= bound or j >= s - 1:
+        if j >= bound or j >= limit:
             continue
         for v in range(start, n):
             child = _drop_chip(adj, red, v)
@@ -656,11 +712,6 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
             if c0 + j + 1 < bound:
                 bound = c0 + j + 1
             stack.append((child, v, j + 1))
-    if bound >= s - 1:
-        required = comb(s + n, n) - 1
-        raise EnumerationCapExceededError(
-            f"rank probe at degree {s} needs {required} effective divisors (cap {capv})",
-            required=required,
-            cap=capv,
-        )
+    if _past_cap(bound + shift, n, capv):
+        _refuse(n, capv)
     return bound

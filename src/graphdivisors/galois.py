@@ -11,13 +11,15 @@ that reproduces in isolation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _drop_chip, _members, _reduce_coeffs, _require_enumerable
+from .divisors import _drop_chip, _members, _rank_walk, _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -281,32 +283,75 @@ def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor
     return frozenset(out)
 
 
-def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCertificate:
+def _orbits_fit(g: Graph, m: int) -> bool:
+    """Whether the vertices of g can be the orbits of a harmonic group of
+    order m; False proves that Aut(g) has no harmonic subgroup of order m.
+
+    Let H act harmonically with |H| = m.  No non-identity element of H
+    fixes a vertex v together with a neighbour, so the stabiliser H_v
+    acts freely on the neighbours of v, and its order s divides deg v;
+    it divides m as well (Lagrange), so s divides gcd(m, deg v).  The
+    orbit of v has m/s vertices, and automorphisms keep degrees, so
+    every orbit lies inside one degree class.  Hence the number of
+    vertices of each degree is a sum of sizes m/s with s dividing
+    gcd(m, deg).  This tests that, one small knapsack per degree class.
+    (For a group that fixes p, H_p = H, so m divides deg p.)
+    """
+    for degree, count in Counter(len(nbrs) for nbrs in g._adj).items():
+        k = gcd(m, degree)
+        sums = [True] + [False] * count  # sums[t]: t is a sum of orbit sizes
+        for size in {m // s for s in range(1, k + 1) if k % s == 0}:
+            for t in range(size, count + 1):
+                sums[t] = sums[t] or sums[t - size]
+        if not sums[count]:
+            return False
+    return True
+
+
+def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None,
+                  orbits_fit: bool) -> GaloisCertificate:
     """The certificate at a smooth vertex p, where dp is the 0-reduced
     form of d - p: the first qualifying witness among the harmonic
-    subgroups of order deg(d) - 1, or, once every one fails,
+    subgroups of order m = deg(d) - 1, or, once every one fails,
     NoQualifyingSubgroup with their count.
 
-    The groups fixing p come first, streamed from a search pinned at p.
-    The pass over the groups that move p files the whole admissible
-    pool, so it is not even set up until that stream is exhausted;
-    each pass keeps only its own state.  A subgroup fixes the
-    orbit-constant members of |d - p|, which `_members` walks from dp.
-    The cap refuses the search whenever it would refuse to enumerate
-    that linear system, after the automorphism vertex cap.
+    The groups fixing p come first, streamed from a search pinned at p,
+    then the groups that move p.  Arithmetic rules out both passes
+    before they draw anything: when `orbits_fit` (`_orbits_fit(g, m)`,
+    computed once per classification) is False there is no harmonic
+    group of order m, and the count is 0; when m does not divide deg p,
+    no such group fixes p, so the pinned pass is skipped.  The cap
+    refuses the search whenever it would refuse to enumerate the linear
+    system of d - p, after the automorphism vertex cap, and before
+    either shortcut.
     """
     pi = g.index_of(p)
     m = sum(dp)
     fixing = _harmonic_subgroups(g, m, pi)
     _require_enumerable(m, len(dp), cap)
+    if not orbits_fit:
+        return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, 0))
+    if len(g._adj[pi]) % m:
+        fixing = ()
+    return _first_witness(g, p, dp, chain(fixing, _moving(g, m, pi)))
 
-    def moving():
-        for perms in _harmonic_subgroups(g, m):
-            if any(x[pi] != pi for x in perms):
-                yield perms
 
+def _moving(g: Graph, m: int, pi: int):
+    """The harmonic subgroups of order m that move vertex pi.  The pass
+    files the whole admissible pool, so it is not even set up until its
+    first draw; each pass keeps only its own state."""
+    for perms in _harmonic_subgroups(g, m):
+        if any(x[pi] != pi for x in perms):
+            yield perms
+
+
+def _first_witness(g: Graph, p: str, dp: list[int], groups) -> GaloisCertificate:
+    """The first of `groups` that qualifies at p, or NoQualifyingSubgroup
+    with the number of groups read.  A subgroup fixes the orbit-constant
+    members of |d - p|, which `_members` walks from dp."""
+    m = sum(dp)
     checked = 0
-    for perms in chain(fixing, moving()):
+    for perms in groups:
         checked += 1
         h = Subgroup(g, perms, _checked=True)
         orbits = _vertex_orbits(h)
@@ -330,14 +375,16 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
     bridgeless graph.  d is reduced once, the smoothness verdicts are
-    read off it by `_smoothness`, and each smooth vertex p runs its own
+    read off it by `_smoothness`, the orbit arithmetic of order
+    deg(d) - 1 is done once, and each smooth vertex p runs its own
     `_find_witness` on d - p, one `_drop_chip` from the reduced form.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     every = _smoothness(g, red)
+    fit = _orbits_fit(g, d.degree - 1)
     checks = [every[g.index_of(p)] for p in vertices]
     return tuple(
-        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), cap)
+        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), cap, fit)
         if sm.ok else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
         for p, sm in zip(vertices, checks)
     )
@@ -424,12 +471,16 @@ def _theorem_from_report(g: Graph, report: ClassificationReport) -> TheoremCheck
 
 
 def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannRochCheck:
-    """Evaluate rank(d) - rank(K - d) against deg(d) + 1 - genus."""
+    """Evaluate rank(d) - rank(K - d) against deg(d) + 1 - genus.
+
+    Both ranks come from `_rank_walk` on their own divisor, since `rank`
+    takes one of them from the other by this very identity.
+    """
     if d.graph != g:
         raise GraphMismatchError("divisor is bound to a different graph")
     k = canonical_divisor(g)
-    r_d = rank(g, d, cap)
-    r_kd = rank(g, k - d, cap)
+    r_d = _rank_walk(g, d, cap)
+    r_kd = _rank_walk(g, k - d, cap)
     lhs = r_d - r_kd
     rhs = d.degree + 1 - genus(g)
     return RiemannRochCheck(
@@ -453,7 +504,9 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     membership of both divisors in the linear system via independent
     equivalence checks).  Negative verdicts must reproduce their stated
     failure; a NoQualifyingSubgroup verdict also needs the ranks that
-    put its vertex in the search, checked by `rank` alone.
+    put its vertex in the search, checked by `rank` alone, and its count
+    is redone over both passes of the harmonic subgroups, without the
+    search's arithmetic shortcuts.
     """
     problems: list[str] = []
     try:
@@ -526,8 +579,11 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
             r = rank(g, probe, cap)
             if r != want:
                 return [f"rank({name}) is {r}, not {want}, so no subgroup search applies"]
+        pi, m = g.index_of(p), dp.degree
+        groups = chain(_harmonic_subgroups(g, m, pi), _moving(g, m, pi))
+        _require_enumerable(m, len(g.vertices), cap)
         red, _ = _reduce_coeffs(g, list(dp.coeffs), 0)
-        again = _find_witness(g, p, red, cap)
+        again = _first_witness(g, p, red, groups)
         if again.verdict:
             problems.append("a qualifying subgroup exists after all")
         elif again.reason != reason:

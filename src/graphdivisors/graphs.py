@@ -192,14 +192,19 @@ def is_two_edge_connected(g: Graph) -> bool:
     """True iff g has no bridge.
 
     Connectivity is guaranteed by construction; a single-vertex graph is
-    two-edge-connected vacuously.  Uses the usual DFS lowpoint scan, so
-    the exhaustive remove-one-edge check stays available as an
-    independent test oracle.
+    two-edge-connected vacuously.  Uses the usual DFS lowpoint scan
+    (`_bridgeless`), so the exhaustive remove-one-edge check stays
+    available as an independent test oracle.
     """
-    n = len(g)
+    return _bridgeless(g._adj)
+
+
+def _bridgeless(adj) -> bool:
+    """Whether the connected simple graph with adjacency lists adj has
+    no bridge, by a DFS lowpoint scan from vertex 0."""
+    n = len(adj)
     if n == 1:
         return True
-    adj = g._adj
     disc = [0] * n  # 0 = unvisited
     low = [0] * n
     parent = [-1] * n

@@ -268,6 +268,21 @@ class TestAudit:
         fake = GaloisCertificate(vertex="P1", verdict=False, reason=Cond1Fail("P1", 0))
         assert audit_certificate(k4, d, fake) != []
 
+    def test_arithmetic_shortcut_is_checked_not_trusted(self, monkeypatch):
+        # With an orbit test that wrongly ruled out every order, K5's
+        # witnesses would come out as NoQualifyingSubgroup(4, 0).  The
+        # audit recounts through both passes of the subgroup search, so
+        # it rejects each of them.
+        import graphdivisors.galois as galois
+
+        g = generate("complete:5")
+        d = Divisor.all_ones(g)
+        monkeypatch.setattr(galois, "_orbits_fit", lambda g, m: False)
+        report = classify_galois_points.__wrapped__(g, d)
+        assert {c.reason for c in report.certificates} == {NoQualifyingSubgroup(4, 0)}
+        for cert in report.certificates:
+            assert audit_certificate(g, d, cert) == ["a qualifying subgroup exists after all"]
+
     @pytest.mark.parametrize("family, vertex, reason", [
         # The search at P1 gives NoQualifyingSubgroup(3, 0): the order differs.
         ("house4", "P1", NoQualifyingSubgroup(99, 0)),
@@ -435,9 +450,11 @@ class TestSinglePass:
         "family", [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)] + ["house4"]
     )
     def test_d_is_the_only_divisor_reduced(self, family, monkeypatch):
-        # One reduction inside rank(d) and one for the decision: every
-        # d - p and every member of its linear system is derived by
-        # one-grain avalanches from the reduced form of d.
+        # One reduction inside rank(d), of K - d on these graphs except
+        # complete:6..8, and one for the decision: every d - p and every
+        # member of its linear system is derived by one-grain avalanches
+        # from the reduced form of d.  On house4, deg(d) = 4 > 2g - 2, so
+        # rank(d) = deg(d) - g reduces nothing.
         import graphdivisors.divisors as divisors
         import graphdivisors.galois as galois
 
@@ -453,15 +470,15 @@ class TestSinglePass:
         monkeypatch.setattr(galois, "_reduce_coeffs", counting)
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.rank == 2
-        assert len(calls) == 2
+        assert len(calls) == (1 if family == "house4" else 2)
 
     def test_fixing_passes_stream_without_the_pool(self, monkeypatch):
         # Complete graphs and wheels find every witness among the
         # elements that fix the vertex, so the full pool is never built;
         # on K8 each vertex's first streamed element generates its
-        # witness.  Only a vertex whose fixing pass comes up empty runs
-        # a pass over the pool: on house4, each NoQualifyingSubgroup
-        # vertex runs one.
+        # witness.  On house4 at order 3 the two vertices of degree 2
+        # cannot be orbits of sizes 3/s with s dividing gcd(3, 2) = 1, so
+        # its two NoQualifyingSubgroup vertices run neither pass.
         import graphdivisors.galois as galois
         import graphdivisors.symmetry as symmetry
 
@@ -489,10 +506,11 @@ class TestSinglePass:
             if family == "complete:8":
                 assert 0 < len(drawn) <= 8
         g = generate("house4")
+        drawn.clear()
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         negatives = [c for c in report.certificates if isinstance(c.reason, NoQualifyingSubgroup)]
         assert len(negatives) == 2
-        assert len(pool_calls) == len(negatives)
+        assert pool_calls == [] and drawn == []
 
     @pytest.mark.parametrize("family, coeffs", [
         pytest.param("complete:6", None, id="complete:6"),
@@ -702,6 +720,81 @@ class TestWitnessSearch:
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.galois_count == n
         assert len(produced) == n
+
+
+CORPUS_AND_FAMILIES = (
+    [pytest.param(n, None, id=f"corpus{n}") for n in (3, 4, 5)]
+    + [pytest.param(None, f, id=f) for f in ["house4"] + [f"cycle:{n}" for n in range(4, 7)]
+       + [f"complete:{n}" for n in range(3, 9)] + [f"wheel:{n}" for n in range(5, 11)]]
+)
+
+
+class TestOrbitArithmetic:
+    """`galois._orbits_fit` and the divisibility test of the pinned pass
+    only ever rule out what the exhaustive search finds empty."""
+
+    @pytest.mark.parametrize("n, family", CORPUS_AND_FAMILIES)
+    def test_never_rules_out_a_harmonic_group(self, n, family):
+        from graphdivisors import enumerate_corpus
+        from graphdivisors.galois import _orbits_fit
+        from graphdivisors.symmetry import _harmonic_subgroups
+
+        if family is None:
+            labels = [f"P{i}" for i in range(1, n + 1)]
+            graphs = [build_graph(labels, r.edges) for r in enumerate_corpus(n).records]
+        else:
+            graphs = [generate(family)]
+        ruled_out = pinned_out = 0
+        for g in graphs:
+            size = len(g.vertices)
+            for m in range(2, size + 3):
+                if not _orbits_fit(g, m):
+                    assert next(_harmonic_subgroups(g, m), None) is None, (g, m)
+                    ruled_out += 1
+                for pi, nbrs in enumerate(g._adj):
+                    if len(nbrs) % m:
+                        assert next(_harmonic_subgroups(g, m, pi), None) is None, (g, m, pi)
+                        pinned_out += 1
+        assert ruled_out > 0 and pinned_out > 0
+
+    def test_feasible_orders(self):
+        from graphdivisors.galois import _orbits_fit
+
+        # K8 (8 vertices of degree 7): orbit sizes m/s, s | gcd(m, 7).
+        k8 = generate("complete:8")
+        assert [m for m in range(1, 15) if _orbits_fit(k8, m)] == [1, 2, 4, 7, 8, 14]
+        # house4: two vertices of degree 3, two of degree 2.  At m = 3
+        # the degree-2 pair needs orbits of size 3; at m = 6, of size 6
+        # or 3.
+        house4 = generate("house4")
+        assert [m for m in range(1, 9) if _orbits_fit(house4, m)] == [1, 2]
+
+    @pytest.mark.parametrize("family, coeffs, order", [
+        ("complete:8", {"P1": 2, "P2": 1, "P3": 2, "P5": 2, "P6": 2, "P7": 2, "P8": 2}, 12),
+        ("complete:9", {"P1": 2, "P2": 1, "P3": 2, "P5": 2, "P6": 2, "P7": 2, "P8": 2, "P9": 2}, 14),
+    ])
+    def test_negatives_decided_without_a_search(self, family, coeffs, order, monkeypatch):
+        # A search over every admissible element took 0.6-0.9 s on K8 and
+        # 1.7 s on K9; no harmonic group of order 12 on 8 vertices of
+        # degree 7, or of order 14 on 9 vertices of degree 8, exists.
+        import graphdivisors.symmetry as symmetry
+
+        drawn = []
+        real = symmetry._automorphisms
+
+        def counting(*args, **kwargs):
+            for x in real(*args, **kwargs):
+                drawn.append(x)
+                yield x
+
+        monkeypatch.setattr(symmetry, "_automorphisms", counting)
+        g = generate(family)
+        d = Divisor(g, coeffs)
+        report = classify_galois_points.__wrapped__(g, d)
+        negatives = [c for c in report.certificates if isinstance(c.reason, NoQualifyingSubgroup)]
+        assert report.rank == 2 and negatives
+        assert {c.reason for c in negatives} == {NoQualifyingSubgroup(order, 0)}
+        assert drawn == []
 
 
 class TestAdmissiblePool:

@@ -1,11 +1,13 @@
-"""`rank` as one branch-and-bound walk, against checks that share no code with it.
+"""`rank` and its branch-and-bound walk, against checks that share no code with them.
 
 The walk visits each probe off vertex 0 at most once and refuses past
-the cap exactly where a degree-by-degree search would stop.  These tests
-pin that refusal point against a per-degree count, the values against
-`oracles.rank_brute` and, beyond the brute force's reach, against the
-Baker-Norine facts, the smoothness table against the brute-force
-smoothness oracle, and the work of both in `_drop_chip` calls.
+the cap exactly where a degree-by-degree search would stop; `rank`
+takes the value from the cheaper side of Riemann-Roch.  These tests pin
+that refusal point against a per-degree count, `rank` against the walk
+of d itself (value or refusal), the values against `oracles.rank_brute`
+and, beyond the brute force's reach, the walk against the Baker-Norine
+facts, the smoothness table against the brute-force smoothness oracle,
+and the work of all of them in `_drop_chip` calls.
 """
 
 import random
@@ -49,9 +51,9 @@ def refusal(n, cap):
     return s, probes
 
 
-def refused(g, d, cap=None):
+def refused(g, d, cap=None, how=rank):
     with pytest.raises(EnumerationCapExceededError) as exc:
-        rank(g, d, cap)
+        how(g, d, cap)
     return str(exc.value), exc.value.required, exc.value.cap
 
 
@@ -134,9 +136,45 @@ def two_edge_connected_graph(rng, n, max_genus=7):
             return g
 
 
+class TestCheaperSide:
+    def test_rank_is_the_walk_of_d(self):
+        # Random connected graphs, bridges included, every degree from
+        # -2 to 2g + 3 and caps from 0 up: `rank` gives the value or the
+        # refusal (message, required, cap) of the walk of d itself, on
+        # each of its three branches.
+        rng = random.Random(1616)
+        seen = Counter()
+        for _ in range(40):
+            while True:
+                g = oracles.random_connected_graph(rng, rng.randint(1, 6), extra_edge_prob=0.3)
+                genus = len(g.edges) - len(g.vertices) + 1
+                if genus <= 5:
+                    break
+            n = len(g.vertices)
+            seen["bridged" if not oracles.two_edge_connected(n, list(g._edges_idx)) else "bridgeless"] += 1
+            for degree in range(-2, 2 * genus + 4):
+                coeffs = [rng.randint(-2, 2) for _ in range(n)]
+                coeffs[rng.randrange(n)] += degree - sum(coeffs)
+                d = Divisor.from_coeffs(g, coeffs)
+                side = ("closed form" if degree > 2 * genus - 2
+                        else "K - d" if degree >= genus - 1 else "d")
+                for cap in (None, 0, 1, 3, 10, 50, 200, 5000):
+                    try:
+                        expected = divisors._rank_walk(g, d, cap)
+                    except EnumerationCapExceededError:
+                        assert refused(g, d, cap) == refused(g, d, cap, divisors._rank_walk), (g, d, cap)
+                        seen[side + ", refused"] += 1
+                    else:
+                        assert rank(g, d, cap) == expected, (g, d, cap)
+                        seen[side] += 1
+        assert len(seen) == 8 and min(seen.values()) > 0, seen
+
+
 class TestBakerNorineFacts:
     """Random 2-edge-connected graphs on 6-9 vertices, beyond `rank_brute`.
-    The genus is counted from the edges here, not by the library."""
+    The genus is counted from the edges here, not by the library, and the
+    ranks come from the walk: `rank` itself reads most of them off
+    Riemann-Roch."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_facts(self, seed):
@@ -145,21 +183,23 @@ class TestBakerNorineFacts:
             g = two_edge_connected_graph(rng, n)
             genus = len(g.edges) - n + 1
             k = canonical_divisor(g)
-            assert rank(g, k) == genus - 1
+            walk = divisors._rank_walk
+            assert walk(g, k) == genus - 1
             for degree in (2 * genus - 1, 2 * genus, 2 * genus + 1, -1, -3):
                 coeffs = [rng.randint(-3, 3) for _ in range(n)]
                 coeffs[rng.randrange(n)] += degree - sum(coeffs)
                 d = Divisor.from_coeffs(g, coeffs)
                 expected = degree - genus if degree >= 0 else -1
-                assert rank(g, d) == expected, (g, d)
+                assert walk(g, d) == expected, (g, d)
                 f = VertexFunction.from_values(g, [rng.randint(-4, 4) for _ in range(n)])
-                assert rank(g, d + laplacian_apply(g, f)) == expected
+                assert walk(g, d + laplacian_apply(g, f)) == expected
             for degree in (0, genus - 1, 2 * genus - 2):
                 coeffs = [0] * n
                 for _ in range(degree):
                     coeffs[rng.randrange(n)] += 1
                 d = Divisor.from_coeffs(g, coeffs)
-                assert rank(g, d) - rank(g, k - d) == degree + 1 - genus, (g, d)
+                assert walk(g, d) - walk(g, k - d) == degree + 1 - genus, (g, d)
+                assert rank(g, d) == walk(g, d), (g, d)
 
 
 def smoothness_cases():
@@ -188,18 +228,24 @@ class TestSmoothnessOracle:
 
 
 class TestWork:
-    @pytest.mark.parametrize("spec, chips, r, walked", [
+    @pytest.mark.parametrize("spec, chips, r, walked, cheaper", [
         # A search restarting from d at every degree made 6,427, 11,601
-        # and 990 calls.
-        ("wheel:7", 2, 8, 3_002),
-        ("complete:7", 3, 9, 5_050),
-        ("house4", 3, 10, 285),
+        # and 990 calls.  wheel:7 and house4 lie above degree 2g - 2,
+        # where `rank` walks nothing; on complete:7 it walks K - d, of
+        # rank 2 instead of 9.
+        pytest.param("wheel:7", 2, 8, 3_002, 0, id="wheel:7-2-8-3002"),
+        pytest.param("complete:7", 3, 9, 5_050, 27, id="complete:7-3-9-5050"),
+        pytest.param("house4", 3, 10, 285, 0, id="house4-3-10-285"),
     ])
-    def test_rank_drops(self, spec, chips, r, walked, drops):
+    def test_rank_drops(self, spec, chips, r, walked, cheaper, drops):
         g = generate(spec)
         n = len(g.vertices)
-        assert rank(g, chips * n * Divisor.vertex(g, g.vertices[-1])) == r
+        d = chips * n * Divisor.vertex(g, g.vertices[-1])
+        assert divisors._rank_walk(g, d) == r
         assert len(drops) == walked
+        drops.clear()
+        assert rank(g, d) == r
+        assert len(drops) == cheaper
 
     @pytest.mark.parametrize(
         "spec", ["house4"] + [f"complete:{n}" for n in range(4, 9)] + [f"wheel:{n}" for n in range(5, 9)]
@@ -213,6 +259,6 @@ class TestWork:
         assert rank(g, d) == 2
         drops.clear()
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, cap: GaloisCertificate(p, False))
+                            lambda g, p, dp, cap, orbits_fit: GaloisCertificate(p, False))
         galois._certificates(g, d, g.vertices, None)
         assert len(drops) <= comb(n + 2, 3) - 1 + n
