@@ -377,17 +377,62 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
     bridgeless graph.  d is reduced once, the smoothness verdicts are
     read off it by `_smoothness`, the orbit arithmetic of order
     deg(d) - 1 is done once, and each smooth vertex p runs its own
-    `_find_witness` on d - p, one `_drop_chip` from the reduced form.
+    `_find_witness` on d - p, one `_drop_chip` from the reduced form,
+    unless it can carry over the certificate of the vertex before it.
+
+    Let p - 1 and p be twins (`_twin_swap`), so that the transposition
+    t = (p - 1 p) is an automorphism of g that fixes d, and let the
+    certificate at p - 1 come from a witness search, or be carried to
+    it, which gives the same certificate.  Conjugation by t maps the
+    harmonic subgroups of order m that fix p - 1 one to one onto those
+    that fix p, and those that move p - 1 onto those that move p; it
+    keeps the number of orbits, and maps the members of |d - (p - 1)|
+    a group fixes onto those its conjugate fixes in |d - p|.  So a
+    group qualifies at p - 1 exactly when its conjugate qualifies at p,
+    and the two vertices have the same degree, so m divides both or
+    neither.  As t maps the vertices other than p - 1 increasingly onto
+    those other than p, conjugation keeps the order of permutations
+    that fix p - 1, and with it the order of the pinned pass.  Hence a
+    NoQualifyingSubgroup verdict at p - 1 holds at p with the same
+    count, and a witness that fixes p - 1, the first of its pinned
+    pass, has a conjugate that is the first of the pinned pass at p;
+    `_first_witness` works out its E1 and E2 afresh.  A witness that
+    moves p - 1 came from the moving pass, whose order conjugation does
+    not keep, so p is searched.  Both caps, with the same n and m, were
+    already passed at p - 1.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     every = _smoothness(g, red)
     fit = _orbits_fit(g, d.degree - 1)
-    checks = [every[g.index_of(p)] for p in vertices]
-    return tuple(
-        _find_witness(g, p, _drop_chip(g._adj, red, g.index_of(p)), cap, fit)
-        if sm.ok else GaloisCertificate(vertex=p, verdict=False, reason=sm.failure)
-        for p, sm in zip(vertices, checks)
-    )
+    certs: list[GaloisCertificate] = []
+    for p in vertices:
+        pi = g.index_of(p)
+        if not every[pi].ok:
+            certs.append(GaloisCertificate(vertex=p, verdict=False, reason=every[pi].failure))
+            continue
+        dp = _drop_chip(g._adj, red, pi)
+        last = certs[-1] if pi and certs and certs[-1].vertex == g.vertices[pi - 1] else None
+        t = _twin_swap(g, d, pi) if last else None
+        if t and isinstance(last.reason, NoQualifyingSubgroup):
+            certs.append(GaloisCertificate(vertex=p, verdict=False, reason=last.reason))
+        elif t and last.verdict and all(x[pi - 1] == pi - 1 for x in last.subgroup.perms):
+            carried = frozenset(tuple([t[x[u]] for u in t]) for x in last.subgroup.perms)
+            certs.append(_first_witness(g, p, dp, [carried]))
+        else:
+            certs.append(_find_witness(g, p, dp, cap, fit))
+    return tuple(certs)
+
+
+def _twin_swap(g: Graph, d: Divisor, pi: int) -> tuple[int, ...] | None:
+    """The transposition of vertices pi - 1 and pi when it is an
+    automorphism of g that fixes d: the two have the same neighbours
+    apart from each other, and the same coefficient.  Else None."""
+    a, masks = pi - 1, g._adj_masks
+    if d.coeffs[a] != d.coeffs[pi] or masks[a] & ~(1 << pi) != masks[pi] & ~(1 << a):
+        return None
+    t = list(range(len(masks)))
+    t[a], t[pi] = pi, a
+    return tuple(t)
 
 
 def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> GaloisCertificate:
@@ -410,10 +455,13 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
 
     The bridge check, rank(d) and the reduced form of d depend on
     (g, d) only, so each is computed once per call.  The smoothness
-    conditions are read off the reduced form of d.  Each smooth vertex
-    streams the admissible automorphisms that fix it until the first
-    witness; only a vertex whose fixing pass finds none runs one pass
-    over the full admissible pool for the subgroups that move it.
+    conditions are read off the reduced form of d.  A smooth vertex
+    whose twin just before it was searched carries the twin's
+    certificate over by their swap (`_certificates`).  Every other
+    smooth vertex streams the admissible automorphisms that fix it until
+    the first witness; only a vertex whose fixing pass finds none runs
+    one pass over the full admissible pool for the subgroups that move
+    it.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones

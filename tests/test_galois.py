@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from graphdivisors import (
     Cond1Fail,
     Cond2Fail,
+    DisconnectedError,
     Divisor,
     GaloisCertificate,
     NoQualifyingSubgroup,
@@ -20,6 +22,7 @@ from graphdivisors import (
     generate,
     genus,
     is_galois_point,
+    is_two_edge_connected,
     linear_system,
     rank,
     riemann_roch_check,
@@ -474,11 +477,13 @@ class TestSinglePass:
 
     def test_fixing_passes_stream_without_the_pool(self, monkeypatch):
         # Complete graphs and wheels find every witness among the
-        # elements that fix the vertex, so the full pool is never built;
-        # on K8 each vertex's first streamed element generates its
-        # witness.  On house4 at order 3 the two vertices of degree 2
-        # cannot be orbits of sizes 3/s with s dividing gcd(3, 2) = 1, so
-        # its two NoQualifyingSubgroup vertices run neither pass.
+        # elements that fix the vertex, so the full pool is never built.
+        # On K8 the first element streamed at P1 generates its witness,
+        # and every later vertex carries the witness of its twin before
+        # it, so P1 is the only vertex that draws.  On house4 at order 3
+        # the two vertices of degree 2 cannot be orbits of sizes 3/s with
+        # s dividing gcd(3, 2) = 1, so its two NoQualifyingSubgroup
+        # vertices run neither pass.
         import graphdivisors.galois as galois
         import graphdivisors.symmetry as symmetry
 
@@ -493,7 +498,7 @@ class TestSinglePass:
         def counting_search(*args, **kwargs):
             for x in real_search(*args, **kwargs):
                 if kwargs.get("pin") is not None:
-                    drawn.append(x)
+                    drawn.append(kwargs["pin"])
                 yield x
 
         monkeypatch.setattr(galois, "_harmonic_subgroups", counting_groups)
@@ -504,7 +509,7 @@ class TestSinglePass:
             report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
             assert report.galois_count > 0 and pool_calls == [], family
             if family == "complete:8":
-                assert 0 < len(drawn) <= 8
+                assert drawn == [0]
         g = generate("house4")
         drawn.clear()
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
@@ -574,8 +579,11 @@ class TestSinglePass:
     def test_fixing_passes_keep_no_state_across_vertices(self):
         # Each vertex's fixing pass keeps only its own state, so the
         # passes at vertices 0, 1 and 2 in a row peak no higher than the
-        # pass at vertex 0 alone.  In K9 at order 8 there is nothing to
-        # share: a harmonic automorphism of K_n fixes at most one vertex.
+        # pass at vertex 0 alone.  No pass could reuse another's elements:
+        # a harmonic automorphism of K_n fixes at most one vertex.  What
+        # the vertices of K9 do share is found by symmetry instead, as
+        # each carries its twin's witness across by their swap, so a
+        # classification runs only the pass at vertex 0.
         # A first pass, dropped before the peak is reset, fills the
         # interpreter's free lists with traced blocks, so both peaks
         # count them alike.
@@ -705,6 +713,9 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_complete_graph_stops_at_first_witness(self, n, monkeypatch):
+        # The pinned pass at P1 stops at its first group, and each later
+        # vertex carries the witness of the twin before it, so one group
+        # is produced in all.
         import graphdivisors.symmetry as symmetry
 
         produced = []
@@ -719,8 +730,138 @@ class TestWitnessSearch:
         g = generate(f"complete:{n}")
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.galois_count == n
-        assert len(produced) == n
+        assert len(produced) == 1
 
+
+
+def _twins(g, d, a, b):
+    """Whether swapping vertices a and b (indices) is an automorphism of
+    g that fixes d, read off the neighbour sets and coefficients."""
+    u, v = g.vertices[a], g.vertices[b]
+    return (d.coeffs[a] == d.coeffs[b]
+            and set(g.neighbors(u)) - {v} == set(g.neighbors(v)) - {u})
+
+
+def _blown_up(rng):
+    """A random bridgeless graph on at most 7 vertices in which each
+    vertex of a random base graph on 2-4 vertices became a run of 1-3
+    twins, adjacent to each other or not, with the base vertex of each
+    of its vertices.  The labels are shuffled one time in four, so some
+    twins are not consecutive."""
+    while True:
+        base = rng.randint(2, 4)
+        base_edges = {(u, v) for u in range(base) for v in range(u + 1, base) if rng.random() < 0.6}
+        runs = [rng.choice((1, 2, 2, 3, 3)) for _ in range(base)]
+        if sum(runs) > 7:
+            continue
+        copies = [b for b in range(base) for _ in range(runs[b])]
+        clique = [rng.random() < 0.5 for _ in range(base)]
+        edges = [(i, j) for i in range(len(copies)) for j in range(i + 1, len(copies))
+                 if (copies[i], copies[j]) in base_edges or copies[i] == copies[j] and clique[copies[i]]]
+        order = list(range(len(copies)))
+        if rng.random() < 0.25:
+            rng.shuffle(order)
+        labels = [f"P{k + 1}" for k in order]
+        try:
+            g = build_graph(sorted(labels, key=lambda v: int(v[1:])),
+                            [(labels[i], labels[j]) for i, j in edges])
+        except DisconnectedError:
+            continue
+        if is_two_edge_connected(g):
+            return g, [copies[labels.index(v)] for v in g.vertices]
+
+
+class TestTwinCarry:
+    """A smooth vertex whose twin with the same coefficient comes just
+    before it carries the twin's certificate over by the swap of the
+    two, unless the twin's witness moves the twin.  Every certificate
+    must equal `_find_witness` run directly at its vertex, and every
+    carried one must pass `audit_certificate`."""
+
+    @staticmethod
+    def _check(g, d):
+        # Returns the number of positive and negative carries, and of
+        # twins searched again because the witness moves the first.
+        import graphdivisors.galois as galois
+        from graphdivisors.divisors import _reduce_coeffs
+
+        fit = galois._orbits_fit(g, d.degree - 1)
+        certs = classify_galois_points.__wrapped__(g, d).certificates
+        counts = Counter()
+        for i, cert in enumerate(certs):
+            if isinstance(cert.reason, (RankNotTwo, Cond1Fail, Cond2Fail)):
+                continue
+            dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
+            assert cert == galois._find_witness(g, cert.vertex, dp, None, fit), (g, d, cert.vertex)
+            last = certs[i - 1] if i else None
+            if last is None or isinstance(last.reason, (Cond1Fail, Cond2Fail)) or not _twins(g, d, i - 1, i):
+                continue
+            if not last.verdict:
+                counts["negative"] += 1
+            elif all(x[i - 1] == i - 1 for x in last.subgroup.perms):
+                counts["positive"] += 1
+            else:
+                counts["moved"] += 1
+                continue
+            assert audit_certificate(g, d, cert) == [], (g, d, cert.vertex)
+        return counts
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_complete_graphs(self, n):
+        g = generate(f"complete:{n}")
+        assert self._check(g, Divisor.all_ones(g)) == {"positive": n - 1}
+
+    def test_every_labeled_graph_up_to_five_vertices(self):
+        from graphdivisors import enumerate_corpus
+
+        counts = Counter()
+        for n in (3, 4, 5):
+            labels = [f"P{i}" for i in range(1, n + 1)]
+            for record in enumerate_corpus(n).records:
+                g = build_graph(labels, record.edges)
+                counts += self._check(g, Divisor.all_ones(g))
+        assert counts["positive"] > 0 and counts["negative"] > 0, counts
+
+    def test_random_divisors_on_twin_blow_ups(self):
+        # Twins mostly share a coefficient; now and then one differs, and
+        # then the swap does not fix d.
+        rng = random.Random(17)
+        counts, divisors = Counter(), 0
+        while divisors < 600:
+            g, base = _blown_up(rng)
+            for _ in range(20):
+                by_base = [rng.randint(-1, 3) for _ in range(max(base) + 1)]
+                d = Divisor.from_coeffs(g, [by_base[b] if rng.random() < 0.9 else rng.randint(-1, 3)
+                                            for b in base])
+                if not 2 <= d.degree <= genus(g) + 2 or rank(g, d) != 2:
+                    continue
+                divisors += 1
+                counts += self._check(g, d)
+        assert counts["positive"] >= 150 and counts["negative"] >= 100 and counts["moved"] > 0, counts
+
+    def test_witness_that_moves_the_twin_is_not_carried(self, monkeypatch):
+        # On K_{2,2} with d = P1 + P2 + P3, the witness at P1 swaps P1
+        # with P4 and P2 with P3, so it came from the moving pass, whose
+        # order the swap of P1 and P2 does not keep: P2 is searched.  P3
+        # and P4 are twins with different coefficients.
+        import graphdivisors.galois as galois
+
+        g = build_graph(["P1", "P2", "P3", "P4"],
+                        [("P1", "P3"), ("P1", "P4"), ("P2", "P3"), ("P2", "P4")])
+        d = Divisor(g, {"P1": 1, "P2": 1, "P3": 1})
+        searched = []
+        real = galois._find_witness
+
+        def counting(graph, p, *args):
+            searched.append(p)
+            return real(graph, p, *args)
+
+        monkeypatch.setattr(galois, "_find_witness", counting)
+        first = classify_galois_points.__wrapped__(g, d).certificates[0]
+        monkeypatch.undo()
+        assert searched == ["P1", "P2", "P3", "P4"]
+        assert first.verdict and any(x[0] != 0 for x in first.subgroup.perms)
+        assert self._check(g, d) == {"moved": 1}
 
 CORPUS_AND_FAMILIES = (
     [pytest.param(n, None, id=f"corpus{n}") for n in (3, 4, 5)]
