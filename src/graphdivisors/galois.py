@@ -315,7 +315,7 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None,
     subgroups of order m = deg(d) - 1, or, once every one fails,
     NoQualifyingSubgroup with their count.
 
-    The groups fixing p come first, streamed from a search pinned at p,
+    The groups fixing p come first, built from searches pinned at p,
     then the groups that move p.  Arithmetic rules out both passes
     before they draw anything: when `orbits_fit` (`_orbits_fit(g, m)`,
     computed once per classification) is False there is no harmonic
@@ -458,10 +458,10 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     conditions are read off the reduced form of d.  A smooth vertex
     whose twin just before it was searched carries the twin's
     certificate over by their swap (`_certificates`).  Every other
-    smooth vertex streams the admissible automorphisms that fix it until
-    the first witness; only a vertex whose fixing pass finds none runs
-    one pass over the full admissible pool for the subgroups that move
-    it.
+    smooth vertex searches the admissible automorphisms that fix it, one
+    pruned search per group, until the first witness; only a vertex
+    whose fixing pass finds none runs one pass over the full admissible
+    pool for the subgroups that move it.
     When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones

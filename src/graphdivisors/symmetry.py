@@ -276,15 +276,20 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
 
 def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> Subgroup:
     """The full automorphism group of g, found by `_automorphisms`
-    with no order or harmonicity prune."""
-    return Subgroup(g, frozenset(_automorphisms(g, cap)), _checked=True)
+    with no bound or prune beyond adjacency."""
+    return Subgroup(g, frozenset(_automorphisms(g, cap)()), _checked=True)
 
 
 def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
-                   m: int | None = None, pin: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The automorphisms of g, lazily and in sorted order; given m, only
-    the non-identity ones whose order divides m and that fix no vertex
-    together with a neighbour; given pin, only those fixing that vertex.
+                   m: int | None = None, pin: int | None = None) -> Callable[..., Iterator[tuple[int, ...]]]:
+    """Return search(last=None, rest=()), a function that yields, lazily
+    and in sorted order, the automorphisms x of g after `last` with
+    x*c > x and c*x > x for every permutation c in `rest`.  Given m, it
+    yields only the non-identity ones whose order divides m and that fix
+    no vertex together with a neighbour; given pin, only those fixing
+    that vertex, and every c in `rest` must then fix it too.  The vertex
+    cap is checked and the tables of g are built here, once for all the
+    searches the function starts.
 
     Exhaustive by construction: a backtracking search that gives vertex
     0, 1, ... its image in turn, smallest first, pruned to same-degree
@@ -294,9 +299,20 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     cycle closes at its last vertex and every fixed pair is seen at its
     later end, so no prune drops a wanted automorphism.  The pinned
     vertex is mapped to itself and marked fixed before the search
-    starts.  The vertex cap is checked at the call, not at the first draw.
+    starts.
+
+    Each bound is decided by a prefix of x, and is tested there:
+    - x > last: while the images so far are those of last, the next one
+      is at least last's, and a map equal to last is not yielded.
+    - x*c > x: the two first differ at c's first moved point v, so this
+      holds iff x(v) < x(c(v)).  As c fixes every point below v,
+      c(v) > v, and the test is made when the image of c(v) is chosen.
+    - c*x > x: the two first differ at the first i for which c moves
+      x(i), so this holds iff c(x(i)) > x(i) there.  So while c fixes
+      every image taken so far, no image y with c(y) < y may be chosen.
+      The image of pin, taken first, is one that c fixes.
     The recursive step takes itself as its first argument, so no closure
-    refers to the search, and reference counting frees it whether it is
+    refers to a search, and reference counting frees it whether it is
     run out, dropped mid-way or never started.
     """
     n = len(g.vertices)
@@ -308,47 +324,68 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     degrees = [len(a) for a in g._adj]
     lower = [[j for j in a if j < i or j == pin] for i, a in enumerate(g._adj)]
     identity = tuple(range(n))
-    images = list(identity)
-
-    def extend(extend, i: int, taken: int, fixed: int):
-        # taken and fixed: bit masks of the images so far and of the
-        # fixed points so far.  c fits adjacency iff its neighbours among
-        # the taken images are exactly the images of i's neighbours.
-        if i == pin:
-            i += 1
-        if i == n:
-            x = tuple(images)
-            if m is None or x != identity:
-                yield x
-            return
-        want = 0
-        for j in lower[i]:
-            want |= 1 << images[j]
-        free = ~taken & (1 << n) - 1
-        while free:  # the untaken images, lowest first
-            bit = free & -free
-            free ^= bit
-            c = bit.bit_length() - 1
-            if degrees[c] != degrees[i] or masks[c] & taken != want:
-                continue
-            if m is not None:
-                if c == i and masks[i] & fixed:
-                    continue
-                x, length = c, 1
-                while x < i:
-                    x, length = images[x], length + 1
-                if x == i and m % length:
-                    continue
-            images[i] = c
-            if i == n - 1:  # a whole map: yield it here, not one call deeper
-                x = tuple(images)
-                if m is None or x != identity:
-                    yield x
-            else:
-                yield from extend(extend, i + 1, taken | bit, fixed | (c == i) << i)
-
     start = 0 if pin is None else 1 << pin
-    return extend(extend, 0, start, start)
+
+    def search(last: tuple[int, ...] | None = None, rest=()) -> Iterator[tuple[int, ...]]:
+        images = list(identity)
+        below: list[list[int]] = [[] for _ in identity]  # c(v) -> first moved points v
+        moved = []  # per c in rest: masks of the points it moves, and moves down
+        for c in rest:
+            v = next(v for v in identity if c[v] != v)
+            below[c[v]].append(v)
+            moved.append((sum(1 << y for y in identity if c[y] != y),
+                          sum(1 << y for y in identity if c[y] < y)))
+
+        def extend(extend, i: int, taken: int, fixed: int, tight: bool):
+            # taken and fixed: bit masks of the images so far and of the
+            # fixed points so far.  c fits adjacency iff its neighbours
+            # among the taken images are exactly the images of i's
+            # neighbours.  tight: the images so far are those of last.
+            if i == pin:
+                i += 1
+            if i == n:
+                x = tuple(images)
+                if not tight and (m is None or x != identity):
+                    yield x
+                return
+            want = 0
+            for j in lower[i]:
+                want |= 1 << images[j]
+            free = ~taken & (1 << n) - 1
+            if tight:
+                free &= -1 << last[i]
+            if rest:
+                for v in below[i]:
+                    free &= -2 << images[v]
+                for moves, downs in moved:
+                    if not moves & taken:  # c has moved no image so far
+                        free &= ~downs
+            while free:  # the allowed untaken images, lowest first
+                bit = free & -free
+                free ^= bit
+                c = bit.bit_length() - 1
+                if degrees[c] != degrees[i] or masks[c] & taken != want:
+                    continue
+                if m is not None:
+                    if c == i and masks[i] & fixed:
+                        continue
+                    x, length = c, 1
+                    while x < i:
+                        x, length = images[x], length + 1
+                    if x == i and m % length:
+                        continue
+                images[i] = c
+                if i == n - 1:  # a whole map: yield it here, not one call deeper
+                    x = tuple(images)
+                    if not (tight and c == last[i]) and (m is None or x != identity):
+                        yield x
+                else:
+                    yield from extend(extend, i + 1, taken | bit, fixed | (c == i) << i,
+                                      tight and c == last[i])
+
+        return extend(extend, 0, start, start, last is not None)
+
+    return search
 
 
 def orbit(h: Subgroup, v: str) -> frozenset[str]:
@@ -394,26 +431,33 @@ def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
     return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(pool, m, n))
 
 
-def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
-                        fits: Callable[[tuple[int, ...]], bool] | None = None):
+def _subgroups_in_order(pool: Iterable[tuple[int, ...]] | Callable[..., Iterator[tuple[int, ...]]],
+                        m: int, n: int, fits: Callable[[tuple[int, ...]], bool] | None = None):
     """Yield lazily, in sorted order, the order-m groups of permutations
-    of n points whose non-identity elements all lie in `pool`.
+    of n points whose non-identity elements all lie in a pool.
 
     The pool holds distinct non-identity elements whose orders divide
-    m.  Given `fits`, it must come in sorted order, and it is drawn only
-    as far as the search reads: `fits(y)` must then say exactly whether
-    the product y of pool elements is the identity or in the pool.
-    Without `fits`, the pool is sorted into a set first.  Once the pool
-    is drawn to its end, each element is filed under its smallest power,
-    and every later group reads its candidates off that filing.  Each
-    element's smallest power is worked out once per call, when a scan
-    first reaches it.
+    m.  Without `fits`, `pool` is an iterable of it, which is sorted
+    into a set and filed first: each element goes under its smallest
+    power, and every group reads its candidates off that filing.  Given
+    `fits`, `pool` is a function search(last, rest) as returned by
+    `_automorphisms`, which yields in sorted order the pool elements x
+    after `last` with x*c > x and c*x > x for every c in `rest`, and a
+    fresh search is started at every group; `fits(y)` must then say
+    exactly whether the product y of pool elements is the identity or
+    in the pool.  Each element's smallest power is worked out once per
+    call, when a candidate first reaches it.
 
     Every group H is reached exactly once, along its chain
     g1 < g2 < ... where g(i+1) is the smallest element of H outside
     C = <g1..gi>.  So a candidate x at group C must exceed the last
     generator, and <C, x> may hold no element below x that C lacks, nor
-    any element outside the pool.  The search runs depth first over
+    any element outside the pool.  For every c in C other than the
+    identity, the products x*c and c*x lie in <C, x> but not in C, so
+    both must exceed x: the search bounds drop only candidates that the
+    product test below would refuse, and they leave the groups and
+    their order as they are.  That also keeps out every x in C, as
+    x^-1 * x is the identity.  The search runs depth first over
     candidates in increasing order; two groups that first differ in the
     next generator x < x' agree below x, and only the first holds x, so
     groups come out sorted.  As in `_automorphisms`, the recursive step
@@ -421,8 +465,6 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
     """
     identity = tuple(range(n))
     lows: dict = {}  # element -> its smallest power
-    drawn: list = []
-    filing: list = []  # (minimal, filed) once the whole pool is drawn
 
     def low_of(x: tuple) -> tuple:
         # The smallest of the non-identity powers of x, x included.
@@ -434,49 +476,31 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
             lows[x] = low
         return low
 
-    def file_pool() -> None:
+    if fits is None:
         # An element with a power below itself can only extend a group
         # holding that power, so it is filed under its smallest power.
+        elements = sorted(pool)
+        fits = {identity, *elements}.__contains__
         minimal, filed = [], {}
-        for x in drawn:
+        for x in elements:
             low = low_of(x)
             if low == x:
                 minimal.append(x)
             else:
                 filed.setdefault(low, []).append(x)
-        filing.append((minimal, filed))
 
-    source = iter(pool)
-    if fits is None:
-        drawn = sorted(source)
-        fits = {identity, *drawn}.__contains__
-        file_pool()
-
-    def candidates(group: frozenset, last: tuple, moved: set):
-        # The elements after `last` that may extend `group`, in order.
-        # x*c > x iff x maps c's first moved point v below c(v).  Once
-        # the pool is drawn, they come from its filing; until then the
-        # pool is drawn one element at a time, as far as the caller reads.
-        if filing:
-            minimal, filed = filing[0]
+        def candidates(group: frozenset, last: tuple, rest: list):
+            # The filed elements after `last` that may extend `group`, in
+            # order.  x*c > x iff x maps c's first moved point v below c(v).
             xs = sorted(minimal[bisect_right(minimal, last):]
                         + [x for c in group for x in filed.get(c, ()) if x > last])
-            for v, w in moved:
+            for v, w in {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}:
                 xs = [x for x in xs if x[v] < x[w]]
-            yield from xs
-            return
-        k = bisect_right(drawn, last)
-        while True:
-            if k == len(drawn):
-                for x in source:  # one more element, if any is left
-                    drawn.append(x)
-                    break
-                else:
-                    if not filing:
-                        file_pool()
-                    return
-            x, k = drawn[k], k + 1
-            if all(x[v] < x[w] for v, w in moved):
+            return xs
+    else:
+        def candidates(group: frozenset, last: tuple, rest: list):
+            # A fresh bounded search at this group.
+            for x in pool(last, rest):
                 low = low_of(x)
                 if low == x or low in group:
                     yield x
@@ -486,11 +510,7 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]], m: int, n: int,
             yield group
             return
         rest = [c for c in group if c != identity]
-        moved = {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}
-        for x in candidates(group, last, moved):
-            if x in group:
-                continue
-            # The products x*c and c*x lie in <C, x> but not in C.
+        for x in candidates(group, last, rest):
             for c in rest:
                 cx = _compose(c, x)
                 if cx < x or not fits(cx) or not fits(_compose(x, c)):
@@ -509,26 +529,28 @@ def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[fr
     """The subgroups of order m of Aut(g) that act harmonically, lazily
     and in sorted order; given the vertex index pin, only those fixing
     it.  Harmonicity holds for a group iff it holds for each element,
-    so the groups are built from the admissible elements
+    so the groups are built from the admissible elements that
     `_automorphisms(g, m=m)` finds, without building Aut(g).
 
-    Given pin, the pinned search streams into the subgroup search as far
-    as that reads; without pin, the first read draws and files the whole
-    pool.  Either way the vertex cap is checked at this call.
+    Given pin, every group the subgroup search reaches starts its own
+    search pinned at pin, bounded by that group; without pin, the first
+    read draws and files the whole pool.  Either way the vertex cap is
+    checked at this call, and the tables of g are built once.
     """
     n = len(g.vertices)
+    search = _automorphisms(g, m=m, pin=pin)
     if pin is None:
-        return _subgroups_in_order(_automorphisms(g, m=m), m, n)
+        return _subgroups_in_order(search(), m, n)
     identity = tuple(range(n))
     adj = g._adj
 
     def fits(y):
         # Exactly whether y is the identity or an element the pinned
-        # search streams, so the subgroup search needs no pool.
+        # search yields, so the subgroup search needs no pool.
         return y[pin] == pin and (
             y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y)))
 
-    return _subgroups_in_order(_automorphisms(g, m=m, pin=pin), m, n, fits)
+    return _subgroups_in_order(search, m, n, fits)
 
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:

@@ -392,6 +392,26 @@ class TestRiemannRoch:
             assert check.holds, (g.to_json(), d.to_json())
 
 
+def _count_draws(monkeypatch, drawn):
+    """Replace `symmetry._automorphisms` so that every element any search
+    it returns yields is appended to drawn as (pin, element)."""
+    import graphdivisors.symmetry as symmetry
+
+    real = symmetry._automorphisms
+
+    def counting(*args, **kwargs):
+        search = real(*args, **kwargs)
+
+        def counted(*bounds):
+            for x in search(*bounds):
+                drawn.append((kwargs.get("pin"), x))
+                yield x
+
+        return counted
+
+    monkeypatch.setattr(symmetry, "_automorphisms", counting)
+
+
 class TestSinglePass:
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5"])
     def test_rank_and_symmetry_computed_once(self, family, monkeypatch):
@@ -478,38 +498,31 @@ class TestSinglePass:
     def test_fixing_passes_stream_without_the_pool(self, monkeypatch):
         # Complete graphs and wheels find every witness among the
         # elements that fix the vertex, so the full pool is never built.
-        # On K8 the first element streamed at P1 generates its witness,
-        # and every later vertex carries the witness of its twin before
-        # it, so P1 is the only vertex that draws.  On house4 at order 3
-        # the two vertices of degree 2 cannot be orbits of sizes 3/s with
-        # s dividing gcd(3, 2) = 1, so its two NoQualifyingSubgroup
-        # vertices run neither pass.
+        # On K8 the first element the pinned search at P1 yields
+        # generates its witness, and every later vertex carries the
+        # witness of its twin before it, so exactly one element is drawn
+        # in all, at P1.  On house4 at order 3 the two vertices of degree
+        # 2 cannot be orbits of sizes 3/s with s dividing gcd(3, 2) = 1,
+        # so its two NoQualifyingSubgroup vertices run neither pass.
         import graphdivisors.galois as galois
-        import graphdivisors.symmetry as symmetry
 
         pool_calls, drawn = [], []
-        real_groups, real_search = galois._harmonic_subgroups, symmetry._automorphisms
+        real_groups = galois._harmonic_subgroups
 
         def counting_groups(graph, m, pin=None):
             if pin is None:
                 pool_calls.append(graph)
             return real_groups(graph, m, pin)
 
-        def counting_search(*args, **kwargs):
-            for x in real_search(*args, **kwargs):
-                if kwargs.get("pin") is not None:
-                    drawn.append(kwargs["pin"])
-                yield x
-
         monkeypatch.setattr(galois, "_harmonic_subgroups", counting_groups)
-        monkeypatch.setattr(symmetry, "_automorphisms", counting_search)
+        _count_draws(monkeypatch, drawn)
         for family in [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)]:
             g = generate(family)
             drawn.clear()
             report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
             assert report.galois_count > 0 and pool_calls == [], family
             if family == "complete:8":
-                assert drawn == [0]
+                assert [pin for pin, _ in drawn] == [0]
         g = generate("house4")
         drawn.clear()
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
@@ -918,17 +931,8 @@ class TestOrbitArithmetic:
         # A search over every admissible element took 0.6-0.9 s on K8 and
         # 1.7 s on K9; no harmonic group of order 12 on 8 vertices of
         # degree 7, or of order 14 on 9 vertices of degree 8, exists.
-        import graphdivisors.symmetry as symmetry
-
         drawn = []
-        real = symmetry._automorphisms
-
-        def counting(*args, **kwargs):
-            for x in real(*args, **kwargs):
-                drawn.append(x)
-                yield x
-
-        monkeypatch.setattr(symmetry, "_automorphisms", counting)
+        _count_draws(monkeypatch, drawn)
         g = generate(family)
         d = Divisor(g, coeffs)
         report = classify_galois_points.__wrapped__(g, d)
@@ -948,7 +952,7 @@ class TestAdmissiblePool:
     def check(g, m, order):
         from graphdivisors.symmetry import _automorphisms, _harmonic_subgroups
 
-        pool = list(_automorphisms(g, m=m))
+        pool = list(_automorphisms(g, m=m)())
         assert len(set(pool)) == len(pool)
         assert set(pool) == set(oracles.admissible_brute(g, m)), m
         if order % m:
@@ -982,30 +986,43 @@ class TestAdmissiblePool:
 
 
 class TestPinnedStream:
-    """Each vertex's stream from the pinned automorphism search against
-    the brute-force admissible elements that fix it, in exact order, and
-    the subgroup search on the stream against the same search on that
-    list."""
+    """Each vertex's pinned pass against oracles.  The elements the
+    unbounded pinned search yields must be, in exact order, the
+    brute-force admissible elements that fix the vertex.  The groups the
+    pass yields, each from a search bounded by the group before it,
+    must be, in exact order, the groups `oracles.subgroups_by_generators`
+    closes from those elements whose elements all lie among them."""
 
     @staticmethod
-    def check(g, m=None):
-        from graphdivisors.symmetry import _automorphisms, _harmonic_subgroups, _subgroups_in_order
+    def check(g, m):
+        # Returns the number of groups the passes yield.
+        from graphdivisors.symmetry import _automorphisms, _harmonic_subgroups
 
         n = len(g.vertices)
-        m = m or n - 1
+        identity = tuple(range(n))
         brute = oracles.admissible_brute(g, m)
+        groups = 0
         for pi in range(n):
-            expected = sorted(x for x in brute if x[pi] == pi)
-            assert list(_automorphisms(g, m=m, pin=pi)) == expected, (g, pi)
-            streamed = _harmonic_subgroups(g, m, pi)
-            assert list(streamed) == list(_subgroups_in_order(expected, m, n)), (g, pi)
+            fixing = sorted(x for x in brute if x[pi] == pi)
+            assert list(_automorphisms(g, m=m, pin=pi)()) == fixing, (g, m, pi)
+            allowed = {identity, *fixing}
+            expected = [h for h in oracles.subgroups_by_generators([identity, *fixing], m)
+                        if allowed.issuperset(h)]
+            assert [tuple(sorted(h)) for h in _harmonic_subgroups(g, m, pi)] == expected, (g, m, pi)
+            groups += len(expected)
+        return groups
 
-    def test_corpus5_graphs(self):
+    def test_every_labeled_graph_up_to_five_vertices(self):
         from graphdivisors import enumerate_corpus
 
-        labels = ["P1", "P2", "P3", "P4", "P5"]
-        for record in enumerate_corpus(5).records:
-            self.check(build_graph(labels, record.edges))
+        groups = 0
+        for n in (3, 4, 5):
+            labels = [f"P{i}" for i in range(1, n + 1)]
+            for record in enumerate_corpus(n).records:
+                g = build_graph(labels, record.edges)
+                for m in range(2, n + 3):
+                    groups += self.check(g, m)
+        assert groups > 0
 
     @pytest.mark.parametrize(
         "family",
@@ -1013,12 +1030,50 @@ class TestPinnedStream:
         + [f"wheel:{n}" for n in range(5, 9)],
     )
     def test_families(self, family):
-        self.check(generate(family))
+        g = generate(family)
+        self.check(g, len(g.vertices) - 1)
+
+    def test_twin_blow_ups(self):
+        # Runs of twins fix a vertex in many ways at once.
+        rng = random.Random(29)
+        groups = Counter()
+        for _ in range(40):
+            g, _ = _blown_up(rng)
+            for m in range(2, len(g.vertices) + 3):
+                groups[m] += self.check(g, m)
+        assert all(groups[m] > 0 for m in (2, 3, 4, 5)), groups
 
     def test_products_are_checked_for_harmonicity(self):
         # In K(2,4) at order 6, harmonic elements fixing P1 generate a
         # group with a non-harmonic element of order dividing 6, so the
-        # stream's test must check harmonicity, not only the order.
+        # pass must check harmonicity, not only the order.
         labels = ["P1", "P2", "P3", "P4", "P5", "P6"]
         g = build_graph(labels, [(a, b) for a in labels[:4] for b in labels[4:]])
         self.check(g, 6)
+
+    @pytest.mark.parametrize("n, generators", [
+        (9, [(0, 2, 1, 4, 3, 6, 5, 8, 7), (0, 3, 4, 1, 2, 7, 8, 5, 6), (0, 5, 6, 7, 8, 1, 2, 3, 4)]),
+        (10, [(0, 2, 3, 1, 5, 6, 4, 8, 9, 7), (0, 4, 5, 6, 7, 8, 9, 1, 2, 3)]),
+    ])
+    def test_first_group_at_p1_of_large_complete_graphs(self, n, generators):
+        # Recorded with the shared stream the pass read before its
+        # searches were bounded.
+        from graphdivisors.symmetry import _harmonic_subgroups
+
+        g = generate(f"complete:{n}")
+        first = next(_harmonic_subgroups(g, n - 1, 0))
+        assert len(first) == n - 1
+        assert first == Subgroup.from_generators(g, generators).perms
+
+    @pytest.mark.parametrize("n, most", [(9, 7), (10, 66)])
+    def test_pass_at_p1_of_large_complete_graphs_draws_few_elements(self, n, most, monkeypatch):
+        # Classifying K9 or K10 runs one pinned pass, at P1.  Its bounded
+        # searches draw 7 elements over 3 groups on K9 and 66 over 2 on
+        # K10; the one stream they replaced drew 3,953 and 12,481.
+        drawn = []
+        _count_draws(monkeypatch, drawn)
+        g = generate(f"complete:{n}")
+        report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
+        assert report.galois_count == n
+        assert {pin for pin, _ in drawn} == {0}
+        assert len(drawn) <= most
