@@ -1,8 +1,8 @@
 """Exhaustive small-graph sweeps over labeled 2-edge-connected graphs.
 
-Every edge subset on n labeled vertices is enumerated (no isomorphism
-reduction; correctness claims are per graph, so duplicates are
-harmless), filtered to connected bridgeless graphs, and classified.
+Every edge subset on n labeled vertices is enumerated, filtered to
+connected bridgeless graphs, and reported graph by graph; each
+isomorphism class is checked and classified through one representative.
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
     Each graph is tested with the all-ones divisor: the completeness
     equivalence must hold, and at rank 2 the number of Galois points
     must be 0, 1, or n.
+
+    Every field of a record but its edges is an isomorphism invariant: a
+    relabeling carries the all-ones divisor to itself, ranks to ranks
+    and Galois points to Galois points, and completeness and the count
+    law do not see labels.  So the edge masks are walked in increasing
+    order, and the first mask of each isomorphism class stands for it:
+    it alone is checked for bridges and, if it has none, built as a
+    graph, and its whole orbit is marked with the result.  Every labeled
+    graph of a bridgeless class still gets one `classify_galois_points`
+    call, made on the representative, so the cache answers the repeats;
+    its record keeps its own edges.  Every cap gate reads only
+    invariants (n, degrees, ranks, which vertices are smooth), so a class
+    refuses at its representative, the first mask at which classifying
+    each labeled graph would refuse.
     """
     if n > MAX_CORPUS_VERTICES:
         raise SizeCapExceededError(
@@ -68,27 +82,31 @@ def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
 
     labels = _labels(n)
     all_pairs = list(combinations(range(n), 2))
+    labeled_pairs = [(labels[a], labels[b]) for a, b in all_pairs]
+    edge_bits = range(len(all_pairs))
+    half, swaps = _adjacent_swaps(n, all_pairs)
+    # Per mask: None until its class is reached, () for a class with a
+    # bridge, else the representative graph and its all-ones divisor.
+    rep_of: list[tuple | None] = [None] * (1 << len(all_pairs))
     records: list[GraphRecord] = []
-    for mask in range(1 << len(all_pairs)):
-        pairs = [all_pairs[k] for k in range(len(all_pairs)) if mask >> k & 1]
-        if len(pairs) < n:
+    for mask in range(len(rep_of)):
+        if mask.bit_count() < n:
             # A bridgeless connected graph has at least n edges (n >= 3).
             continue
-        adj = [[] for _ in range(n)]
-        for a, b in pairs:
-            adj[a].append(b)
-            adj[b].append(a)
-        if -1 in _bfs_distances(adj, 0) or not _bridgeless(adj):
+        rep = rep_of[mask]
+        if rep is None:
+            rep = _representative(labels, [all_pairs[k] for k in edge_bits if mask >> k & 1])
+            _mark_orbit(mask, rep, rep_of, half, swaps)
+        if not rep:
             continue
-        g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
-        report = classify_galois_points(g, Divisor.all_ones(g), cap)
-        theorem = _theorem_from_report(g, report)
+        g, d = rep
+        report = classify_galois_points(g, d, cap)
         records.append(
             GraphRecord(
-                edges=g.edges,
+                edges=tuple(labeled_pairs[k] for k in edge_bits if mask >> k & 1),
                 rank=report.rank,
                 galois_count=report.galois_count,
-                theorem_consistent=theorem.consistent,
+                theorem_consistent=_theorem_from_report(g, report).consistent,
                 corollary_consistent=report.corollary_consistent,
             )
         )
@@ -98,3 +116,59 @@ def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
         records=tuple(records),
         all_consistent=all(r.theorem_consistent and r.corollary_consistent for r in records),
     )
+
+
+def _representative(labels: list[str], pairs: list[tuple[int, int]]) -> tuple:
+    """The graph with these edges and its all-ones divisor, or () when
+    the edges leave it disconnected or with a bridge."""
+    adj: list[list[int]] = [[] for _ in labels]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    if -1 in _bfs_distances(adj, 0) or not _bridgeless(adj):
+        return ()
+    g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
+    return g, Divisor.all_ones(g)
+
+
+def _adjacent_swaps(n: int, all_pairs: list[tuple[int, int]]) -> tuple[int, list]:
+    """Each transposition (i, i + 1) of the vertices as a map on edge
+    masks: the image of mask x is low[x & (2^half - 1)] | high[x >> half]
+    for its pair of tables (low, high).
+
+    The n - 1 adjacent transpositions generate the symmetric group, so
+    closing a mask under them reaches its whole isomorphism class.
+    """
+    index = {pair: k for k, pair in enumerate(all_pairs)}
+    half = len(all_pairs) // 2
+    swaps = []
+    for i in range(n - 1):
+        move = {i: i + 1, i + 1: i}
+        images = [
+            1 << index[tuple(sorted((move.get(a, a), move.get(b, b))))] for a, b in all_pairs
+        ]
+        swaps.append((_unions(images[:half]), _unions(images[half:])))
+    return half, swaps
+
+
+def _unions(images: list[int]) -> list[int]:
+    """For every mask x over len(images) bits, the union of images[k]
+    over the set bits k of x."""
+    out = [0]
+    for image in images:
+        out += [x | image for x in out]
+    return out
+
+
+def _mark_orbit(mask: int, rep: tuple, rep_of: list, half: int, swaps: list) -> None:
+    """Mark every mask isomorphic to `mask` with `rep`."""
+    low_bits = (1 << half) - 1
+    rep_of[mask] = rep
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for low, high in swaps:
+            y = low[x & low_bits] | high[x >> half]
+            if rep_of[y] is None:
+                rep_of[y] = rep
+                stack.append(y)

@@ -466,6 +466,8 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
     divisor at rank 2; otherwise the report is vacuously consistent.
+    The cache serves `enumerate_corpus`, which passes every labeled
+    graph of an isomorphism class as the same representative (g, d).
     """
     if d.graph != g:
         raise GraphMismatchError("divisor is bound to a different graph")

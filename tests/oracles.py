@@ -16,7 +16,11 @@ witness search over every subgroup of the right order, built by the
 library's `subgroups_of_order` (checked against
 `subgroups_by_generators`) and tested one by one with
 `acts_harmonically`, where the library only ever builds harmonic
-subgroups.  Slow on purpose; use at small sizes only.
+subgroups.  `corpus_labeled` is the third: the labeled corpus sweep,
+which classifies every labeled graph with the library's
+`classify_galois_points` past its cache, where the library classifies
+one graph per isomorphism class.  Slow on purpose; use at small sizes
+only.
 """
 
 from fractions import Fraction
@@ -25,13 +29,16 @@ from itertools import combinations, permutations
 from graphdivisors import (
     Cond1Fail,
     Cond2Fail,
+    CorpusResult,
     Divisor,
     GaloisCertificate,
     Graph,
+    GraphRecord,
     NoQualifyingSubgroup,
     SmoothnessCheck,
     acts_harmonically,
     automorphism_group,
+    classify_galois_points,
     fixed_members,
     linear_system,
     quotient_graph,
@@ -399,3 +406,39 @@ def witness_by_all_subgroups(g: Graph, d: Divisor, p: str):
         if len(fixed) >= 2:
             return GaloisCertificate(p, True, h, fixed[0], fixed[1], orbits)
     return GaloisCertificate(p, False, reason=NoQualifyingSubgroup(m, len(harmonic)))
+
+
+def corpus_labeled(n, cap=None):
+    """`enumerate_corpus(n, cap)` by classifying every labeled graph.
+
+    Each edge mask in increasing order is kept if it is connected and has
+    no bridge (both by the naive searches above), built, and classified
+    through `classify_galois_points.__wrapped__`, so that no cache can
+    answer for it; the theorem and count-law checks are recomputed from
+    the report."""
+    labels = [f"P{i}" for i in range(1, n + 1)]
+    pairs = list(combinations(range(n), 2))
+    complete = len(pairs)
+    records = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        if len(edges) < n or not two_edge_connected(n, edges):
+            continue
+        g = Graph(labels, [(labels[a], labels[b]) for a, b in edges])
+        report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g), cap)
+        is_complete = len(edges) == complete
+        has_two = report.rank == 2 and report.galois_count >= 2
+        records.append(GraphRecord(
+            edges=g.edges,
+            rank=report.rank,
+            galois_count=report.galois_count,
+            theorem_consistent=(is_complete == has_two)
+            and (not is_complete or report.galois_count == n),
+            corollary_consistent=report.corollary_consistent,
+        ))
+    return CorpusResult(
+        n=n,
+        graphs_tested=len(records),
+        records=tuple(records),
+        all_consistent=all(r.theorem_consistent and r.corollary_consistent for r in records),
+    )
