@@ -3,6 +3,13 @@
 Exit status: 0 for a computed answer (and for consistency checks that
 pass), 1 when a consistency check fails mathematically (verify-theorem,
 rr-check, classify, corpus), 2 for usage or input errors.
+
+`--format json` prints exactly what `json.dumps(payload, indent=2)`
+would: two-space indent, non-ASCII and control characters escaped, keys
+in insertion order.  The payloads hold only dicts with str keys, lists,
+tuples, str, int, bool and None, so a private writer (`_dumps`) produces
+those bytes without the pure-Python encoder that `indent` forces on
+`json.dumps`; the golden digests in the tests pin them.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .corpus import enumerate_corpus
 from .divisors import (
@@ -39,21 +47,6 @@ def _cap(text: str) -> int:
     return value
 
 
-def _add_graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="inline family spec, e.g. complete:5, wheel:6, cycle:4, house4")
-    p.add_argument("--graph", help="path to a graph JSON file")
-
-
-def _add_common(p: argparse.ArgumentParser, divisor: bool = False, cap: bool = False) -> None:
-    _add_graph_options(p)
-    if divisor:
-        p.add_argument("--divisor", default=None,
-                       help="inline divisor JSON, or 'all-ones' or 'zero'")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    if cap:
-        p.add_argument("--cap", type=_cap, default=None, help="enumeration cap override")
-
-
 def _load_graph(args) -> Graph:
     if bool(args.family) == bool(args.graph):
         raise CliUsageError("exactly one of --family or --graph is required")
@@ -64,7 +57,7 @@ def _load_graph(args) -> Graph:
             obj = json.load(fh)
     except OSError as exc:
         raise CliUsageError(f"--graph: cannot read {args.graph!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliUsageError(f"--graph: invalid JSON in {args.graph!r}: {exc}") from None
     return Graph.from_json(obj)
 
@@ -78,7 +71,7 @@ def _parse_divisor(g: Graph, text: str | None, flag: str = "--divisor") -> Divis
         return Divisor.zero(g)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliUsageError(f"{flag}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise CliUsageError(f"{flag}: expected a JSON object of vertex coefficients")
@@ -90,7 +83,7 @@ def _parse_subgroup(g: Graph, text: str | None) -> Subgroup:
         return automorphism_group(g)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliUsageError(f"--subgroup: invalid JSON ({exc})") from None
     if not isinstance(obj, list):
         raise CliUsageError("--subgroup: expected a JSON list of vertex mappings")
@@ -101,9 +94,90 @@ class CliUsageError(Exception):
     pass
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+class _Depth:
+    """The whitespace of one nesting depth of the indented JSON, and the
+    text already written there: each dict key's line prefix (newline,
+    indent, key and `": "`), and each list of strings whole.  The edge
+    pairs and record keys of a corpus repeat thousands of times."""
+
+    __slots__ = ("depth", "open", "sep", "close", "keys", "strings", "_inner")
+
+    def __init__(self, depth: int):
+        pad = "\n" + "  " * (depth + 1)
+        self.depth = depth
+        self.open = pad
+        self.sep = "," + pad
+        self.close = "\n" + "  " * depth
+        self.keys: dict[str, str] = {}
+        self.strings: dict[tuple[str, ...], str] = {}
+        self._inner = None
+
+    @property
+    def inner(self) -> "_Depth":
+        if self._inner is None:
+            self._inner = _Depth(self.depth + 1)
+        return self._inner
+
+
+def _dumps(payload) -> str:
+    """`json.dumps(payload, indent=2)` for dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type raises TypeError."""
+    return _encode(payload, _Depth(0))
+
+
+def _encode(value, at: _Depth) -> str:
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = at.keys
+        items = []
+        for k, v in value.items():
+            prefix = keys.get(k) if type(k) is str else None
+            if prefix is None:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                prefix = keys[k] = at.open + _escape(k) + ": "
+            t = type(v)
+            if t is str:
+                items.append(prefix + _escape(v))
+            elif t is int:
+                items.append(prefix + int.__repr__(v))
+            elif t is bool or v is None:
+                items.append(prefix + _LITERALS[v])
+            else:
+                items.append(prefix + _encode(v, at.inner))
+        return "{" + ",".join(items) + at.close + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if type(value[0]) is str:
+            # Only lists of str are filed, and no item of another JSON
+            # type equals a str, so a hit is a list of the same strings.
+            try:
+                key = tuple(value)
+                text = at.strings.get(key)
+                if text is None:
+                    text = at.strings[key] = "[" + at.open + at.sep.join(map(_escape, value)) + at.close + "]"
+                return text
+            except TypeError:  # an item is unhashable or not a str
+                pass
+        inner = at.inner
+        return "[" + at.open + at.sep.join([_encode(v, inner) for v in value]) + at.close + "]"
+    if value is None or isinstance(value, bool):
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -282,85 +356,82 @@ def _cmd_corpus(args) -> int:
     return 0 if result.all_consistent else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FAMILY = ("--family", {"help": "inline family spec, e.g. complete:5, wheel:6, cycle:4, house4"})
+_GRAPH = ("--graph", {"help": "path to a graph JSON file"})
+_DIVISOR = ("--divisor", {"default": None, "help": "inline divisor JSON, or 'all-ones' or 'zero'"})
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_CAP = ("--cap", {"type": _cap, "default": None, "help": "enumeration cap override"})
+_SUBGROUP = ("--subgroup", {"help": "JSON list of vertex mappings (generators); default: full group"})
+
+
+def _graph_options(*extra, divisor: bool = False, cap: bool = False) -> tuple:
+    """The options of a command on one graph, in help order."""
+    return ((_FAMILY, _GRAPH) + ((_DIVISOR,) if divisor else ()) + (_FORMAT,)
+            + ((_CAP,) if cap else ()) + extra)
+
+
+# name -> (help, handler, options as (flag, add_argument keywords))
+_COMMANDS = {
+    "gen": ("emit a named family graph", _cmd_gen, _graph_options()),
+    "rank": ("rank of a divisor", _cmd_rank, _graph_options(divisor=True, cap=True)),
+    "reduce": ("reduced form of a divisor at a base vertex", _cmd_reduce,
+               _graph_options(("--base", {"help": "base vertex (default: first vertex)"}),
+                              divisor=True, cap=True)),
+    "equiv": ("decide linear equivalence of two divisors", _cmd_equiv,
+              _graph_options(("--divisor2", {"help": "second divisor (same syntax as --divisor)"}),
+                             divisor=True)),
+    "linsys": ("complete linear system of a divisor", _cmd_linsys, _graph_options(divisor=True, cap=True)),
+    "aut": ("full automorphism group", _cmd_aut, _graph_options()),
+    "subgroups": ("all subgroups of a given order", _cmd_subgroups,
+                  _graph_options(("--order", {"type": int, "help": "subgroup order"}))),
+    "quotient": ("quotient graph by a subgroup", _cmd_quotient, _graph_options(_SUBGROUP)),
+    "harmonic": ("test whether a subgroup acts harmonically", _cmd_harmonic,
+                 _graph_options(_SUBGROUP, ("--mode", {"choices": ("criterion", "definition"),
+                                                       "default": "criterion"}))),
+    "galois": ("Galois-point certificate for one vertex", _cmd_galois,
+               _graph_options(("--vertex", {"help": "vertex to test"}), divisor=True, cap=True)),
+    "classify": ("Galois-point classification of all vertices", _cmd_classify,
+                 _graph_options(divisor=True, cap=True)),
+    "verify-theorem": ("completeness vs. two-galois-points equivalence", _cmd_verify_theorem,
+                       _graph_options(cap=True)),
+    "rr-check": ("rank identity check for a divisor", _cmd_rr_check, _graph_options(divisor=True, cap=True)),
+    "corpus": ("sweep all labeled 2-edge-connected graphs on n vertices", _cmd_corpus, (
+        ("--n", {"type": int, "required": True, "help": "number of vertices (3..6)"}),
+        _FORMAT,
+        ("--cap", {"type": _cap, "default": None}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every command, or, given a command name,
+    one that knows only that command and reads the same arguments."""
     parser = argparse.ArgumentParser(
         prog="graphdivisors",
         description="Divisor theory on finite graphs: reduced divisors, rank, "
                     "harmonic actions, and Galois-point classification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="emit a named family graph")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("rank", help="rank of a divisor")
-    _add_common(p, divisor=True, cap=True)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("reduce", help="reduced form of a divisor at a base vertex")
-    _add_common(p, divisor=True, cap=True)
-    p.add_argument("--base", help="base vertex (default: first vertex)")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("equiv", help="decide linear equivalence of two divisors")
-    _add_common(p, divisor=True)
-    p.add_argument("--divisor2", help="second divisor (same syntax as --divisor)")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("linsys", help="complete linear system of a divisor")
-    _add_common(p, divisor=True, cap=True)
-    p.set_defaults(func=_cmd_linsys)
-
-    p = sub.add_parser("aut", help="full automorphism group")
-    _add_common(p)
-    p.set_defaults(func=_cmd_aut)
-
-    p = sub.add_parser("subgroups", help="all subgroups of a given order")
-    _add_common(p)
-    p.add_argument("--order", type=int, help="subgroup order")
-    p.set_defaults(func=_cmd_subgroups)
-
-    p = sub.add_parser("quotient", help="quotient graph by a subgroup")
-    _add_common(p)
-    p.add_argument("--subgroup", help="JSON list of vertex mappings (generators); default: full group")
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser("harmonic", help="test whether a subgroup acts harmonically")
-    _add_common(p)
-    p.add_argument("--subgroup", help="JSON list of vertex mappings (generators); default: full group")
-    p.add_argument("--mode", choices=("criterion", "definition"), default="criterion")
-    p.set_defaults(func=_cmd_harmonic)
-
-    p = sub.add_parser("galois", help="Galois-point certificate for one vertex")
-    _add_common(p, divisor=True, cap=True)
-    p.add_argument("--vertex", help="vertex to test")
-    p.set_defaults(func=_cmd_galois)
-
-    p = sub.add_parser("classify", help="Galois-point classification of all vertices")
-    _add_common(p, divisor=True, cap=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify-theorem", help="completeness vs. two-galois-points equivalence")
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("rr-check", help="rank identity check for a divisor")
-    _add_common(p, divisor=True, cap=True)
-    p.set_defaults(func=_cmd_rr_check)
-
-    p = sub.add_parser("corpus", help="sweep all labeled 2-edge-connected graphs on n vertices")
-    p.add_argument("--n", type=int, required=True, help="number of vertices (3..6)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=_cap, default=None)
-    p.set_defaults(func=_cmd_corpus)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        chosen = _COMMANDS
+    else:
+        # The usage line of an error still lists every command.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        chosen = {command: _COMMANDS[command]}
+    for name, (help_text, handler, options) in chosen.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (CliUsageError, GraphDivisorsError, ValueError) as exc:

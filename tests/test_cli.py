@@ -280,6 +280,21 @@ class TestUsageErrors:
             assert err.startswith("error: ") and problem in err
             assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("flag", ["--divisor", "--divisor2", "--subgroup", "--graph"])
+    def test_deeply_nested_json_is_invalid_input(self, capsys, tmp_path, flag):
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = {
+            "--divisor": ("rank", "--family", "complete:4", "--divisor", deep),
+            "--divisor2": ("equiv", "--family", "complete:4", "--divisor", "all-ones", "--divisor2", deep),
+            "--subgroup": ("quotient", "--family", "complete:4", "--subgroup", deep),
+            "--graph": ("gen", "--graph", str(path)),
+        }[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: invalid JSON") and err.count("\n") == 1
+
     def test_negative_cap_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rank", "--family", "cycle:4", "--divisor", '{"P1": -3}', "--cap", "-5"])

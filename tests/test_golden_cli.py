@@ -21,6 +21,7 @@ GOLDEN_SHA256 = {
     "corpus --n 3": "efe357864a8b1a1f5374def10b6fcac933316b701eed6b7f8a3b96b6b6af3a3f",
     "corpus --n 4": "f17618bc2d7c8e7eba1d9c9ee6a068bbab2cba6744943fdf64e39adde27f668c",
     "corpus --n 5": "b7532ba3740af590040ca65383f462b0c63e2bc97659c5cbdc2d17dd630ef31c",
+    "corpus --n 6": "67c293936859f1a221df6ab8b5ff3c2ee62be1baae030fc569754ed29da3e980",
     "classify --family house4": "5106cb58f3f865916d0b42e20f207406d7612c73c2a1c836d04d0b3ae38f6913",
     "classify --family cycle:4": "252b6d7ed0b959d5a1ec50eba1fb181befa64a9601f13acbb7fe7daaa9bb8059",
     "classify --family cycle:5": "2b0d8a8b93751482f1399a1d50b6b6d714b990bd3856cec3214922cb1f42db49",
@@ -191,3 +192,35 @@ def test_refused_past_the_automorphism_vertex_cap(command, capsys):
     assert code == 2
     assert out.out == ""
     assert out.err == "error: automorphism search is capped at 10 vertices, graph has 11\n"
+
+
+# sha256 over the exit code, stdout and stderr of argvs that argparse
+# answers itself (help, usage errors, bad choices and types) or that end
+# in an argparse error after a command was named, recorded before the
+# parser was built from one command table.  argparse wraps help text to
+# the terminal width, so COLUMNS is pinned.
+PARSER_GOLDEN_SHA256 = {
+    "": "935f576316680be50e55541039521966115e38acc00faebb9019cf3e21d912df",
+    "-h": "bb8b0451644c9c63e1afcfe7880f4420c1addd0ae3724aab7ecbdcb1b0d4e8cb",
+    "nope": "d3968dbab2a83a18bd835fa218820f416dcbdf067fbd1b34ba93cd5993f2ddc4",
+    "corpus": "14604afa1debe2c8017092cd079007633b23cc3e25fbd7ad512964e0f7e5acce",
+    "corpus -h": "9b94b84696f9c42d4546a1e12c6832429292fc7e181e177a52853fbeb01396d5",
+    "classify --help": "7415ea879ad8e4fa1685e90983fccb901dc75b628a695209bda29418de55c5d5",
+    "corpus --n 5 extra": "0aa2ac8115ed9ccd412696015a60fa3e1df7fba35e979919b77dcacb9d87f162",
+    "rank --family complete:4 --divisor all-ones --format xml":
+        "0022cf66968fc8720cf7a8a5f5a806c2b154f15d8b68189789037e0cc2ccc5d8",
+    "harmonic --family complete:4 --mode bad": "b7c8fb76396d837f69aaeb7da2c06a03f4624733f52f14eabf23f5deb3633d49",
+    "corpus --n x": "90e4c9a919617385b083deaf88aa70c8cc3db2539d6ea2ae04b19161f733342a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_GOLDEN_SHA256))
+def test_parser_output_matches_golden_digest(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    digest = hashlib.sha256(json.dumps([code, out.out, out.err]).encode()).hexdigest()
+    assert digest == PARSER_GOLDEN_SHA256[command]
