@@ -338,8 +338,8 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None,
 
 def _moving(g: Graph, m: int, pi: int):
     """The harmonic subgroups of order m that move vertex pi.  The pass
-    files the whole admissible pool, so it is not even set up until its
-    first draw; each pass keeps only its own state."""
+    draws the whole admissible pool at its first read, not before; each
+    pass keeps only its own state."""
     for perms in _harmonic_subgroups(g, m):
         if any(x[pi] != pi for x in perms):
             yield perms
@@ -500,7 +500,6 @@ def verify_theorem(g: Graph, cap: int | None = None) -> TheoremCheck:
     Uses the all-ones divisor.  For complete graphs the stronger
     statement is also recorded: every vertex must be a Galois point.
     """
-    _require_two_edge_connected(g)
     report = classify_galois_points(g, Divisor.all_ones(g), cap)
     return _theorem_from_report(g, report)
 

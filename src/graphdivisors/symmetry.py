@@ -428,25 +428,42 @@ def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
     identity = tuple(range(n))
     # A subgroup of order m holds only elements whose order divides m.
     pool = [x for x in full.perms if x != identity and m % _perm_order(x) == 0]
-    return tuple(Subgroup(full.graph, h, _checked=True) for h in _subgroups_in_order(pool, m, n))
+    return tuple(Subgroup(full.graph, h, _checked=True)
+                 for h in _subgroups_in_order(*_drawn(pool, n), m, n))
 
 
-def _subgroups_in_order(pool: Iterable[tuple[int, ...]] | Callable[..., Iterator[tuple[int, ...]]],
-                        m: int, n: int, fits: Callable[[tuple[int, ...]], bool] | None = None):
+def _drawn(pool: Iterable[tuple[int, ...]], n: int):
+    """search(last, rest) and fits(y) over a pool of permutations of n
+    points, drawn and sorted here once.  search yields the pool elements
+    after `last`, in order, that map the first point v each c in `rest`
+    moves below c(v), as x*c > x asks; fits says whether y is the
+    identity or in the pool."""
+    elements = sorted(pool)
+    fits = {tuple(range(n)), *elements}.__contains__
+
+    def search(last: tuple[int, ...], rest) -> list[tuple[int, ...]]:
+        xs = elements[bisect_right(elements, last):]
+        for v, w in {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}:
+            xs = [x for x in xs if x[v] < x[w]]
+        return xs
+
+    return search, fits
+
+
+def _subgroups_in_order(search: Callable[..., Iterable[tuple[int, ...]]],
+                        fits: Callable[[tuple[int, ...]], bool], m: int, n: int):
     """Yield lazily, in sorted order, the order-m groups of permutations
     of n points whose non-identity elements all lie in a pool.
 
     The pool holds distinct non-identity elements whose orders divide
-    m.  Without `fits`, `pool` is an iterable of it, which is sorted
-    into a set and filed first: each element goes under its smallest
-    power, and every group reads its candidates off that filing.  Given
-    `fits`, `pool` is a function search(last, rest) as returned by
-    `_automorphisms`, which yields in sorted order the pool elements x
-    after `last` with x*c > x and c*x > x for every c in `rest`, and a
-    fresh search is started at every group; `fits(y)` must then say
-    exactly whether the product y of pool elements is the identity or
-    in the pool.  Each element's smallest power is worked out once per
-    call, when a candidate first reaches it.
+    m.  search(last, rest), as returned by `_automorphisms` or
+    `_drawn`, yields in sorted order the pool elements x after `last`,
+    at least those with x*c > x and c*x > x for every c in `rest`; it
+    is called afresh at every group.  fits(y) says exactly whether the
+    product y of pool elements is the identity or in the pool.  Each
+    element's smallest power is worked out once per call, when a
+    candidate first reaches it: an element with a power below itself
+    can only extend a group holding that power.
 
     Every group H is reached exactly once, along its chain
     g1 < g2 < ... where g(i+1) is the smallest element of H outside
@@ -476,41 +493,15 @@ def _subgroups_in_order(pool: Iterable[tuple[int, ...]] | Callable[..., Iterator
             lows[x] = low
         return low
 
-    if fits is None:
-        # An element with a power below itself can only extend a group
-        # holding that power, so it is filed under its smallest power.
-        elements = sorted(pool)
-        fits = {identity, *elements}.__contains__
-        minimal, filed = [], {}
-        for x in elements:
-            low = low_of(x)
-            if low == x:
-                minimal.append(x)
-            else:
-                filed.setdefault(low, []).append(x)
-
-        def candidates(group: frozenset, last: tuple, rest: list):
-            # The filed elements after `last` that may extend `group`, in
-            # order.  x*c > x iff x maps c's first moved point v below c(v).
-            xs = sorted(minimal[bisect_right(minimal, last):]
-                        + [x for c in group for x in filed.get(c, ()) if x > last])
-            for v, w in {next((v, w) for v, w in enumerate(c) if v != w) for c in rest}:
-                xs = [x for x in xs if x[v] < x[w]]
-            return xs
-    else:
-        def candidates(group: frozenset, last: tuple, rest: list):
-            # A fresh bounded search at this group.
-            for x in pool(last, rest):
-                low = low_of(x)
-                if low == x or low in group:
-                    yield x
-
     def extend(extend, gens: list, group: frozenset, last: tuple):
         if len(group) == m:
             yield group
             return
         rest = [c for c in group if c != identity]
-        for x in candidates(group, last, rest):
+        for x in search(last, rest):
+            low = low_of(x)
+            if low != x and low not in group:
+                continue
             for c in rest:
                 cx = _compose(c, x)
                 if cx < x or not fits(cx) or not fits(_compose(x, c)):
@@ -533,14 +524,16 @@ def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[fr
     `_automorphisms(g, m=m)` finds, without building Aut(g).
 
     Given pin, every group the subgroup search reaches starts its own
-    search pinned at pin, bounded by that group; without pin, the first
-    read draws and files the whole pool.  Either way the vertex cap is
-    checked at this call, and the tables of g are built once.
+    search pinned at pin, bounded by that group; without pin, `_drawn`
+    serves every group from the pool drawn at the first read.  Either
+    way the vertex cap is checked at this call, and the tables of g are
+    built once.
     """
     n = len(g.vertices)
     search = _automorphisms(g, m=m, pin=pin)
     if pin is None:
-        return _subgroups_in_order(search(), m, n)
+        # A generator expression, so the pool is drawn at the first read.
+        return (h for pool in [search()] for h in _subgroups_in_order(*_drawn(pool, n), m, n))
     identity = tuple(range(n))
     adj = g._adj
 
@@ -550,7 +543,7 @@ def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[fr
         return y[pin] == pin and (
             y == identity or (m % _perm_order(y) == 0 and _harmonic_element(adj, y)))
 
-    return _subgroups_in_order(search, m, n, fits)
+    return _subgroups_in_order(search, fits, m, n)
 
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:

@@ -24,6 +24,7 @@ only.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from graphdivisors import (
@@ -270,14 +271,18 @@ def reduce_one_chip(g: Graph, coeffs: list[int], q: int) -> tuple[list[int], lis
                     coeffs[w] += 1
 
 
-def automorphism_perms_brute(g: Graph):
+@cache
+def automorphism_perms_brute(g: Graph) -> tuple:
+    """Every permutation that maps edges to edges, sorted.  Memoised per
+    graph (equal graphs share an entry), so the result is a tuple that
+    no caller can change for another."""
     n = len(g.vertices)
     edge_set = g._edge_set
     out = []
     for p in permutations(range(n)):
         if all((min(p[i], p[j]), max(p[i], p[j])) in edge_set for i, j in g._edges_idx):
             out.append(p)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def compose(p, q):

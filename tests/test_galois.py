@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -183,13 +184,25 @@ class TestIsGaloisPoint:
             assert not cert.verdict
             assert cert.reason == expected
 
-    def test_requires_two_edge_connected(self):
+    def test_requires_two_edge_connected(self, tmp_path, capsys):
+        from graphdivisors.cli import main
+
         g = build_graph(
             ["P1", "P2", "P3", "P4"],
             [("P1", "P2"), ("P2", "P3"), ("P3", "P1"), ("P3", "P4")],
         )
-        with pytest.raises(NotTwoEdgeConnectedError):
-            is_galois_point(g, Divisor.all_ones(g), "P1")
+        for call in (lambda: is_galois_point(g, Divisor.all_ones(g), "P1"),
+                     lambda: classify_galois_points(g, Divisor.all_ones(g)),
+                     lambda: verify_theorem(g)):
+            with pytest.raises(NotTwoEdgeConnectedError, match="graph has a bridge"):
+                call()
+        path = tmp_path / "bridged.json"
+        path.write_text(json.dumps(g.to_json()))
+        for command in ("classify", "verify-theorem"):
+            assert main([command, "--graph", str(path)]) == 2, command
+            out = capsys.readouterr()
+            assert out.out == "", command
+            assert out.err.startswith("error: graph has a bridge") and out.err.count("\n") == 1, command
 
     def test_requires_rank_two(self, k4):
         with pytest.raises(RankPreconditionError):

@@ -133,7 +133,7 @@ class TestAutomorphismGroup:
         rng = random.Random(23)
         for _ in range(10):
             g = oracles.random_connected_graph(rng, rng.randint(2, 5))
-            assert sorted(p.perm for p in automorphism_group(g)) == oracles.automorphism_perms_brute(g)
+            assert tuple(sorted(p.perm for p in automorphism_group(g))) == oracles.automorphism_perms_brute(g)
 
     def test_vertex_cap(self):
         g = generate("cycle:12")
@@ -188,7 +188,8 @@ class TestSubgroups:
                 assert got == oracles.subgroup_sets_brute(perms, m), (g, m)
 
     @pytest.mark.parametrize("spec", ["house4", "cycle:3", "cycle:4", "cycle:5", "cycle:6",
-                                      "wheel:5", "wheel:6", "complete:3", "complete:4"])
+                                      "wheel:5", "wheel:6", "wheel:7", "wheel:8", "complete:3",
+                                      "complete:4"])
     def test_matches_generator_subset_oracle(self, spec):
         full = automorphism_group(generate(spec))
         perms = [p.perm for p in full]
@@ -202,7 +203,7 @@ class TestSubgroups:
         # Harmonicity and fixing a vertex hold for a group iff they hold
         # for each element, so a pool filtered by either yields exactly
         # the subgroups that pass the filter, in the same order.
-        from graphdivisors.symmetry import _harmonic_element, _perm_order, _subgroups_in_order
+        from graphdivisors.symmetry import _drawn, _harmonic_element, _perm_order, _subgroups_in_order
 
         g = generate(spec)
         full = automorphism_group(g)
@@ -219,7 +220,7 @@ class TestSubgroups:
             for name, test in tests.items():
                 pool = [x for x in full.perms if x != identity and m % _perm_order(x) == 0 and test(x)]
                 expected = [h.perms for h in subs if all(map(test, h.perms))]
-                assert list(_subgroups_in_order(pool, m, n)) == expected, (spec, m, name)
+                assert list(_subgroups_in_order(*_drawn(pool, n), m, n)) == expected, (spec, m, name)
 
     def test_s5_subgroup_counts(self):
         full = automorphism_group(generate("complete:5"))
@@ -408,3 +409,33 @@ class TestHarmonicSubgroups:
     def test_complete_bipartite_at_order_6(self):
         labels = ["P1", "P2", "P3", "P4", "P5", "P6"]
         self.check(build_graph(labels, [(a, b) for a in labels[:4] for b in labels[4:]]), 6)
+
+    def test_cap_at_the_call_and_pool_drawn_at_the_first_read(self, monkeypatch):
+        # The vertex cap refuses before any group is read.  Without a pin
+        # nothing is drawn until the first group is asked for, and then
+        # the whole pool is.
+        import graphdivisors.symmetry as symmetry
+        from graphdivisors.symmetry import _harmonic_subgroups
+
+        for pin in (None, 0):
+            with pytest.raises(SizeCapExceededError):
+                _harmonic_subgroups(generate("cycle:12"), 2, pin)
+        real = symmetry._automorphisms
+        drawn = []
+
+        def counting(*args, **kwargs):
+            search = real(*args, **kwargs)
+
+            def counted(*bounds):
+                for x in search(*bounds):
+                    drawn.append(x)
+                    yield x
+
+            return counted
+
+        monkeypatch.setattr(symmetry, "_automorphisms", counting)
+        g = generate("complete:5")
+        groups = _harmonic_subgroups(g, 4)
+        assert drawn == []
+        next(groups)
+        assert drawn == list(real(g, m=4)())
