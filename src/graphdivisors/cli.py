@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit status: 0 for a computed answer (and for consistency checks that
-pass), 1 when a consistency check fails mathematically (verify-theorem,
-rr-check, classify, corpus), 2 for usage or input errors.
+A command's handler only computes: from the graph (None for `corpus`)
+and the parsed arguments it returns its JSON payload, its text lines
+and whether its check passed.  `main` alone loads the graph, writes
+stdout and sets the exit status: 0 for a computed answer or a passing
+check, 1 when a consistency check fails mathematically (verify-theorem,
+rr-check, classify, corpus), 2 for usage or input errors.  Run as a
+program, it ends by SIGPIPE when its stdout pipe is closed.
 
 `--format json` prints exactly what `json.dumps(payload, indent=2)`
 would: two-space indent, non-ASCII and control characters escaped, keys
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -69,25 +74,23 @@ def _parse_divisor(g: Graph, text: str | None, flag: str = "--divisor") -> Divis
         return Divisor.all_ones(g)
     if text == "zero":
         return Divisor.zero(g)
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliUsageError(f"{flag}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise CliUsageError(f"{flag}: expected a JSON object of vertex coefficients")
-    return Divisor.from_json(g, obj)
+    return Divisor.from_json(g, _json_option(text, flag, dict, "object of vertex coefficients"))
 
 
 def _parse_subgroup(g: Graph, text: str | None) -> Subgroup:
     if text is None:
         return automorphism_group(g)
+    return Subgroup.from_generators(g, _json_option(text, "--subgroup", list, "list of vertex mappings"))
+
+
+def _json_option(text: str, flag: str, kind: type, expected: str):
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliUsageError(f"--subgroup: invalid JSON ({exc})") from None
-    if not isinstance(obj, list):
-        raise CliUsageError("--subgroup: expected a JSON list of vertex mappings")
-    return Subgroup.from_generators(g, obj)
+        raise CliUsageError(f"{flag}: invalid JSON ({exc})") from None
+    if not isinstance(obj, kind):
+        raise CliUsageError(f"{flag}: expected a JSON {expected}")
+    return obj
 
 
 class CliUsageError(Exception):
@@ -175,33 +178,19 @@ def _encode(value, at: _Depth) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_gen(args) -> int:
-    g = _load_graph(args)
-    _emit(args, g.to_json(), [
+def _cmd_gen(g: Graph, args) -> tuple:
+    return g.to_json(), [
         "vertices: " + " ".join(g.vertices),
         "edges: " + " ".join(f"{u}-{v}" for u, v in g.edges),
-    ])
-    return 0
+    ], True
 
 
-def _cmd_rank(args) -> int:
-    g = _load_graph(args)
-    d = _parse_divisor(g, args.divisor)
-    r = rank(g, d, args.cap)
-    _emit(args, {"rank": r}, [str(r)])
-    return 0
+def _cmd_rank(g: Graph, args) -> tuple:
+    r = rank(g, _parse_divisor(g, args.divisor), args.cap)
+    return {"rank": r}, [str(r)], True
 
 
-def _cmd_reduce(args) -> int:
-    g = _load_graph(args)
+def _cmd_reduce(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor)
     base = args.base if args.base is not None else g.vertices[0]
     reduced, witness = q_reduce_with_witness(g, d, base)
@@ -221,73 +210,56 @@ def _cmd_reduce(args) -> int:
         "witness": witness.as_dict(),
         "is_reduced": is_reduced,
     }
-    _emit(args, payload, [str(reduced)])
-    return 0
+    return payload, [str(reduced)], True
 
 
-def _cmd_equiv(args) -> int:
-    g = _load_graph(args)
+def _cmd_equiv(g: Graph, args) -> tuple:
     d1 = _parse_divisor(g, args.divisor)
     d2 = _parse_divisor(g, args.divisor2, flag="--divisor2")
     eq = linearly_equivalent(g, d1, d2)
-    _emit(args, {"equivalent": eq}, ["true" if eq else "false"])
-    return 0
+    return {"equivalent": eq}, ["true" if eq else "false"], True
 
 
-def _cmd_linsys(args) -> int:
-    g = _load_graph(args)
+def _cmd_linsys(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor)
     members = sorted(linear_system(g, d, args.cap), key=lambda e: e.coeffs)
     payload = {"degree": d.degree, "count": len(members), "divisors": [e.to_json() for e in members]}
-    _emit(args, payload, [str(e) for e in members] or ["(empty)"])
-    return 0
+    return payload, [str(e) for e in members] or ["(empty)"], True
 
 
-def _cmd_aut(args) -> int:
-    g = _load_graph(args)
+def _cmd_aut(g: Graph, args) -> tuple:
     full = automorphism_group(g)
-    payload = {"order": full.order, "elements": full.to_json()}
-    _emit(args, payload, [f"order {full.order}"] + [a.cycle_notation() for a in full.elements])
-    return 0
+    lines = [f"order {full.order}"] + [a.cycle_notation() for a in full.elements]
+    return {"order": full.order, "elements": full.to_json()}, lines, True
 
 
-def _cmd_subgroups(args) -> int:
-    g = _load_graph(args)
+def _cmd_subgroups(g: Graph, args) -> tuple:
     if args.order is None:
         raise CliUsageError("--order is required for this command")
-    full = automorphism_group(g)
-    subs = subgroups_of_order(full, args.order)
+    subs = subgroups_of_order(automorphism_group(g), args.order)
     payload = {"order": args.order, "count": len(subs), "subgroups": [s.to_json() for s in subs]}
     lines = [f"{len(subs)} subgroup(s) of order {args.order}"]
-    for s in subs:
-        lines.append("  {" + ", ".join(a.cycle_notation() for a in s.elements) + "}")
-    _emit(args, payload, lines)
-    return 0
+    lines += ["  {" + ", ".join(a.cycle_notation() for a in s.elements) + "}" for s in subs]
+    return payload, lines, True
 
 
-def _cmd_quotient(args) -> int:
-    g = _load_graph(args)
-    h = _parse_subgroup(g, args.subgroup)
-    q = quotient_graph(g, h)
+def _cmd_quotient(g: Graph, args) -> tuple:
+    q = quotient_graph(g, _parse_subgroup(g, args.subgroup))
     lines = ["vertices: " + " ".join(q.vertices)]
     for c in q.edge_classes:
         lines.append(f"class {c.key}: {c.endpoints[0]}-{c.endpoints[1]} "
                      f"({' '.join(f'{u}-{v}' for u, v in c.members)})")
-    _emit(args, q.to_json(), lines)
-    return 0
+    return q.to_json(), lines, True
 
 
-def _cmd_harmonic(args) -> int:
-    g = _load_graph(args)
+def _cmd_harmonic(g: Graph, args) -> tuple:
     h = _parse_subgroup(g, args.subgroup)
     result = acts_harmonically(g, h, args.mode)
-    _emit(args, {"harmonic": result, "mode": args.mode, "order": h.order},
-          ["true" if result else "false"])
-    return 0
+    payload = {"harmonic": result, "mode": args.mode, "order": h.order}
+    return payload, ["true" if result else "false"], True
 
 
-def _cmd_galois(args) -> int:
-    g = _load_graph(args)
+def _cmd_galois(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor or "all-ones")
     if args.vertex is None:
         raise CliUsageError("--vertex is required for this command")
@@ -299,27 +271,19 @@ def _cmd_galois(args) -> int:
                  f"  E2 = {cert.e2}"]
     else:
         lines = [f"{cert.vertex}: not a galois point ({cert.reason.describe()})"]
-    _emit(args, cert.to_json(), lines)
-    return 0
+    return cert.to_json(), lines, True
 
 
-def _cmd_classify(args) -> int:
-    g = _load_graph(args)
-    d = _parse_divisor(g, args.divisor or "all-ones")
-    report = classify_galois_points(g, d, args.cap)
+def _cmd_classify(g: Graph, args) -> tuple:
+    report = classify_galois_points(g, _parse_divisor(g, args.divisor or "all-ones"), args.cap)
     lines = [f"rank {report.rank}, galois points: {report.galois_count}"]
-    for c in report.certificates:
-        if c.verdict:
-            lines.append(f"  {c.vertex}: galois")
-        else:
-            lines.append(f"  {c.vertex}: no ({c.reason.describe()})")
+    lines += [f"  {c.vertex}: galois" if c.verdict else f"  {c.vertex}: no ({c.reason.describe()})"
+              for c in report.certificates]
     lines.append("corollary consistent" if report.corollary_consistent else "COROLLARY VIOLATED")
-    _emit(args, report.to_json(), lines)
-    return 0 if report.corollary_consistent else 1
+    return report.to_json(), lines, report.corollary_consistent
 
 
-def _cmd_verify_theorem(args) -> int:
-    g = _load_graph(args)
+def _cmd_verify_theorem(g: Graph, args) -> tuple:
     check = verify_theorem(g, args.cap)
     lines = [
         f"complete: {'yes' if check.is_complete else 'no'}",
@@ -328,32 +292,27 @@ def _cmd_verify_theorem(args) -> int:
     ]
     if check.is_complete:
         lines.append(f"all vertices galois: {'yes' if check.all_vertices_galois else 'NO'}")
-    _emit(args, check.to_json(), lines)
-    return 0 if check.consistent else 1
+    return check.to_json(), lines, check.consistent
 
 
-def _cmd_rr_check(args) -> int:
-    g = _load_graph(args)
-    d = _parse_divisor(g, args.divisor)
-    check = riemann_roch_check(g, d, args.cap)
+def _cmd_rr_check(g: Graph, args) -> tuple:
+    check = riemann_roch_check(g, _parse_divisor(g, args.divisor), args.cap)
     lines = [
         f"rank(D) = {check.rank}, rank(K-D) = {check.canonical_rank}",
         f"lhs {check.lhs} vs rhs {check.rhs} (deg {check.degree}, genus {check.genus})",
         "identity holds" if check.holds else "IDENTITY VIOLATED",
     ]
-    _emit(args, check.to_json(), lines)
-    return 0 if check.holds else 1
+    return check.to_json(), lines, check.holds
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(g: None, args) -> tuple:
     result = enumerate_corpus(args.n, cap=args.cap)
     failures = [r for r in result.records if not (r.theorem_consistent and r.corollary_consistent)]
     lines = [
         f"n={result.n}: {result.graphs_tested} two-edge-connected labeled graphs",
         f"consistent: {'all' if result.all_consistent else f'{len(failures)} failures'}",
     ]
-    _emit(args, result.to_json(), lines)
-    return 0 if result.all_consistent else 1
+    return result.to_json(), lines, result.all_consistent
 
 
 _FAMILY = ("--family", {"help": "inline family spec, e.g. complete:5, wheel:6, cycle:4, house4"})
@@ -370,7 +329,8 @@ def _graph_options(*extra, divisor: bool = False, cap: bool = False) -> tuple:
             + ((_CAP,) if cap else ()) + extra)
 
 
-# name -> (help, handler, options as (flag, add_argument keywords))
+# name -> (help, handler(g, args) -> (payload, text lines, passed),
+#          options as (flag, add_argument keywords))
 _COMMANDS = {
     "gen": ("emit a named family graph", _cmd_gen, _graph_options()),
     "rank": ("rank of a divisor", _cmd_rank, _graph_options(divisor=True, cap=True)),
@@ -419,11 +379,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(dest="command", required=True,
                                     metavar="{" + ",".join(_COMMANDS) + "}")
         chosen = {command: _COMMANDS[command]}
-    for name, (help_text, handler, options) in chosen.items():
+    for name, (help_text, _, options) in chosen.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
-        p.set_defaults(func=handler)
     return parser
 
 
@@ -432,14 +391,25 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    _, handler, options = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        g = _load_graph(args) if _FAMILY in options else None
+        payload, text_lines, passed = handler(g, args)
+        if args.format == "json":
+            print(_dumps(payload))
+        else:
+            for line in text_lines:
+                print(line)
     except (CliUsageError, GraphDivisorsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if passed else 1
 
 
 def console_main() -> None:
+    # Here and not in `main`, which tests and benchmarks call in-process.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -30,7 +30,7 @@ from .errors import (
     GraphMismatchError,
     MissingVertexValueError,
 )
-from .graphs import Graph, _bfs_distances
+from .graphs import Graph, _bfs_distances, genus
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -498,9 +498,10 @@ def q_reduce(g: "Graph", d: Divisor, q: str) -> Divisor:
 def linearly_equivalent(g: "Graph", d1: Divisor, d2: Divisor) -> bool:
     """True iff d1 - d2 is principal.
 
-    Decided by comparing reduced forms at the canonical base vertex
-    (the first vertex in construction order); correct for any base by
-    uniqueness of the reduced representative.
+    Decided by one reduction of d1 - d2 at the canonical base vertex
+    (the first vertex in construction order): a divisor of degree 0 is
+    principal iff its reduced form is 0, since 0 is reduced and the
+    reduced representative of a class is unique.
     """
     _check_bound(g, d1)
     _check_bound(g, d2)
@@ -508,9 +509,8 @@ def linearly_equivalent(g: "Graph", d1: Divisor, d2: Divisor) -> bool:
         return True
     if d1.degree != d2.degree:
         return False
-    r1, _ = _reduce_coeffs(g, list(d1.coeffs), 0)
-    r2, _ = _reduce_coeffs(g, list(d2.coeffs), 0)
-    return r1 == r2
+    reduced, _ = _reduce_coeffs(g, [a - b for a, b in zip(d1.coeffs, d2.coeffs)], 0)
+    return not any(reduced)
 
 
 def _require_enumerable(k: int, n: int, cap: int | None) -> None:
@@ -625,16 +625,16 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     """
     _check_bound(g, d)
     k = d.degree
-    genus = len(g._edges_idx) - len(g._adj) + 1
-    if k <= 2 * genus - 2:
-        if k < genus - 1:
+    gen = genus(g)
+    if k <= 2 * gen - 2:
+        if k < gen - 1:
             return _rank_walk(g, d, cap)
-        delta = k + 1 - genus
+        delta = k + 1 - gen
         return _rank_walk(g, canonical_divisor(g) - d, cap, delta) + delta
     n, capv = len(g._adj), _resolve_cap(cap)
-    if _past_cap(k - genus, n, capv):
+    if _past_cap(k - gen, n, capv):
         _refuse(n, capv)
-    return k - genus
+    return k - gen
 
 
 def _refusal_degree(n: int, capv: int) -> int:

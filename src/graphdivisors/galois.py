@@ -531,7 +531,8 @@ def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannR
     r_d = _rank_walk(g, d, cap)
     r_kd = _rank_walk(g, k - d, cap)
     lhs = r_d - r_kd
-    rhs = d.degree + 1 - genus(g)
+    gen = genus(g)
+    rhs = d.degree + 1 - gen
     return RiemannRochCheck(
         holds=lhs == rhs,
         rank=r_d,
@@ -539,7 +540,7 @@ def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannR
         lhs=lhs,
         rhs=rhs,
         degree=d.degree,
-        genus=genus(g),
+        genus=gen,
     )
 
 

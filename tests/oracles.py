@@ -4,7 +4,8 @@ Nothing here shares code with the package's fast paths: connectivity
 and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
 definition with full enumerations, group enumeration filters raw
-permutations or closes small generating sets, and `reduce_one_chip`
+permutations (networkx's VF2 matcher lists them from nine vertices up)
+or closes small generating sets, and `reduce_one_chip`
 reduces with a burning loop that fires one chip per round.
 `smoothness_by_rank` decides the smoothness conditions by their
 definition, one rank per condition, where the library reads them off a
@@ -271,11 +272,38 @@ def reduce_one_chip(g: Graph, coeffs: list[int], q: int) -> tuple[list[int], lis
                     coeffs[w] += 1
 
 
+# From this many vertices up the n! walk takes a second or more (1.2 s
+# at 9, 11 s at 10), and networkx's VF2 matcher lists the automorphisms
+# instead.  VF2 is the slower of the two on small dense graphs (K7 0.8 s
+# against 0.1 s).
+VF2_VERTICES = 9
+
+
 @cache
 def automorphism_perms_brute(g: Graph) -> tuple:
     """Every permutation that maps edges to edges, sorted.  Memoised per
     graph (equal graphs share an entry), so the result is a tuple that
     no caller can change for another."""
+    if len(g.vertices) >= VF2_VERTICES:
+        return automorphism_perms_vf2(g)
+    return automorphism_perms_by_permutations(g)
+
+
+def automorphism_perms_vf2(g: Graph) -> tuple:
+    """The automorphisms as networkx's VF2 matcher finds them, sorted."""
+    from networkx import Graph as NxGraph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    n = len(g.vertices)
+    nx_graph = NxGraph()
+    nx_graph.add_nodes_from(range(n))
+    nx_graph.add_edges_from(g._edges_idx)
+    return tuple(sorted(tuple(m[i] for i in range(n))
+                        for m in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter()))
+
+
+def automorphism_perms_by_permutations(g: Graph) -> tuple:
+    """The automorphisms filtered from all n! permutations, sorted."""
     n = len(g.vertices)
     edge_set = g._edge_set
     out = []

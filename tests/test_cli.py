@@ -1,6 +1,14 @@
+import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import graphdivisors.cli
 
 from graphdivisors import Divisor, GaloisCertificate, Graph, generate, is_galois_point
 from graphdivisors.cli import main
@@ -191,6 +199,90 @@ class TestCheckCommands:
         payload = json.loads(out)
         assert payload["graphs_tested"] == 10
         assert payload["all_consistent"] is True
+
+
+class TestFailedChecksExitOne:
+    """Exit status 1 means a mathematical check failed.  The library's
+    checks all pass on real graphs, so each is swapped for one that
+    reports a failure: a real result with its verdict turned over."""
+
+    @staticmethod
+    def failing(monkeypatch, name, **changes):
+        real = getattr(graphdivisors.cli, name)
+
+        def fake(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), **changes)
+
+        monkeypatch.setattr(graphdivisors.cli, name, fake)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_classify(self, capsys, monkeypatch, fmt):
+        self.failing(monkeypatch, "classify_galois_points", corollary_consistent=False)
+        code, out, err = run(capsys, "classify", "--family", "wheel:5", "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["corollary_consistent"] is False
+        else:
+            assert out.splitlines()[-1] == "COROLLARY VIOLATED"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_theorem(self, capsys, monkeypatch, fmt):
+        self.failing(monkeypatch, "verify_theorem", equivalence_holds=False)
+        code, out, err = run(capsys, "verify-theorem", "--family", "house4", "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["equivalence_holds"] is False
+        else:
+            assert "equivalence holds: no" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rr_check(self, capsys, monkeypatch, fmt):
+        self.failing(monkeypatch, "riemann_roch_check", holds=False)
+        code, out, err = run(capsys, "rr-check", "--family", "house4", "--divisor", "all-ones",
+                             "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["holds"] is False
+        else:
+            assert out.splitlines()[-1] == "IDENTITY VIOLATED"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_corpus(self, capsys, monkeypatch, fmt):
+        real = graphdivisors.cli.enumerate_corpus
+
+        def fake(*args, **kwargs):
+            result = real(*args, **kwargs)
+            first = dataclasses.replace(result.records[0], theorem_consistent=False)
+            return dataclasses.replace(result, records=(first, *result.records[1:]), all_consistent=False)
+
+        monkeypatch.setattr(graphdivisors.cli, "enumerate_corpus", fake)
+        code, out, err = run(capsys, "corpus", "--n", "4", "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["all_consistent"] is False
+            assert [g["theorem_consistent"] for g in payload["graphs"]].count(False) == 1
+        else:
+            assert out.splitlines()[-1] == "consistent: 1 failures"
+
+
+def test_closed_stdout_pipe_ends_the_program_by_sigpipe():
+    # As `... | head -1` does: read one line, then close the pipe.  The
+    # output of corpus --n 6 is far larger than a pipe's buffer.
+    src = str(Path(graphdivisors.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "graphdivisors.cli", "corpus", "--n", "6", "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert first == b"{\n"
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 class TestCorpusApi:
