@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _drop_chip, _members, _rank_walk, _reduce_coeffs, _require_enumerable
+from .divisors import _check_bound, _drop_chip, _members, _rank_walk, _reduce_coeffs, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -469,8 +469,7 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     The cache serves `enumerate_corpus`, which passes every labeled
     graph of an isomorphism class as the same representative (g, d).
     """
-    if d.graph != g:
-        raise GraphMismatchError("divisor is bound to a different graph")
+    _check_bound(g, d)
     _require_two_edge_connected(g)
     all_ones = d == Divisor.all_ones(g)
     r = rank(g, d, cap)
@@ -525,8 +524,7 @@ def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannR
     Both ranks come from `_rank_walk` on their own divisor, since `rank`
     takes one of them from the other by this very identity.
     """
-    if d.graph != g:
-        raise GraphMismatchError("divisor is bound to a different graph")
+    _check_bound(g, d)
     k = canonical_divisor(g)
     r_d = _rank_walk(g, d, cap)
     r_kd = _rank_walk(g, k - d, cap)
@@ -549,22 +547,38 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     """Re-verify a certificate without trusting the search that built it.
 
     Returns a list of problems; an empty list means the certificate is
-    sound.  Positive verdicts get every witness condition rechecked
-    (group axioms, order, harmonicity, quotient size, fixedness, and
-    membership of both divisors in the linear system via independent
-    equivalence checks).  Negative verdicts must reproduce their stated
-    failure; a NoQualifyingSubgroup verdict also needs the ranks that
-    put its vertex in the search, checked by `rank` alone, and its count
-    is redone over both passes of the harmonic subgroups, without the
-    search's arithmetic shortcuts.
+    sound.  One derivation of the decision, by `rank` alone, serves
+    every certificate: RankNotTwo when rank(d) is not 2, else Cond1Fail
+    when rank(d - p) is not 1, else Cond2Fail at the first q in vertex
+    order with rank(d - p - q) not 0, else nothing.  A positive verdict
+    must derive nothing, and then gets every witness condition
+    rechecked (group axioms, order, harmonicity, quotient size,
+    fixedness, and membership of both divisors in the linear system via
+    independent equivalence checks).  A negative verdict must carry the
+    derived reason as a whole; where nothing is derived, the harmonic
+    subgroups of order deg(d) - 1 are recounted in one unpinned pass,
+    without the search's pinned pass or its arithmetic shortcuts, and
+    must give the recorded NoQualifyingSubgroup.
     """
     problems: list[str] = []
+    p = cert.vertex
     try:
-        g.index_of(cert.vertex)
+        g.index_of(p)
     except UnknownVertexError:
-        return [f"certificate names unknown vertex {cert.vertex!r}"]
+        return [f"certificate names unknown vertex {p!r}"]
+    dp = d - Divisor.vertex(g, p)
+    derived = None
+    if (r := rank(g, d, cap)) != 2:
+        derived = RankNotTwo(r)
+    elif (r := rank(g, dp, cap)) != 1:
+        derived = Cond1Fail(p, r)
+    else:
+        ranks = ((q, rank(g, dp - Divisor.vertex(g, q), cap)) for q in g.vertices)
+        derived = next((Cond2Fail(p, q, r) for q, r in ranks if r), None)
 
     if cert.verdict:
+        if derived is not None:
+            return [f"{derived.describe()}, so {p} cannot be a Galois point"]
         h = cert.subgroup
         if h is None or cert.e1 is None or cert.e2 is None or cert.quotient_vertex_count is None:
             return ["positive certificate is missing witnesses"]
@@ -583,7 +597,6 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
             problems.append("witness subgroup does not act harmonically")
         if cert.e1 == cert.e2:
             problems.append("fixed divisors are not distinct")
-        dp = d - Divisor.vertex(g, cert.vertex)
         for name, e in (("E1", cert.e1), ("E2", cert.e2)):
             if not e.is_effective:
                 problems.append(f"{name} is not effective")
@@ -606,36 +619,17 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
                     break
         return problems
 
-    reason = cert.reason
-    if reason is None:
+    if cert.reason is None:
         return ["negative certificate carries no reason"]
-    if isinstance(reason, (RankNotTwo, Cond1Fail, Cond2Fail)):
-        # The rank of d, d - p or d - p - q, which must not be 2, 1 or 0.
-        removed = [getattr(reason, f) for f in ("vertex", "other") if hasattr(reason, f)]
-        probe = d
-        for label in removed:
-            probe = probe - Divisor.vertex(g, label)
-        r = rank(g, probe, cap)
-        if r == 2 - len(removed) or r != reason.rank:
-            problems.append(f"recorded rank {reason.rank} does not reproduce (got {r})")
-    elif isinstance(reason, NoQualifyingSubgroup):
-        # The search runs only where rank(d) = 2, rank(d - p) = 1 and
-        # rank(d - p - q) = 0 for every q.
-        p = cert.vertex
-        dp = d - Divisor.vertex(g, p)
-        probes = [(d, 2, "d"), (dp, 1, f"d - {p}")]
-        probes += [(dp - Divisor.vertex(g, q), 0, f"d - {p} - {q}") for q in g.vertices]
-        for probe, want, name in probes:
-            r = rank(g, probe, cap)
-            if r != want:
-                return [f"rank({name}) is {r}, not {want}, so no subgroup search applies"]
-        pi, m = g.index_of(p), dp.degree
-        groups = chain(_harmonic_subgroups(g, m, pi), _moving(g, m, pi))
+    if derived is None:
+        m = dp.degree
+        groups = _harmonic_subgroups(g, m)
         _require_enumerable(m, len(g.vertices), cap)
         red, _ = _reduce_coeffs(g, list(dp.coeffs), 0)
         again = _first_witness(g, p, red, groups)
         if again.verdict:
-            problems.append("a qualifying subgroup exists after all")
-        elif again.reason != reason:
-            problems.append(f"recorded {reason}, the search gives {again.reason}")
+            return ["a qualifying subgroup exists after all"]
+        derived = again.reason
+    if cert.reason != derived:
+        problems.append(f"recorded {cert.reason}, the decision gives {derived}")
     return problems

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .divisors import Divisor
@@ -200,7 +200,14 @@ class Subgroup:
         gens = [_as_perm(graph, e) for e in generators]
         for p in gens:
             Automorphism(graph, p)  # validates
-        closure = _closure(gens, len(graph.vertices))
+        # No larger than the largest group `automorphism_group` lists.
+        cap = factorial(DEFAULT_AUTOMORPHISM_VERTEX_CAP)
+        closure = _closure(gens, len(graph.vertices), cap)
+        if closure is None:
+            raise SizeCapExceededError(
+                f"subgroup generation is capped at {cap} elements "
+                f"({DEFAULT_AUTOMORPHISM_VERTEX_CAP}!), the generators give more"
+            )
         return cls(graph, closure, _checked=True)
 
     @property

@@ -417,6 +417,18 @@ class TestUsageErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err and out == ""
 
+    def test_subgroup_past_the_generation_cap(self, capsys, monkeypatch):
+        # S5 from a swap and a 5-cycle, with the cap lowered to 4! elements.
+        monkeypatch.setattr(graphdivisors.symmetry, "DEFAULT_AUTOMORPHISM_VERTEX_CAP", 4)
+        vertices = [f"P{i}" for i in range(1, 6)]
+        swap = {"P1": "P2", "P2": "P1", "P3": "P3", "P4": "P4", "P5": "P5"}
+        cycle = dict(zip(vertices, vertices[1:] + vertices[:1]))
+        for command in ("quotient", "harmonic"):
+            code, out, err = run(capsys, command, "--family", "complete:5",
+                                 "--subgroup", json.dumps([swap, cycle]))
+            assert code == 2 and out == ""
+            assert err == "error: subgroup generation is capped at 24 elements (4!), the generators give more\n"
+
     @pytest.mark.parametrize("command", ["gen", "equiv", "aut", "subgroups --order 3", "quotient", "harmonic"])
     def test_cap_only_on_commands_that_use_it(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from graphdivisors import (
     DisconnectedError,
     Divisor,
     GaloisCertificate,
+    GraphMismatchError,
     NoQualifyingSubgroup,
     NotTwoEdgeConnectedError,
     RankNotTwo,
@@ -149,6 +151,10 @@ class TestFixedMembers:
         )
         assert fixed_members(h, {Divisor(k4, {"P2": 1, "P3": 2})}) == frozenset()
 
+    def test_divisor_on_another_graph_raises(self, k4, w5):
+        with pytest.raises(GraphMismatchError):
+            fixed_members(Subgroup.trivial(k4), [Divisor.all_ones(w5)])
+
 
 class TestIsGaloisPoint:
     def test_k4_every_vertex_with_expected_witness(self, k4):
@@ -287,8 +293,8 @@ class TestAudit:
     def test_arithmetic_shortcut_is_checked_not_trusted(self, monkeypatch):
         # With an orbit test that wrongly ruled out every order, K5's
         # witnesses would come out as NoQualifyingSubgroup(4, 0).  The
-        # audit recounts through both passes of the subgroup search, so
-        # it rejects each of them.
+        # audit recounts in one unpinned pass over the harmonic
+        # subgroups, with no arithmetic shortcut, so it rejects each of them.
         import graphdivisors.galois as galois
 
         g = generate("complete:5")
@@ -298,6 +304,74 @@ class TestAudit:
         assert {c.reason for c in report.certificates} == {NoQualifyingSubgroup(4, 0)}
         for cert in report.certificates:
             assert audit_certificate(g, d, cert) == ["a qualifying subgroup exists after all"]
+
+    def test_pinned_pass_is_checked_not_trusted(self, monkeypatch):
+        # With a pinned pass that wrongly found nothing, K5's witnesses
+        # would come out as NoQualifyingSubgroup(4, 16), the count of the
+        # groups that move the vertex.  The audit's one unpinned pass
+        # reaches the groups that fix it, so it rejects each of them.
+        import graphdivisors.galois as galois
+
+        real = galois._harmonic_subgroups
+        monkeypatch.setattr(galois, "_harmonic_subgroups",
+                            lambda g, m, pin=None: iter(()) if pin is not None else real(g, m))
+        g = generate("complete:5")
+        d = Divisor.all_ones(g)
+        report = classify_galois_points.__wrapped__(g, d)
+        assert {c.reason for c in report.certificates} == {NoQualifyingSubgroup(4, 16)}
+        for cert in report.certificates:
+            assert audit_certificate(g, d, cert) == ["a qualifying subgroup exists after all"]
+
+    def test_positive_needs_rank_two(self, house4):
+        # d has rank 1, so every vertex is RankNotTwo(1); the witness
+        # itself (a swap fixing two members of |d - P1|) checks out.
+        d = Divisor(house4, {"P1": 1, "P2": 2})
+        assert {c.reason for c in classify_galois_points(house4, d).certificates} == {RankNotTwo(1)}
+        swap = {"P1": "P3", "P2": "P2", "P3": "P1", "P4": "P4"}
+        forged = {"vertex": "P1", "verdict": True,
+                  "subgroup": [{v: v for v in house4.vertices}, swap],
+                  "E1": {"P4": 2}, "E2": {"P2": 2}, "quotient_vertex_count": 3}
+        for cert in (GaloisCertificate.from_json(house4, forged),
+                     GaloisCertificate("P1", True, Subgroup.from_generators(house4, [swap]),
+                                       Divisor(house4, {"P4": 2}), Divisor(house4, {"P2": 2}), 3)):
+            assert audit_certificate(house4, d, cert) == [
+                "divisor has rank 1, not 2, so P1 cannot be a Galois point"]
+
+    @pytest.mark.parametrize("family, reason, derived", [
+        # The all-ones divisor on cycle:5 has rank 4, so RankNotTwo(4) comes first.
+        ("cycle:5", Cond1Fail("P1", 3), RankNotTwo(4)),
+        ("cycle:5", Cond2Fail("P1", "P2", 2), RankNotTwo(4)),
+        # rank(d - P2 - P5) is 1 on wheel:6, but P4 comes first.
+        ("wheel:6", Cond2Fail("P2", "P5", 1), Cond2Fail("P2", "P4", 1)),
+    ])
+    def test_negative_must_be_the_derived_reason(self, family, reason, derived):
+        g = generate(family)
+        d = Divisor.all_ones(g)
+        assert classify_galois_points(g, d).certificates[g.index_of(reason.vertex)].reason == derived
+        fake = GaloisCertificate(vertex=reason.vertex, verdict=False, reason=reason)
+        assert audit_certificate(g, d, fake) == [f"recorded {reason}, the decision gives {derived}"]
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda g, c: replace(c, vertex="P9"), "certificate names unknown vertex 'P9'"),
+        (lambda g, c: replace(c, e2=None), "positive certificate is missing witnesses"),
+        (lambda g, c: replace(c, subgroup=Subgroup(g, frozenset({(0, 1, 2, 3), (0, 2, 3, 1)}), _checked=True)),
+         "witness subgroup is invalid: element set is not closed under composition"),
+        (lambda g, c: replace(c, quotient_vertex_count=c.quotient_vertex_count + 1),
+         "recorded quotient vertex count does not match the orbit count"),
+        # The Klein four-group is transitive on K4.
+        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 0, 3, 2), (2, 3, 0, 1)])),
+         "quotient has a single vertex"),
+        (lambda g, c: replace(c, e1=Divisor(g, {"P2": 4, "P3": -1})), "E1 is not effective"),
+        # A 3-cycle through P1 fixes P4 only: harmonic, but it moves P1 and d - P1.
+        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
+         "Automorphism((P1 P2 P3)) moves the certified vertex"),
+        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
+         "Automorphism((P1 P2 P3)) moves the punctured divisor"),
+        (lambda g, c: GaloisCertificate(vertex="P1", verdict=False), "negative certificate carries no reason"),
+    ])
+    def test_each_tampering_is_named(self, k4, tamper, message):
+        d = Divisor.all_ones(k4)
+        assert message in audit_certificate(k4, d, tamper(k4, is_galois_point(k4, d, "P1")))
 
     @pytest.mark.parametrize("family, vertex, reason", [
         # The search at P1 gives NoQualifyingSubgroup(3, 0): the order differs.
@@ -314,6 +388,10 @@ class TestAudit:
 
 
 class TestClassification:
+    def test_divisor_on_another_graph_raises(self, k4, w5):
+        with pytest.raises(GraphMismatchError):
+            classify_galois_points(k4, Divisor.all_ones(w5))
+
     def test_k5_all_vertices(self):
         g = generate("complete:5")
         report = classify_galois_points(g, Divisor.all_ones(g))
@@ -403,6 +481,10 @@ class TestRiemannRoch:
             d = oracles.random_divisor(rng, g)
             check = riemann_roch_check(g, d)
             assert check.holds, (g.to_json(), d.to_json())
+
+    def test_divisor_on_another_graph_raises(self, k4, w5):
+        with pytest.raises(GraphMismatchError):
+            riemann_roch_check(k4, Divisor.all_ones(w5))
 
 
 def _count_draws(monkeypatch, drawn):

@@ -152,6 +152,19 @@ class TestSubgroups:
         h = Subgroup.from_generators(k4, [s])
         assert h.order == 3
 
+    def test_from_generators_capped_at_the_largest_listed_group(self, monkeypatch):
+        # The cap is the order of Aut(K_n) for n = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+        # read at the call: with 4, S5 (order 120) is refused, C5 is not.
+        import graphdivisors.symmetry as symmetry
+
+        monkeypatch.setattr(symmetry, "DEFAULT_AUTOMORPHISM_VERTEX_CAP", 4)
+        k5 = generate("complete:5")
+        five_cycle = rotation(k5, list(k5.vertices))
+        swap = rotation(k5, ["P1", "P2"])
+        with pytest.raises(SizeCapExceededError, match="capped at 24 elements"):
+            Subgroup.from_generators(k5, [swap, five_cycle])
+        assert Subgroup.from_generators(k5, [five_cycle]).order == 5
+
     def test_k4_order_3_count(self, k4):
         subs = subgroups_of_order(automorphism_group(k4), 3)
         assert len(subs) == 4
