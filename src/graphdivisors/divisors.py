@@ -446,9 +446,6 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     n = len(coeffs)
     adj = g._adj
     fires = [0] * n
-    if n == 1:
-        return coeffs, fires
-
     layers = _layers(g, q)
     _clear_debt(layers, coeffs, fires)
     fires_q = fires[q]
@@ -613,28 +610,23 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
     """Rank of the divisor class of d, from the cheaper side of
     Riemann-Roch (Baker-Norine): r(d) - r(K - d) = deg(d) + 1 - g.
 
-    Above degree 2g - 2, K - d has negative degree, so r(d) = deg(d) - g
-    with no walk.  From degree g - 1 up, r(K - d) <= r(d), and
-    `_rank_walk` walks K - d with its limit lowered by delta =
-    deg(d) + 1 - g, which it then adds back.  Below g - 1 it walks d.
-    The walk's cost grows with the rank it certifies, so each branch
-    certifies the smaller of the two ranks.  Every branch refuses
-    exactly where the walk of d would, with the same message,
-    `required` and `cap`: past the cap iff r(d) >= s - 1 (see
+    From degree g - 1 up, r(K - d) <= r(d), and `_rank_walk` walks
+    K - d with its limit lowered by delta = deg(d) + 1 - g, which it
+    then adds back.  Below g - 1 it walks d.  The walk's cost grows with
+    the rank it certifies, so each branch certifies the smaller of the
+    two ranks.  Above 2g - 2 the walk of K - d returns at once: K - d
+    has negative degree, so its rank is -1 and r(d) = deg(d) - g.  Both
+    branches refuse exactly where the walk of d would, with the same
+    message, `required` and `cap`: past the cap iff r(d) >= s - 1 (see
     `_rank_walk`).
     """
     _check_bound(g, d)
     k = d.degree
     gen = genus(g)
-    if k <= 2 * gen - 2:
-        if k < gen - 1:
-            return _rank_walk(g, d, cap)
-        delta = k + 1 - gen
-        return _rank_walk(g, canonical_divisor(g) - d, cap, delta) + delta
-    n, capv = len(g._adj), _resolve_cap(cap)
-    if _past_cap(k - gen, n, capv):
-        _refuse(n, capv)
-    return k - gen
+    if k < gen - 1:
+        return _rank_walk(g, d, cap)
+    delta = k + 1 - gen
+    return _rank_walk(g, canonical_divisor(g) - d, cap, delta) + delta
 
 
 def _refusal_degree(n: int, capv: int) -> int:

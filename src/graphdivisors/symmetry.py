@@ -281,13 +281,13 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
     return frozenset(elems)
 
 
-def automorphism_group(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP) -> Subgroup:
+def automorphism_group(g: Graph, cap: int | None = None) -> Subgroup:
     """The full automorphism group of g, found by `_automorphisms`
     with no bound or prune beyond adjacency."""
     return Subgroup(g, frozenset(_automorphisms(g, cap)()), _checked=True)
 
 
-def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
+def _automorphisms(g: Graph, cap: int | None = None,
                    m: int | None = None, pin: int | None = None) -> Callable[..., Iterator[tuple[int, ...]]]:
     """Return search(last=None, rest=()), a function that yields, lazily
     and in sorted order, the automorphisms x of g after `last` with
@@ -295,7 +295,8 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     yields only the non-identity ones whose order divides m and that fix
     no vertex together with a neighbour; given pin, only those fixing
     that vertex, and every c in `rest` must then fix it too.  The vertex
-    cap is checked and the tables of g are built here, once for all the
+    cap (`DEFAULT_AUTOMORPHISM_VERTEX_CAP` when None, read at the call)
+    is checked and the tables of g are built here, once for all the
     searches the function starts.
 
     Exhaustive by construction: a backtracking search that gives vertex
@@ -323,6 +324,7 @@ def _automorphisms(g: Graph, cap: int = DEFAULT_AUTOMORPHISM_VERTEX_CAP,
     run out, dropped mid-way or never started.
     """
     n = len(g.vertices)
+    cap = DEFAULT_AUTOMORPHISM_VERTEX_CAP if cap is None else cap
     if n > cap:
         raise SizeCapExceededError(
             f"automorphism search is capped at {cap} vertices, graph has {n}"
@@ -788,7 +790,7 @@ def _harmonic_element(adj, p: tuple[int, ...]) -> bool:
 
 
 def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
-                      cap: int = DEFAULT_HARMONIC_DEFINITION_CAP) -> bool:
+                      cap: int | None = None) -> bool:
     """Whether h acts harmonically on g.
 
     criterion mode: no non-identity element may fix both a vertex and
@@ -796,7 +798,9 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
     incident edges).  definition mode: the quotient projection of every
     subgroup of h, including h itself and the trivial one, must be a
     harmonic morphism.  The two modes agree; the acceptance suite checks
-    this on every subgroup of every corpus graph.
+    this on every subgroup of every corpus graph.  Definition mode
+    refuses a group of more than cap elements
+    (`DEFAULT_HARMONIC_DEFINITION_CAP` when None, read at the call).
     """
     if h.graph != g:
         raise GraphMismatchError("subgroup acts on a different graph")
@@ -804,6 +808,7 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
         identity = tuple(range(len(g.vertices)))
         return all(_harmonic_element(g._adj, p) for p in h.perms if p != identity)
     if mode == "definition":
+        cap = DEFAULT_HARMONIC_DEFINITION_CAP if cap is None else cap
         if len(h.perms) > cap:
             raise SizeCapExceededError(
                 f"definition mode enumerates all subgroups; group order {len(h.perms)} "

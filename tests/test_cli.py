@@ -26,6 +26,11 @@ class TestQueryCommands:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_rank_of_the_zero_divisor(self, capsys):
+        code, out, _ = run(capsys, "rank", "--family", "complete:4", "--divisor", "zero")
+        assert code == 0
+        assert out == "0\n"
+
     def test_rank_negative_degree(self, capsys):
         code, out, _ = run(capsys, "rank", "--family", "complete:4", "--divisor", '{"P1": -1}')
         assert code == 0
@@ -175,6 +180,19 @@ class TestCheckCommands:
         assert payload["galois_vertices"] == ["P1"]
         verdicts = {c["vertex"]: c["verdict"] for c in payload["certificates"]}
         assert verdicts == {"P1": True, "P2": False, "P3": False, "P4": False, "P5": False}
+
+    def test_classify_text_names_each_failing_condition(self, capsys):
+        code, out, _ = run(capsys, "classify", "--family", "complete:4",
+                           "--divisor", '{"P1":1,"P2":1,"P3":1,"P4":2}')
+        assert code == 0
+        assert out.splitlines() == [
+            "rank 2, galois points: 0",
+            "  P1: no (rank after removing P1 and P4 is 1, not 0)",
+            "  P2: no (rank after removing P2 and P4 is 1, not 0)",
+            "  P3: no (rank after removing P3 and P4 is 1, not 0)",
+            "  P4: no (rank after removing P4 is 2, not 1)",
+            "corollary consistent",
+        ]
 
     def test_verify_theorem_exit_codes(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--family", "complete:5")
@@ -386,6 +404,29 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: invalid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, problem", [
+        ("galois --family complete:4", "--vertex is required"),
+        ("subgroups --family complete:4", "--order is required"),
+        ("subgroups --family complete:4 --order 0", "must be positive, got 0"),
+        ("rank --graph {missing} --divisor all-ones", "--graph: cannot read"),
+        ("rank --family complete:4 --divisor [1]", "--divisor: expected a JSON object"),
+        ("quotient --family complete:4 --subgroup {{}}", "--subgroup: expected a JSON list"),
+        ("harmonic --family complete:4 --subgroup {{}}", "--subgroup: expected a JSON list"),
+    ])
+    def test_one_error_line(self, capsys, tmp_path, argv, problem):
+        code, out, err = run(capsys, *argv.format(missing=tmp_path / "missing.json").split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and problem in err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
+    def test_non_integer_cap_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--family", "complete:4", "--divisor", "all-ones", "--cap", "x"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1].endswith("argument --cap: invalid int value: 'x'")
 
     def test_negative_cap_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exc:

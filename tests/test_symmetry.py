@@ -10,12 +10,14 @@ from graphdivisors import (
     InvalidMorphismError,
     SizeCapExceededError,
     Subgroup,
+    UnknownVertexError,
     VertexFunction,
     acts_harmonically,
     all_subgroups,
     apply_to_divisor,
     automorphism_group,
     build_graph,
+    classify_galois_points,
     generate,
     is_harmonic_morphism,
     laplacian_apply,
@@ -255,6 +257,19 @@ class TestSubgroups:
         h = automorphism_group(house4)
         assert Subgroup.from_json(house4, h.to_json()) == h
 
+    def test_membership_by_automorphism_tuple_or_neither(self, k4):
+        h = Subgroup.from_generators(k4, [rotation(k4, ["P2", "P3", "P4"])])
+        assert rotation(k4, ["P2", "P3", "P4"]) in h
+        assert rotation(k4, ["P1", "P2"]) not in h
+        assert (0, 2, 3, 1) in h
+        assert (1, 0, 2, 3) not in h
+        assert "P1" not in h
+        assert [0, 2, 3, 1] not in h
+
+    def test_order_zero_refused(self, k4):
+        with pytest.raises(ValueError, match="must be positive, got 0"):
+            subgroups_of_order(automorphism_group(k4), 0)
+
 
 class TestOrbitStabilizer:
     def test_rotation_orbits_on_k4(self, k4):
@@ -310,6 +325,13 @@ class TestQuotient:
         assert all(c.endpoints == ("P1", "P2") for c in q.edge_classes)
         assert is_harmonic_morphism(q.projection)
 
+    def test_edges_at_and_orbit_label(self, k4):
+        q = quotient_graph(k4, Subgroup.from_generators(k4, [rotation(k4, ["P2", "P3", "P4"])]))
+        assert q.edges_at("P1") == q.edges_at("P2") == q.edge_classes
+        with pytest.raises(UnknownVertexError, match="unknown quotient vertex 'P3'"):
+            q.edges_at("P3")
+        assert [q.orbit_label(v) for v in k4.vertices] == ["P1", "P2", "P2", "P2"]
+
     def test_projection_is_valid_morphism(self, w5):
         for h in all_subgroups(automorphism_group(w5)):
             q = quotient_graph(w5, h)
@@ -354,6 +376,26 @@ class TestHarmonicMorphism:
                 {"x": "A", "y": "A"},
                 {("x", "y"): ("A", "B")},
             )
+
+    def test_edge_image_as_an_edge_class_key(self, k4):
+        q = quotient_graph(k4, Subgroup.from_generators(k4, [rotation(k4, ["P2", "P3", "P4"])]))
+        vmap = {v: q.orbit_label(v) for v in k4.vertices}
+        emap = {e: 0 if "P1" in e else "P2" for e in k4.edges}
+        phi = GraphMorphism(k4, q, vmap, emap)
+        assert phi.edge_map == q.projection.edge_map
+        assert is_harmonic_morphism(phi)
+        with pytest.raises(InvalidMorphismError, match="no edge class with key 1"):
+            GraphMorphism(k4, q, vmap, {**emap, ("P1", "P2"): 1})
+
+    def test_missing_images_and_a_three_endpoint_key(self):
+        source = build_graph(["x", "y"], [("x", "y")])
+        target = build_graph(["A", "B"], [("A", "B")])
+        with pytest.raises(InvalidMorphismError, match="no image for vertex 'y'"):
+            GraphMorphism(source, target, {"x": "A"}, {("x", "y"): ("A", "B")})
+        with pytest.raises(InvalidMorphismError, match="no image for edge"):
+            GraphMorphism(source, target, {"x": "A", "y": "B"}, {})
+        with pytest.raises(InvalidMorphismError, match="must have two endpoints"):
+            GraphMorphism(source, target, {"x": "A", "y": "B"}, {("x", "y", "x"): ("A", "B")})
 
 
 class TestActsHarmonically:
@@ -452,3 +494,28 @@ class TestHarmonicSubgroups:
         assert drawn == []
         next(groups)
         assert drawn == list(real(g, m=4)())
+
+
+class TestLimitsReadAtTheCall:
+    """Every symmetry limit is read from the module when the call runs,
+    so assigning it moves every search it bounds."""
+
+    def test_vertex_cap(self, monkeypatch):
+        import graphdivisors.symmetry as symmetry
+
+        monkeypatch.setattr(symmetry, "DEFAULT_AUTOMORPHISM_VERTEX_CAP", 4)
+        k5 = generate("complete:5")
+        with pytest.raises(SizeCapExceededError, match="capped at 4 vertices"):
+            automorphism_group(k5)
+        # The witness search of the all-ones divisor on K5.
+        with pytest.raises(SizeCapExceededError, match="capped at 4 vertices"):
+            classify_galois_points.__wrapped__(k5, Divisor.all_ones(k5))
+        with pytest.raises(SizeCapExceededError, match="capped at 24 elements"):
+            Subgroup.from_generators(k5, [rotation(k5, ["P1", "P2"]), rotation(k5, list(k5.vertices))])
+
+    def test_harmonic_definition_cap(self, monkeypatch, k4):
+        import graphdivisors.symmetry as symmetry
+
+        monkeypatch.setattr(symmetry, "DEFAULT_HARMONIC_DEFINITION_CAP", 10)
+        with pytest.raises(SizeCapExceededError, match="exceeds the cap 10"):
+            acts_harmonically(k4, automorphism_group(k4), "definition")
