@@ -13,7 +13,10 @@ Laplacian's adjugate are computed once per graph and kept on it.  The
 rank walk and `linear_system` reduce their divisor once and derive every
 other reduced form from a parent's by a one-grain sandpile avalanche
 (`_drop_chip`); `rank` walks d or K - d, whichever Riemann-Roch makes
-cheaper, or reads the rank off the degree.  The
+cheaper, or reads the rank off the degree.  Superstables form a
+down-set, so taking a chip from a vertex off the base that holds one
+needs no avalanche and leaves the base as it was: the rank walk copies
+such a child only to extend it, and never visits it as a leaf.  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -302,19 +306,32 @@ def _layers(g: "Graph", q: int) -> list[tuple]:
     One entry per distance k from the farthest down to 1: the vertices at
     distance k with their counts of neighbours at distance k - 1, the
     vertices at distance k - 1 with their counts of neighbours at
-    distance k, and the ball of all vertices at distance < k.  Firing
-    that ball moves chips only across the edges between the two shells.
+    distance k (those with none left out), and the ball of all vertices
+    at distance < k, nearest first.  Firing that ball moves chips only
+    across the edges between the two shells.  One pass over the
+    adjacency files every vertex and both of its counts.
     """
     key = ("layers", q)
     layers = g._derived.get(key)
     if layers is None:
-        adj = g._adj
-        dist = _bfs_distances(adj, q)
-        layers = []
-        for k in range(max(dist), 0, -1):
-            outer = [(v, sum(dist[w] == k - 1 for w in adj[v])) for v in range(len(adj)) if dist[v] == k]
-            inner = [(v, sum(dist[w] == k for w in adj[v])) for v in range(len(adj)) if dist[v] == k - 1]
-            layers.append((outer, inner, [v for v in range(len(adj)) if dist[v] < k]))
+        dist = _bfs_distances(g._adj, q)
+        depth = max(dist)
+        shells = [[] for _ in range(depth + 1)]
+        outers = [[] for _ in range(depth + 1)]
+        inners = [[] for _ in range(depth + 1)]
+        for v, nbrs in enumerate(g._adj):
+            k = dist[v]
+            around = [dist[w] for w in nbrs]
+            shells[k].append(v)
+            if k:
+                outers[k].append((v, around.count(k - 1)))
+            farther = around.count(k + 1)
+            if farther:
+                inners[k + 1].append((v, farther))
+        balls = [[]]
+        for shell in shells[:-1]:
+            balls.append(balls[-1] + shell)
+        layers = [(outers[k], inners[k], balls[k]) for k in range(depth, 0, -1)]
         g._derived[key] = layers
     return layers
 
@@ -389,10 +406,10 @@ def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> N
     if q:
         rhs[q - 1] -= sum(coeffs)
     f = [0]
-    f.extend(sum(a * b for a, b in zip(row, rhs)) // det for row in adjugate)
+    f.extend(sum(map(mul, row, rhs)) // det for row in adjugate)
     for v, nbrs in enumerate(g._adj):
         fires[v] += f[v]
-        coeffs[v] -= len(nbrs) * f[v] - sum(f[w] for w in nbrs)
+        coeffs[v] -= len(nbrs) * f[v] - sum(map(f.__getitem__, nbrs))
 
 
 def _dhar_unburnt(adj, coeffs, q: int):
@@ -671,6 +688,16 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     bounds r by at least j, so a node is extended only while j is below
     the bound, and its children stop at an empty one.
 
+    A child that takes its chip from a vertex v holding one (red[v] >
+    0) needs no avalanche: superstables form a down-set (Baker-Shokrieh),
+    so its reduced form is red less that chip, with red[0] chips at the
+    base.  It is nonempty, and it cannot lower the bound, since every
+    node on the stack was pushed with bound <= red[0] + j and the bound
+    only falls.  So once a node's children cannot be extended, those
+    children are skipped, and only the ones with red[v] = 0 are reduced,
+    for the two bound updates; higher up they are plain copies.  Every
+    `_drop_chip` call of the walk is an avalanche.
+
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the call refuses iff r + shift
     >= s - 1, that is iff a probe of degree s - shift would be needed,
@@ -695,15 +722,23 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
         red, start, j = stack.pop()
         if j >= bound or j >= limit:
             continue
+        leaves = j + 1 >= bound or j + 1 >= limit
         for v in range(start, n):
-            child = _drop_chip(adj, red, v)
-            c0 = child[0]
-            if c0 < 0:
-                bound = j
-                break
-            if c0 + j + 1 < bound:
-                bound = c0 + j + 1
-            stack.append((child, v, j + 1))
+            if not red[v]:
+                child = _drop_chip(adj, red, v)
+                c0 = child[0]
+                if c0 < 0:
+                    bound = j
+                    break
+                if c0 + j + 1 < bound:
+                    bound = c0 + j + 1
+            elif leaves:
+                continue
+            else:
+                child = red.copy()
+                child[v] -= 1
+            if not leaves:
+                stack.append((child, v, j + 1))
     if _past_cap(bound + shift, n, capv):
         _refuse(n, capv)
     return bound

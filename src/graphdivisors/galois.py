@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
 from .divisors import _check_bound, _drop_chip, _members, _rank_walk, _reduce_coeffs, _require_enumerable
@@ -226,21 +226,25 @@ def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Sm
     pi = g.index_of(p)
     _require_rank_two(g, d, cap)
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    return _smoothness(g, red)[pi]
+    return _smoothness(g, red, (pi,))[0]
 
 
-def _smoothness(g: Graph, red: list[int]) -> list[SmoothnessCheck]:
-    """The smoothness verdict at every vertex p for a rank-2 divisor d,
-    read off its 0-reduced form red without calling `rank`.
+def _smoothness(g: Graph, red: list[int], rows: Sequence[int]) -> list[SmoothnessCheck]:
+    """The smoothness verdicts at the vertex indices `rows` for a rank-2
+    divisor d, read off its 0-reduced form red without calling `rank`.
 
     Removing a vertex lowers the rank by at most one, and r(D) =
     1 + min_v r(D - v) when |D| is nonempty.  With r(d) = 2 this gives
     r(d - p - q) = 0 iff some d - p - q - v is empty, and r(d - p) = 1
-    iff that holds for some q.  One walk takes each multiset e' of at
-    most three chips off vertex 0 one `_drop_chip` from its parent; as
-    taking chips at vertex 0 keeps a reduced form reduced, e' padded
-    with vertex 0 is an empty probe p + q + v iff the reduced form of
-    d - e' holds fewer chips at vertex 0 than the padding takes.
+    iff that holds for some q.  The walk takes each multiset e' of at
+    most three chips one `_drop_chip` from its parent; as taking chips
+    at vertex 0 keeps a reduced form reduced, e' padded with vertex 0 is
+    an empty probe p + q + v iff the reduced form of d - e' holds fewer
+    chips at vertex 0 than the padding takes.  For the same reason a
+    last chip taken from a vertex that holds one leaves the count at
+    vertex 0 as it was, so only the other leaves need an avalanche.
+    For one vertex p the walk visits only the multisets through p.  For
+    more, it visits every multiset off vertex 0 once.
     """
     adj = g._adj
     n = len(red)
@@ -249,25 +253,27 @@ def _smoothness(g: Graph, red: list[int]) -> list[SmoothnessCheck]:
     def mark(p, q, v):
         zero[p][q] = zero[q][p] = zero[p][v] = zero[v][p] = zero[q][v] = zero[v][q] = True
 
-    if red[0] < 3:
+    one = len(rows) == 1
+    if not one and red[0] < 3:
         mark(0, 0, 0)
-    for p in range(1, n):
+    for p in rows if one else range(1, n):
         dp = _drop_chip(adj, red, p)
         if dp[0] < 2:
             mark(p, 0, 0)
-        for q in range(p, n):
+        for q in range(1 if one else p, n):
             dpq = _drop_chip(adj, dp, q)
             if dpq[0] < 1:
                 mark(p, q, 0)
             for v in range(q, n):
-                if _drop_chip(adj, dpq, v)[0] < 0:
+                c0 = dpq[0] if dpq[v] else _drop_chip(adj, dpq, v)[0]
+                if c0 < 0:
                     mark(p, q, v)
     checks = []
-    for p, row in zip(g.vertices, zero):
-        missed = [q for q, z in zip(g.vertices, row) if not z]
+    for p in rows:
+        missed = [q for q, z in zip(g.vertices, zero[p]) if not z]
         checks.append(SmoothnessCheck(True) if not missed
-                      else SmoothnessCheck(False, Cond1Fail(p, 2)) if len(missed) == n
-                      else SmoothnessCheck(False, Cond2Fail(p, missed[0], 1)))
+                      else SmoothnessCheck(False, Cond1Fail(g.vertices[p], 2)) if len(missed) == n
+                      else SmoothnessCheck(False, Cond2Fail(g.vertices[p], missed[0], 1)))
     return checks
 
 
@@ -402,13 +408,12 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
     already passed at p - 1.
     """
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    every = _smoothness(g, red)
+    indices = [g.index_of(p) for p in vertices]
     fit = _orbits_fit(g, d.degree - 1)
     certs: list[GaloisCertificate] = []
-    for p in vertices:
-        pi = g.index_of(p)
-        if not every[pi].ok:
-            certs.append(GaloisCertificate(vertex=p, verdict=False, reason=every[pi].failure))
+    for p, pi, smooth in zip(vertices, indices, _smoothness(g, red, indices)):
+        if not smooth.ok:
+            certs.append(GaloisCertificate(vertex=p, verdict=False, reason=smooth.failure))
             continue
         dp = _drop_chip(g._adj, red, pi)
         last = certs[-1] if pi and certs and certs[-1].vertex == g.vertices[pi - 1] else None

@@ -16,6 +16,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import graphdivisors.divisors as divisors
 import graphdivisors.galois as galois
@@ -127,6 +129,41 @@ class TestCapThreshold:
         assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
+@st.composite
+def bridgeless_divisors(draw):
+    """A 2-edge-connected graph on 3-6 vertices and a divisor on it with
+    coefficients in [-2, 4], of degree at most 4 so that `rank_brute`
+    stays fast."""
+    n = draw(st.integers(3, 6))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    assume(oracles.two_edge_connected(n, edges))
+    coeffs = draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+    assume(sum(coeffs) <= 4)
+    labels = [f"P{i}" for i in range(1, n + 1)]
+    g = Graph(labels, [(labels[i], labels[j]) for i, j in edges])
+    return g, Divisor.from_coeffs(g, coeffs)
+
+
+class TestAgainstBruteForce:
+    @given(bridgeless_divisors())
+    def test_value_or_refusal_at_the_threshold(self, case):
+        # The caps just below and at the probes of degrees 1..r+1: the
+        # walk refuses at the first and returns r at the second, by
+        # either side of Riemann-Roch.
+        g, d = case
+        n = len(g.vertices)
+        r = oracles.rank_brute(g, d)
+        needed = sum(comb(t + n - 1, n - 1) for t in range(1, r + 2))
+        for cap in (max(needed - 1, 0), needed, needed + 1):
+            s, probes = refusal(n, cap)
+            for how in (rank, divisors._rank_walk):
+                if r >= s - 1:
+                    message = f"rank probe at degree {s} needs {probes} effective divisors (cap {cap})"
+                    assert refused(g, d, cap, how) == (message, probes, cap), (g, d, cap, how)
+                else:
+                    assert how(g, d, cap) == r, (g, d, cap, how)
+
+
 def two_edge_connected_graph(rng, n, max_genus=7):
     """A random bridgeless graph on n vertices, redrawn until its genus
     is at most max_genus, which bounds the probes the walks need."""
@@ -230,12 +267,14 @@ class TestSmoothnessOracle:
 class TestWork:
     @pytest.mark.parametrize("spec, chips, r, walked, cheaper", [
         # A search restarting from d at every degree made 6,427, 11,601
-        # and 990 calls.  wheel:7 and house4 lie above degree 2g - 2,
-        # where `rank` walks nothing; on complete:7 it walks K - d, of
-        # rank 2 instead of 9.
-        pytest.param("wheel:7", 2, 8, 3_002, 0, id="wheel:7-2-8-3002"),
-        pytest.param("complete:7", 3, 9, 5_050, 27, id="complete:7-3-9-5050"),
-        pytest.param("house4", 3, 10, 285, 0, id="house4-3-10-285"),
+        # and 990 calls.  A walk that reduced every child, leaves too,
+        # made 3,002, 5,050 and 285, and 27 for `rank` on complete:7;
+        # only avalanches call `_drop_chip` now.  wheel:7 and house4 lie
+        # above degree 2g - 2, where `rank` walks nothing; on complete:7
+        # it walks K - d, of rank 2 instead of 9.
+        pytest.param("wheel:7", 2, 8, 1_307, 0, id="wheel:7-2-8-1307"),
+        pytest.param("complete:7", 3, 9, 1_700, 12, id="complete:7-3-9-1700"),
+        pytest.param("house4", 3, 10, 170, 0, id="house4-3-10-170"),
     ])
     def test_rank_drops(self, spec, chips, r, walked, cheaper, drops):
         g = generate(spec)
@@ -262,3 +301,43 @@ class TestWork:
                             lambda g, p, dp, cap, orbits_fit: GaloisCertificate(p, False))
         galois._certificates(g, d, g.vertices, None)
         assert len(drops) <= comb(n + 2, 3) - 1 + n
+
+    @pytest.mark.parametrize(
+        "spec", ["house4"] + [f"complete:{n}" for n in range(4, 9)] + [f"wheel:{n}" for n in range(5, 9)]
+    )
+    def test_single_vertex_smoothness(self, spec, monkeypatch, drops):
+        # One vertex p walks only the probes through p: d - p, the n - 1
+        # d - p - q with q off vertex 0, and at most C(n, 2) leaves below
+        # them, against the C(n + 2, 3) - 1 probes of the whole table.
+        # Its verdict is the table's row at p.
+        g = generate(spec)
+        n = len(g.vertices)
+        d = Divisor.all_ones(g)
+        red, _ = divisors._reduce_coeffs(g, list(d.coeffs), 0)
+        table = galois._smoothness(g, red, range(n))
+        drops.clear()
+        rank(g, d)
+        walked = len(drops)
+        monkeypatch.setattr(galois, "_find_witness",
+                            lambda g, p, dp, cap, orbits_fit: GaloisCertificate(p, False))
+        for p, row in zip(g.vertices, table):
+            drops.clear()
+            assert check_smoothness(g, d, p) == row, p
+            assert len(drops) - walked <= n + comb(n, 2), p
+            drops.clear()
+            cert = galois.is_galois_point(g, d, p)
+            assert cert.reason == (None if row.ok else row.failure), p
+            assert len(drops) - walked <= n + comb(n, 2) + row.ok, p
+
+    def test_single_vertex_smoothness_counts(self, drops):
+        # The whole table took 55 calls on complete:6 at every vertex.
+        g = generate("complete:6")
+        d = Divisor.all_ones(g)
+        counts = []
+        for p in g.vertices:
+            drops.clear()
+            check_smoothness(g, d, p)
+            counts.append(len(drops))
+        drops.clear()
+        rank(g, d)
+        assert [c - len(drops) for c in counts] == [11, 14, 14, 14, 14, 14]
