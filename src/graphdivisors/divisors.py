@@ -10,13 +10,13 @@ reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The BFS layering per base vertex and the reduced
 Laplacian's adjugate are computed once per graph and kept on it.  The
-rank walk and `linear_system` reduce their divisor once and derive every
-other reduced form from a parent's by a one-grain sandpile avalanche
-(`_drop_chip`); `rank` walks d or K - d, whichever Riemann-Roch makes
-cheaper, or reads the rank off the degree.  Superstables form a
+rank walk, the probe table (`_probe_rows`) and `linear_system` reduce
+their divisor once and derive every other reduced form from a parent's
+by a one-grain sandpile avalanche (`_drop_chip`); `rank` walks d or
+K - d, whichever Riemann-Roch makes cheaper.  Superstables form a
 down-set, so taking a chip from a vertex off the base that holds one
-needs no avalanche and leaves the base as it was: the rank walk copies
-such a child only to extend it, and never visits it as a leaf.  The
+needs no avalanche and leaves the base as it was: the two walks copy
+such a child only to extend it, and never reduce it as a leaf.  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import comb
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EnumerationCapExceededError,
@@ -554,7 +554,7 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     n = len(g.vertices)
     _require_enumerable(k, n, cap)
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    members = _members(g._adj, red, [[v] for v in range(n)], k)
+    members = _members(g._adj, red, [[v] for v in range(n)])
     return frozenset(Divisor.from_coeffs(g, e) for e in members)
 
 
@@ -588,9 +588,9 @@ def _drop_chip(adj, red: list[int], v: int) -> list[int]:
     return c
 
 
-def _members(adj, red: list[int], orbits: list[list[int]], k: int) -> list[tuple[int, ...]]:
-    """The effective e of degree k, constant on each orbit, equivalent to
-    the divisor whose 0-reduced form is red.
+def _members(adj, red: list[int], orbits: list[list[int]]) -> list[tuple[int, ...]]:
+    """The effective e, constant on each orbit, equivalent to the divisor
+    whose 0-reduced form is red.
 
     e is built orbit by orbit, in increasing order, carrying the reduced
     form (the remainder) of red - e' for the part e' taken so far, chip
@@ -600,7 +600,7 @@ def _members(adj, red: list[int], orbits: list[list[int]], k: int) -> list[tuple
     (remainder, lowest open orbit, chips left, (orbit, value) pairs).
     """
     found = []
-    stack = [(red, 0, k, ())] if red[0] >= 0 else []
+    stack = [(red, 0, sum(red), ())] if red[0] >= 0 else []
     while stack:
         rest, start, left, taken = stack.pop()
         if not left:
@@ -678,25 +678,28 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
 
     -1 when the linear system of d is empty; otherwise the largest r
     such that removing any effective divisor of degree r leaves a
-    nonempty linear system.  Taking chips at vertex 0 keeps a 0-reduced
-    form 0-reduced, so if the reduced form of d - e' holds c0 chips
-    there, where e' of degree j avoids vertex 0, then r <= j - 1 when
-    c0 < 0 and r <= c0 + j otherwise, and r is the least such bound.
+    nonempty linear system.  The padding bound (`_probe_rows` uses it
+    too): taking chips at vertex 0 keeps a 0-reduced form 0-reduced, so
+    if the reduced form of d - e' holds c0 chips there, where e' of
+    degree j avoids vertex 0, then e' plus t chips at vertex 0 is an
+    empty probe iff c0 < t: r <= j - 1 when c0 < 0, r <= c0 + j
+    otherwise, and r is the least such bound.
     d is reduced once, and one depth-first branch-and-bound walk with
     its own stack visits each e' at most once, its reduced form one
     `_drop_chip` from its parent's.  Every e' above one of degree j
     bounds r by at least j, so a node is extended only while j is below
     the bound, and its children stop at an empty one.
 
-    A child that takes its chip from a vertex v holding one (red[v] >
-    0) needs no avalanche: superstables form a down-set (Baker-Shokrieh),
-    so its reduced form is red less that chip, with red[0] chips at the
-    base.  It is nonempty, and it cannot lower the bound, since every
-    node on the stack was pushed with bound <= red[0] + j and the bound
-    only falls.  So once a node's children cannot be extended, those
-    children are skipped, and only the ones with red[v] = 0 are reduced,
-    for the two bound updates; higher up they are plain copies.  Every
-    `_drop_chip` call of the walk is an avalanche.
+    The leaf rule (`_probe_rows` uses it too): a child that takes its
+    chip from a vertex v holding one (red[v] > 0) needs no avalanche:
+    superstables form a down-set (Baker-Shokrieh), so its reduced form
+    is red less that chip, with red[0] chips at the base.  It is
+    nonempty, and it cannot lower the bound, since every node on the
+    stack was pushed with bound <= red[0] + j and the bound only falls.
+    So once a node's children cannot be extended, those children are
+    skipped, and only the ones with red[v] = 0 are reduced, for the two
+    bound updates; higher up they are plain copies.  Every `_drop_chip`
+    call of the walk is an avalanche.
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the call refuses iff r + shift
@@ -742,3 +745,42 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     if _past_cap(bound + shift, n, capv):
         _refuse(n, capv)
     return bound
+
+
+def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[bool], list[int]]]:
+    """For a rank-2 divisor d and each vertex index p in `rows`, the
+    flags of the q with r(d - p - q) = 0 and the 0-reduced d - p.
+
+    r(d - p - q) = 0 iff some d - p - q - v is empty, as removing a
+    vertex lowers the rank by at most one and r(D) = 1 + min_v r(D - v)
+    for nonempty |D|.  d is reduced once; the walk takes each multiset
+    e' of at most three chips off vertex 0 one `_drop_chip` from its
+    parent, reads the probes e' padded with vertex 0 by the padding
+    bound and spares leaves by the leaf rule (both in `_rank_walk`).
+    One row p visits only the multisets through p; more visit all.
+    """
+    adj = g._adj
+    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
+    n = len(red)
+    zero = [[False] * n for _ in range(n)]
+    dps = [None] * n
+
+    def mark(p, q, v):
+        zero[p][q] = zero[q][p] = zero[p][v] = zero[v][p] = zero[q][v] = zero[v][q] = True
+
+    one = len(rows) == 1
+    if not one and red[0] < 3:
+        mark(0, 0, 0)
+    for p in rows if one else range(1, n):
+        dp = dps[p] = _drop_chip(adj, red, p)
+        if dp[0] < 2:
+            mark(p, 0, 0)
+        for q in range(1 if one else p, n):
+            dpq = _drop_chip(adj, dp, q)
+            if dpq[0] < 1:
+                mark(p, q, 0)
+            for v in range(q, n):
+                c0 = dpq[0] if dpq[v] else _drop_chip(adj, dpq, v)[0]
+                if c0 < 0:
+                    mark(p, q, v)
+    return [(zero[p], dps[p] or _drop_chip(adj, red, p)) for p in rows]

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
-from .divisors import Divisor, canonical_divisor, linearly_equivalent, rank
-from .divisors import _check_bound, _drop_chip, _members, _rank_walk, _reduce_coeffs, _require_enumerable
+from .divisors import Divisor, canonical_divisor, linearly_equivalent, q_reduce, rank
+from .divisors import _check_bound, _members, _probe_rows, _rank_walk, _require_enumerable
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
@@ -225,56 +225,17 @@ def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Sm
     """
     pi = g.index_of(p)
     _require_rank_two(g, d, cap)
-    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    return _smoothness(g, red, (pi,))[0]
+    return _smoothness(g, pi, _probe_rows(g, d, (pi,))[0][0])
 
 
-def _smoothness(g: Graph, red: list[int], rows: Sequence[int]) -> list[SmoothnessCheck]:
-    """The smoothness verdicts at the vertex indices `rows` for a rank-2
-    divisor d, read off its 0-reduced form red without calling `rank`.
-
-    Removing a vertex lowers the rank by at most one, and r(D) =
-    1 + min_v r(D - v) when |D| is nonempty.  With r(d) = 2 this gives
-    r(d - p - q) = 0 iff some d - p - q - v is empty, and r(d - p) = 1
-    iff that holds for some q.  The walk takes each multiset e' of at
-    most three chips one `_drop_chip` from its parent; as taking chips
-    at vertex 0 keeps a reduced form reduced, e' padded with vertex 0 is
-    an empty probe p + q + v iff the reduced form of d - e' holds fewer
-    chips at vertex 0 than the padding takes.  For the same reason a
-    last chip taken from a vertex that holds one leaves the count at
-    vertex 0 as it was, so only the other leaves need an avalanche.
-    For one vertex p the walk visits only the multisets through p.  For
-    more, it visits every multiset off vertex 0 once.
-    """
-    adj = g._adj
-    n = len(red)
-    zero = [[False] * n for _ in range(n)]
-
-    def mark(p, q, v):
-        zero[p][q] = zero[q][p] = zero[p][v] = zero[v][p] = zero[q][v] = zero[v][q] = True
-
-    one = len(rows) == 1
-    if not one and red[0] < 3:
-        mark(0, 0, 0)
-    for p in rows if one else range(1, n):
-        dp = _drop_chip(adj, red, p)
-        if dp[0] < 2:
-            mark(p, 0, 0)
-        for q in range(1 if one else p, n):
-            dpq = _drop_chip(adj, dp, q)
-            if dpq[0] < 1:
-                mark(p, q, 0)
-            for v in range(q, n):
-                c0 = dpq[0] if dpq[v] else _drop_chip(adj, dpq, v)[0]
-                if c0 < 0:
-                    mark(p, q, v)
-    checks = []
-    for p in rows:
-        missed = [q for q, z in zip(g.vertices, zero[p]) if not z]
-        checks.append(SmoothnessCheck(True) if not missed
-                      else SmoothnessCheck(False, Cond1Fail(g.vertices[p], 2)) if len(missed) == n
-                      else SmoothnessCheck(False, Cond2Fail(g.vertices[p], missed[0], 1)))
-    return checks
+def _smoothness(g: Graph, p: int, zero: list[bool]) -> SmoothnessCheck:
+    """Smoothness at vertex index p of a rank-2 divisor d, from its row of
+    `divisors._probe_rows` (zero[q] iff r(d - p - q) = 0): r(d - p) = 1
+    iff some zero[q] holds, else 2; r(d - p - q) = 1 where it fails."""
+    missed = [q for q, z in zip(g.vertices, zero) if not z]
+    return (SmoothnessCheck(True) if not missed
+            else SmoothnessCheck(False, Cond1Fail(g.vertices[p], 2)) if len(missed) == len(zero)
+            else SmoothnessCheck(False, Cond2Fail(g.vertices[p], missed[0], 1)))
 
 
 def fixed_members(h: Subgroup, divisors: Iterable[Divisor]) -> frozenset[Divisor]:
@@ -363,7 +324,7 @@ def _first_witness(g: Graph, p: str, dp: list[int], groups) -> GaloisCertificate
         orbits = _vertex_orbits(h)
         if len(orbits) <= 1:
             continue
-        fixed = sorted(_members(g._adj, dp, orbits, m))
+        fixed = sorted(_members(g._adj, dp, orbits))
         if len(fixed) >= 2:
             return GaloisCertificate(
                 vertex=p,
@@ -380,11 +341,10 @@ def _first_witness(g: Graph, p: str, dp: list[int], groups) -> GaloisCertificate
 def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
-    bridgeless graph.  d is reduced once, the smoothness verdicts are
-    read off it by `_smoothness`, the orbit arithmetic of order
-    deg(d) - 1 is done once, and each smooth vertex p runs its own
-    `_find_witness` on d - p, one `_drop_chip` from the reduced form,
-    unless it can carry over the certificate of the vertex before it.
+    bridgeless graph.  One `_probe_rows` table gives each vertex p its
+    smoothness row and d - p reduced, the orbit arithmetic of order
+    deg(d) - 1 is done once, and each smooth p runs `_find_witness` on
+    d - p unless it can carry over the certificate of the vertex before.
 
     Let p - 1 and p be twins (`_twin_swap`), so that the transposition
     t = (p - 1 p) is an automorphism of g that fixes d, and let the
@@ -407,15 +367,14 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
     not keep, so p is searched.  Both caps, with the same n and m, were
     already passed at p - 1.
     """
-    red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     indices = [g.index_of(p) for p in vertices]
     fit = _orbits_fit(g, d.degree - 1)
     certs: list[GaloisCertificate] = []
-    for p, pi, smooth in zip(vertices, indices, _smoothness(g, red, indices)):
+    for p, pi, (zero, dp) in zip(vertices, indices, _probe_rows(g, d, indices)):
+        smooth = _smoothness(g, pi, zero)
         if not smooth.ok:
             certs.append(GaloisCertificate(vertex=p, verdict=False, reason=smooth.failure))
             continue
-        dp = _drop_chip(g._adj, red, pi)
         last = certs[-1] if pi and certs and certs[-1].vertex == g.vertices[pi - 1] else None
         t = _twin_swap(g, d, pi) if last else None
         if t and isinstance(last.reason, NoQualifyingSubgroup):
@@ -458,10 +417,9 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    The bridge check, rank(d) and the reduced form of d depend on
-    (g, d) only, so each is computed once per call.  The smoothness
-    conditions are read off the reduced form of d.  A smooth vertex
-    whose twin just before it was searched carries the twin's
+    The bridge check, rank(d) and the probe table of d, which gives
+    every smoothness verdict, are computed once per call.  A smooth
+    vertex whose twin just before it was searched carries the twin's
     certificate over by their swap (`_certificates`).  Every other
     smooth vertex searches the admissible automorphisms that fix it, one
     pruned search per group, until the first witness; only a vertex
@@ -630,8 +588,7 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         m = dp.degree
         groups = _harmonic_subgroups(g, m)
         _require_enumerable(m, len(g.vertices), cap)
-        red, _ = _reduce_coeffs(g, list(dp.coeffs), 0)
-        again = _first_witness(g, p, red, groups)
+        again = _first_witness(g, p, list(q_reduce(g, dp, g.vertices[0]).coeffs), groups)
         if again.verdict:
             return ["a qualifying subgroup exists after all"]
         derived = again.reason

@@ -3,10 +3,16 @@
 Nothing here shares code with the package's fast paths: connectivity
 and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
-definition with full enumerations, group enumeration filters raw
+definition and enumerates every probe, group enumeration filters raw
 permutations (networkx's VF2 matcher lists them from nine vertices up)
 or closes small generating sets, and `reduce_one_chip`
 reduces with a burning loop that fires one chip per round.
+`system_nonempty`, which `rank_brute` asks of every probe, leans on the
+reduced-divisor theorem (Baker-Norine: |D| is nonempty iff its q-reduced
+form is effective), not on library code: it is one `reduce_one_chip`
+at vertex 0.  `system_nonempty_by_lattice` keeps the definition, some
+effective divisor of the same degree in the class by the exact lattice
+test, and the tests check that the two agree on small cases.
 `smoothness_by_rank` decides the smoothness conditions by their
 definition, one rank per condition, where the library reads them off a
 table of reduced forms.  Given `rank=rank_brute` it shares no code with
@@ -138,6 +144,14 @@ def equivalent(g: Graph, d1: Divisor, d2: Divisor):
 
 
 def system_nonempty(g: Graph, d: Divisor):
+    """|d| is nonempty iff the 0-reduced form of d is effective, that is
+    nonnegative at vertex 0."""
+    return reduce_one_chip(g, list(d.coeffs), 0)[0][0] >= 0
+
+
+def system_nonempty_by_lattice(g: Graph, d: Divisor):
+    """|d| is nonempty iff some effective divisor of its degree is
+    equivalent to d."""
     if d.degree < 0:
         return False
     return any(

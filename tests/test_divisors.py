@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -326,10 +327,27 @@ class TestSystemNonemptinessCharacterization:
         for _ in range(25):
             g = oracles.random_connected_graph(rng, rng.randint(2, 4))
             d = oracles.random_divisor(rng, g, lo=-3, hi=4)
-            expected = oracles.system_nonempty(g, d)
+            expected = oracles.system_nonempty_by_lattice(g, d)
             for q in g.vertices:
                 reduced = checked_reduce(g, d, q)
                 assert (reduced[q] >= 0) == expected
+
+    def test_reduction_oracle_matches_lattice_search(self):
+        # `oracles.system_nonempty` decides |d| by one one-chip reduction
+        # (the reduced-divisor theorem); the lattice search decides it by
+        # definition.  Every degree from -2 to 5 on 1-5 vertices.
+        rng = random.Random(2808)
+        seen = Counter()
+        for _ in range(60):
+            g = oracles.random_connected_graph(rng, rng.randint(1, 5))
+            for degree in range(-2, 6):
+                coeffs = [rng.randint(-3, 3) for _ in g.vertices]
+                coeffs[rng.randrange(len(coeffs))] += degree - sum(coeffs)
+                d = Divisor.from_coeffs(g, coeffs)
+                nonempty = oracles.system_nonempty(g, d)
+                assert nonempty == oracles.system_nonempty_by_lattice(g, d), (g, d)
+                seen[nonempty] += 1
+        assert min(seen[True], seen[False]) > 50, seen
 
 
 class TestRiemannRochIdentity:

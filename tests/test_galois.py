@@ -574,7 +574,6 @@ class TestSinglePass:
         # from the reduced form of d.  On house4, deg(d) = 4 > 2g - 2, so
         # rank(d) = deg(d) - g reduces nothing.
         import graphdivisors.divisors as divisors
-        import graphdivisors.galois as galois
 
         g = generate(family)
         calls = []
@@ -585,7 +584,6 @@ class TestSinglePass:
             return real_reduce(*args)
 
         monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
-        monkeypatch.setattr(galois, "_reduce_coeffs", counting)
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.rank == 2
         assert len(calls) == (1 if family == "house4" else 2)

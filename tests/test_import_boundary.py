@@ -1,10 +1,13 @@
 """Which automorphisms and subgroups the witness search may use is
-decided in `symmetry` alone.
+decided in `symmetry` alone, and the walks over reduced divisors live in
+`divisors` alone.
 
 `galois` reaches the symmetry internals through two private names only:
 `_harmonic_subgroups`, the one entry point for the harmonic subgroups
-of an order, and `_vertex_orbits`.  This test reads the imports of
-`galois.py` instead of running it.
+of an order, and `_vertex_orbits`.  It reaches the divisor internals
+through the probe table, the rank walk, the member walk and two guards;
+it neither reduces a divisor nor takes a chip itself.  These tests read
+the imports of `galois.py` instead of running it.
 """
 
 import ast
@@ -14,24 +17,34 @@ import graphdivisors
 
 GALOIS = Path(graphdivisors.__file__).parent / "galois.py"
 ALLOWED = {"_harmonic_subgroups", "_vertex_orbits"}
+DIVISORS_ALLOWED = {"_check_bound", "_members", "_probe_rows", "_rank_walk", "_require_enumerable"}
 
 
-def imported_symmetry_names(path):
-    """The names the module at path imports from the symmetry module,
-    relatively or absolutely, and the symmetry modules it imports whole."""
+def imported_names(path, module):
+    """The names the module at path imports from the package's `module`,
+    relatively or absolutely, and `module` itself where it is imported
+    whole."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
-            if node.module in ("symmetry", "graphdivisors.symmetry"):
+            if node.module in (module, f"graphdivisors.{module}"):
                 yield from (alias.name for alias in node.names)
             elif node.module in (None, "graphdivisors"):
-                yield from ("symmetry" for alias in node.names if alias.name == "symmetry")
+                yield from (module for alias in node.names if alias.name == module)
         elif isinstance(node, ast.Import):
-            yield from ("symmetry" for alias in node.names if alias.name == "graphdivisors.symmetry")
+            yield from (module for alias in node.names if alias.name == f"graphdivisors.{module}")
 
 
 def test_galois_imports_only_the_symmetry_entry_points():
-    names = set(imported_symmetry_names(GALOIS))
+    names = set(imported_names(GALOIS, "symmetry"))
     assert "_harmonic_subgroups" in names
     private = sorted(name for name in names if name.startswith("_") and name not in ALLOWED)
     assert private == [], f"galois.py imports private symmetry names {private}"
     assert "symmetry" not in names, "galois.py imports the symmetry module whole"
+
+
+def test_galois_imports_only_the_listed_divisor_internals():
+    names = set(imported_names(GALOIS, "divisors"))
+    private = sorted(name for name in names if name.startswith("_") and name not in DIVISORS_ALLOWED)
+    assert private == [], f"galois.py imports private divisor names {private}"
+    assert "_probe_rows" in names
+    assert "divisors" not in names, "galois.py imports the divisors module whole"

@@ -225,7 +225,7 @@ class TestDropChip:
 
 
 class TestMembers:
-    """`_members(adj, red, orbits, k)` walks the orbit-constant members of
+    """`_members(adj, red, orbits)` walks the orbit-constant members of
     a linear system from the reduced form of the divisor."""
 
     @given(graph_and_divisor(lo=-2, hi=4, max_n=5))
@@ -249,7 +249,7 @@ class TestMembers:
                 if all(len({e[v] for v in orbit}) == 1 for orbit in orbits)
                 and oracles.equivalent(g, d, Divisor.from_coeffs(g, e))
             }
-        walked = divisors._members(g._adj, red, orbits, d.degree)
+        walked = divisors._members(g._adj, red, orbits)
         assert len(walked) == len(set(walked))
         assert set(walked) == expected
 
