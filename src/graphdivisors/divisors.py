@@ -17,6 +17,10 @@ K - d, whichever Riemann-Roch makes cheaper.  Superstables form a
 down-set, so taking a chip from a vertex off the base that holds one
 needs no avalanche and leaves the base as it was: the two walks copy
 such a child only to extend it, and never reduce it as a leaf.  The
+rank walk also reads a child off its parent's sibling when that
+sibling holds the parent's last chip, and settles a leaf next to a
+base holding at least its degree in chips without reducing it, since
+such an avalanche is one wave (Dhar's burning test).  The
 enumerating operations (`linear_system`, `rank`) refuse, via
 `EnumerationCapExceededError`, to start an enumeration above the cap;
 they never silently truncate.
@@ -701,6 +705,30 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     bound updates; higher up they are plain copies.  Every `_drop_chip`
     call of the walk is an avalanche.
 
+    The sibling rule: each stack entry carries its parent's row, the
+    reduced forms of the parent's children by vertex.  For a node P =
+    G + p of degree j and a child C = P + v with v >= p, S = G + v is a
+    sibling of P reduced in that row, and C = S + p; so when row[v][p]
+    > 0, red(C) is row[v] less a chip at p, by the leaf rule from S.
+    It keeps the chips of S at the base, and S was pushed with bound <=
+    those chips + j, so like a leaf-rule child it can be neither empty
+    nor lower the bound, and it is skipped at leaf level.  G filled
+    row[v] for every v >= p unless it stopped at an empty child, and
+    then bound = j - 1 cuts P.  The walk keeps one row per node on its
+    path.
+
+    The one-wave rule: where children are leaves because j + 1 >=
+    bound, a child can lower nothing, so only its emptiness matters.
+    If red[0] >= deg(0) and v is a neighbour of vertex 0, it is not
+    empty.  Off the base, sigma = deg - 1 - red is recurrent, and
+    sigma + e_v <= sigma + beta, where beta counts each vertex's edges
+    to vertex 0.  By Dhar's burning test (PRL 1990) sigma + beta
+    topples every vertex exactly once, and by the abelian property a
+    smaller configuration topples no vertex more often; so in red - v
+    each vertex borrows at most once, and the base loses at most deg(0)
+    chips.  The walk applies the rule only where the bound makes the
+    children leaves.
+
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the call refuses iff r + shift
     >= s - 1, that is iff a probe of degree s - shift would be needed,
@@ -716,18 +744,33 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     if d.degree >= 0:
         base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
         if base[0] >= 0:
-            bound, stack = base[0], [(base, 1, 0)]
+            bound, stack = base[0], [(base, 1, 0, None)]
     # The bound only falls, so the limit can cut the walk only when the
     # starting bound is already past the cap.
     limit = _refusal_degree(n, capv) - shift - 1 if _past_cap(bound + shift, n, capv) else bound + 1
     adj = g._adj
+    deg0, near0 = len(adj[0]), g._adj_masks[0]
     while stack:
-        red, start, j = stack.pop()
+        red, p, j, row = stack.pop()
         if j >= bound or j >= limit:
             continue
         leaves = j + 1 >= bound or j + 1 >= limit
-        for v in range(start, n):
-            if not red[v]:
+        wave = j + 1 >= bound and red[0] >= deg0
+        kids = None if leaves else [None] * n
+        for v in range(p, n):
+            if red[v]:
+                if leaves:
+                    continue
+                child = red.copy()
+                child[v] -= 1
+            elif row and row[v][p]:
+                if leaves:
+                    continue
+                child = row[v].copy()
+                child[p] -= 1
+            elif wave and near0 >> v & 1:
+                continue
+            else:
                 child = _drop_chip(adj, red, v)
                 c0 = child[0]
                 if c0 < 0:
@@ -735,13 +778,9 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
                     break
                 if c0 + j + 1 < bound:
                     bound = c0 + j + 1
-            elif leaves:
-                continue
-            else:
-                child = red.copy()
-                child[v] -= 1
             if not leaves:
-                stack.append((child, v, j + 1))
+                kids[v] = child
+                stack.append((child, v, j + 1, kids))
     if _past_cap(bound + shift, n, capv):
         _refuse(n, capv)
     return bound
@@ -756,8 +795,9 @@ def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[
     for nonempty |D|.  d is reduced once; the walk takes each multiset
     e' of at most three chips off vertex 0 one `_drop_chip` from its
     parent, reads the probes e' padded with vertex 0 by the padding
-    bound and spares leaves by the leaf rule (both in `_rank_walk`).
-    One row p visits only the multisets through p; more visit all.
+    bound and spares leaves by the leaf rule (both in `_rank_walk`),
+    and uses no other rule of that walk.  One row p visits only the
+    multisets through p; more visit all.
     """
     adj = g._adj
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)

@@ -217,6 +217,38 @@ class TestDropChip:
         assert divisors._reduce_coeffs(g, red.copy(), 0)[0] == red
         self.assert_drop(g, red, 3)
 
+    @given(reduced_at_first_vertex())
+    def test_one_wave_next_to_the_base(self, case):
+        # Off the base, deg - 1 - red is a recurrent sandpile, and a chip
+        # taken at a neighbour v of the base adds e_v, at most the burning
+        # configuration, which topples every vertex once (Dhar).  So no
+        # vertex borrows twice, and the base loses at most deg(0) chips.
+        g, red = case
+        adj = g._adj
+        for v in adj[0]:
+            if red[v]:
+                continue
+            minus = red.copy()
+            minus[v] -= 1
+            fires = oracles.reduce_one_chip(g, minus, 0)[1]
+            assert {fires[0] - f for f in fires} <= {0, 1}
+            assert red[0] - divisors._drop_chip(adj, red, v)[0] <= len(adj[0])
+
+    def test_waves_away_from_the_base(self):
+        # P3 and P4 are not neighbours of the base P1.  A chip taken at P3
+        # makes P3..P6 borrow twice; one taken at P4 makes P2 borrow three
+        # times and costs the base three chips, more than its degree.
+        g = Graph([f"P{i}" for i in range(1, 7)],
+                  [("P1", "P2"), ("P2", "P3"), ("P3", "P4"), ("P3", "P5"), ("P3", "P6"),
+                   ("P4", "P6"), ("P5", "P6")])
+        red = [10, 0, 0, 0, 0, 0]
+        for v, borrows, base in [(2, [0, 1, 2, 2, 2, 2], 9), (3, [0, 3, 6, 7, 7, 7], 7)]:
+            minus = red.copy()
+            minus[v] -= 1
+            reduced, fires = oracles.reduce_one_chip(g, minus, 0)
+            assert [fires[0] - f for f in fires] == borrows
+            assert reduced[0] == divisors._drop_chip(g._adj, red, v)[0] == base
+
     @given(reduced_at_first_vertex(), st.data())
     def test_chips_taken_one_after_another(self, case, data):
         g, red = case
