@@ -8,12 +8,13 @@ jumps close to the answer with the rounded solution of the reduced
 Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
 reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
-chip count.  The BFS layering per base vertex and the reduced
-Laplacian's adjugate are computed once per graph and kept on it.  The
-rank walk, the probe table (`_probe_rows`) and `linear_system` reduce
-their divisor once and derive every other reduced form from a parent's
-by a one-grain sandpile avalanche (`_drop_chip`); `rank` walks d or
-K - d, whichever Riemann-Roch makes cheaper.  Superstables form a
+chip count.  The table of BFS shells around each base vertex, the
+reduced Laplacian's adjugate and the rank walk's vertex order are
+computed once per graph and kept on it.  The rank walk, the probe table
+(`_probe_rows`) and `linear_system` reduce their divisor once and derive
+every other reduced form from a parent's by a one-grain sandpile
+avalanche (`_drop_chip`); `rank` walks d or K - d, whichever
+Riemann-Roch makes cheaper.  Superstables form a
 down-set, so taking a chip from a vertex off the base that holds one
 needs no avalanche and leaves the base as it was: the two walks copy
 such a child only to extend it, and never reduce it as a leaf.  The
@@ -38,7 +39,7 @@ from .errors import (
     GraphMismatchError,
     MissingVertexValueError,
 )
-from .graphs import Graph, _bfs_distances, genus
+from .graphs import Graph, genus
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -304,40 +305,39 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
     return True
 
 
-def _layers(g: "Graph", q: int) -> list[tuple]:
-    """The BFS layering around base q, computed once per graph and base.
+def _shells(g: "Graph", q: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The BFS shells around base q, built in one pass and kept per base.
 
-    One entry per distance k from the farthest down to 1: the vertices at
-    distance k with their counts of neighbours at distance k - 1, the
-    vertices at distance k - 1 with their counts of neighbours at
-    distance k (those with none left out), and the ball of all vertices
-    at distance < k, nearest first.  Firing that ball moves chips only
-    across the edges between the two shells.  One pass over the
-    adjacency files every vertex and both of its counts.
+    Returns (shells, nearer, farther): the vertices at each distance from
+    q, nearest first, and for every vertex its counts of neighbours one
+    step nearer to q and one step farther.  Each edge between
+    consecutive shells is counted at both ends when the search first
+    meets it from the nearer end.
     """
-    key = ("layers", q)
-    layers = g._derived.get(key)
-    if layers is None:
-        dist = _bfs_distances(g._adj, q)
-        depth = max(dist)
-        shells = [[] for _ in range(depth + 1)]
-        outers = [[] for _ in range(depth + 1)]
-        inners = [[] for _ in range(depth + 1)]
-        for v, nbrs in enumerate(g._adj):
-            k = dist[v]
-            around = [dist[w] for w in nbrs]
-            shells[k].append(v)
-            if k:
-                outers[k].append((v, around.count(k - 1)))
-            farther = around.count(k + 1)
-            if farther:
-                inners[k + 1].append((v, farther))
-        balls = [[]]
-        for shell in shells[:-1]:
-            balls.append(balls[-1] + shell)
-        layers = [(outers[k], inners[k], balls[k]) for k in range(depth, 0, -1)]
-        g._derived[key] = layers
-    return layers
+    key = ("shells", q)
+    table = g._derived.get(key)
+    if table is None:
+        adj = g._adj
+        n = len(adj)
+        dist, nearer, farther = [-1] * n, [0] * n, [0] * n
+        dist[q] = 0
+        shells = []
+        frontier = [q]
+        while frontier:
+            shells.append(frontier)
+            k = len(shells)
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if dist[w] < 0:
+                        dist[w] = k
+                        nxt.append(w)
+                    if dist[w] == k:
+                        farther[v] += 1
+                        nearer[w] += 1
+            frontier = nxt
+        table = g._derived[key] = (shells, nearer, farther)
+    return table
 
 
 def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -378,22 +378,35 @@ def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
     return cached
 
 
-def _clear_debt(layers: list[tuple], coeffs: list[int], fires: list[int]) -> None:
+def _clear_debt(table, coeffs: list[int], fires: list[int]) -> None:
     """Fire balls around the base, farthest shell first, each as many
-    times as its outer shell needs, so no vertex off the base ends in debt."""
-    for outer, inner, ball in layers:
+    times as its outer shell needs, so no vertex off the base ends in debt.
+
+    Firing the ball of the vertices nearer than shell k moves chips only
+    across the edges between shells k - 1 and k, so each need touches
+    those two shells alone.  A vertex lies in the ball of every shell
+    beyond its own, so its firing count is the running sum of their
+    needs, added once when the stage, working inwards, reaches its shell.
+    """
+    shells, nearer, farther = table
+    total = 0
+    for k in range(len(shells) - 1, 0, -1):
+        outer, inner = shells[k], shells[k - 1]
         need = 0
-        for v, count in outer:
-            if coeffs[v] < 0:
-                # ceil(-coeffs[v] / count); count >= 1 by BFS layering
-                need = max(need, -(coeffs[v] // count))
+        for v in outer:
+            # ceil(-coeffs[v] / nearer[v]); nearer[v] >= 1 off the base
+            owed = -(coeffs[v] // nearer[v])
+            if owed > need:
+                need = owed
         if need:
-            for v in ball:
-                fires[v] += need
-            for v, count in outer:
-                coeffs[v] += need * count
-            for v, count in inner:
-                coeffs[v] -= need * count
+            total += need
+            for v in outer:
+                coeffs[v] += need * nearer[v]
+            for v in inner:
+                coeffs[v] -= need * farther[v]
+        if total:
+            for v in inner:
+                fires[v] += total
 
 
 def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> None:
@@ -450,7 +463,7 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
 
     Returns (reduced coefficients, firing counts), where the input minus
     the Laplacian of the firing counts equals the output.  Stage one
-    clears debt off q by bulk-firing balls around q, farthest layer
+    clears debt off q by bulk-firing balls around q, farthest shell
     first.  If more than 2|E| chips then sit off q, stage two fires the
     rounded solution of the reduced Laplacian system that would put them
     all on q (this leaves fewer than 2|E| off q, in absolute value) and
@@ -467,12 +480,12 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     n = len(coeffs)
     adj = g._adj
     fires = [0] * n
-    layers = _layers(g, q)
-    _clear_debt(layers, coeffs, fires)
+    table = _shells(g, q)
+    _clear_debt(table, coeffs, fires)
     fires_q = fires[q]
     if sum(coeffs) - coeffs[q] > 2 * len(g._edges_idx):
         _round_to_base(g, coeffs, fires, q)
-        _clear_debt(layers, coeffs, fires)
+        _clear_debt(table, coeffs, fires)
 
     while True:
         burning = _dhar_unburnt(adj, coeffs, q)
@@ -571,7 +584,7 @@ def _drop_chip(adj, red: list[int], v: int) -> list[int]:
     and stabilising: every vertex off the base in debt borrows (gains
     its degree, each neighbour loses one) until none is.  Each borrowing
     is a legal move, and the result is superstable again.  No BFS
-    layering, debt stage or burning round is needed.
+    shells, debt stage or burning round are needed.
     """
     c = red.copy()
     c[v] -= 1
@@ -694,6 +707,15 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     bounds r by at least j, so a node is extended only while j is below
     the bound, and its children stop at an empty one.
 
+    The walk order: e' is taken as a multiset with nondecreasing
+    positions in one order of the vertices off the base, kept per graph:
+    the non-neighbours of vertex 0 first, then its neighbours, each
+    group by ascending degree.  A node's children range over the
+    positions from its own on, so the tail of the order shows up in the
+    most ranges; it holds the children that most often come free,
+    next to the base (the one-wave rule) and of high degree, likelier to
+    hold a chip (the leaf rule).  Any order gives the same answer.
+
     The leaf rule (`_probe_rows` uses it too): a child that takes its
     chip from a vertex v holding one (red[v] > 0) needs no avalanche:
     superstables form a down-set (Baker-Shokrieh), so its reduced form
@@ -706,28 +728,29 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     call of the walk is an avalanche.
 
     The sibling rule: each stack entry carries its parent's row, the
-    reduced forms of the parent's children by vertex.  For a node P =
-    G + p of degree j and a child C = P + v with v >= p, S = G + v is a
-    sibling of P reduced in that row, and C = S + p; so when row[v][p]
-    > 0, red(C) is row[v] less a chip at p, by the leaf rule from S.
-    It keeps the chips of S at the base, and S was pushed with bound <=
-    those chips + j, so like a leaf-rule child it can be neither empty
-    nor lower the bound, and it is skipped at leaf level.  G filled
-    row[v] for every v >= p unless it stopped at an empty child, and
-    then bound = j - 1 cuts P.  The walk keeps one row per node on its
-    path.
+    reduced forms of the parent's children by position.  For a node P =
+    G + p of degree j and a child C = P + v with v at or after p, S =
+    G + v is a sibling of P reduced in that row, and C = S + p; so when
+    S holds a chip at p, red(C) is red(S) less that chip, by the leaf
+    rule from S.  It keeps the chips of S at the base, and S was pushed
+    with bound <= those chips + j, so like a leaf-rule child it can be
+    neither empty nor lower the bound, and it is skipped at leaf level.
+    G filled its row at every position from p's on unless it stopped at
+    an empty child, and then bound = j - 1 cuts P.  The walk keeps one
+    row per node on its path.
 
-    The one-wave rule: where children are leaves because j + 1 >=
-    bound, a child can lower nothing, so only its emptiness matters.
-    If red[0] >= deg(0) and v is a neighbour of vertex 0, it is not
-    empty.  Off the base, sigma = deg - 1 - red is recurrent, and
-    sigma + e_v <= sigma + beta, where beta counts each vertex's edges
-    to vertex 0.  By Dhar's burning test (PRL 1990) sigma + beta
-    topples every vertex exactly once, and by the abelian property a
-    smaller configuration topples no vertex more often; so in red - v
-    each vertex borrows at most once, and the base loses at most deg(0)
-    chips.  The walk applies the rule only where the bound makes the
-    children leaves.
+    The one-wave rule: at leaves only a child's emptiness matters.
+    Where j + 1 >= bound, a nonempty child cannot lower the bound.
+    Where only the cap limit makes them leaves, it can, but not below
+    the limit, and a final bound at or above the limit refuses whatever
+    its value.  If red[0] >= deg(0) and v is a neighbour of vertex 0,
+    the child is not empty.  Off the base, sigma = deg - 1 - red is
+    recurrent, and sigma + e_v <= sigma + beta, where beta counts each
+    vertex's edges to vertex 0.  By Dhar's burning test (PRL 1990)
+    sigma + beta topples every vertex exactly once, and by the abelian
+    property a smaller configuration topples no vertex more often; so
+    in red - v each vertex borrows at most once, and the base loses at
+    most deg(0) chips.
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the call refuses iff r + shift
@@ -744,29 +767,35 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     if d.degree >= 0:
         base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
         if base[0] >= 0:
-            bound, stack = base[0], [(base, 1, 0, None)]
+            bound, stack = base[0], [(base, 0, 0, None)]
     # The bound only falls, so the limit can cut the walk only when the
     # starting bound is already past the cap.
     limit = _refusal_degree(n, capv) - shift - 1 if _past_cap(bound + shift, n, capv) else bound + 1
     adj = g._adj
     deg0, near0 = len(adj[0]), g._adj_masks[0]
+    order = g._derived.get("walk order")
+    if order is None:
+        order = g._derived["walk order"] = sorted(range(1, n), key=lambda v: (near0 >> v & 1, len(adj[v])))
+    m = n - 1
     while stack:
-        red, p, j, row = stack.pop()
+        red, i, j, row = stack.pop()
         if j >= bound or j >= limit:
             continue
         leaves = j + 1 >= bound or j + 1 >= limit
-        wave = j + 1 >= bound and red[0] >= deg0
-        kids = None if leaves else [None] * n
-        for v in range(p, n):
+        wave = leaves and red[0] >= deg0
+        kids = None if leaves else [None] * m
+        p = order[i] if row else None
+        for b in range(i, m):
+            v = order[b]
             if red[v]:
                 if leaves:
                     continue
                 child = red.copy()
                 child[v] -= 1
-            elif row and row[v][p]:
+            elif row and row[b][p]:
                 if leaves:
                     continue
-                child = row[v].copy()
+                child = row[b].copy()
                 child[p] -= 1
             elif wave and near0 >> v & 1:
                 continue
@@ -779,8 +808,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
                 if c0 + j + 1 < bound:
                     bound = c0 + j + 1
             if not leaves:
-                kids[v] = child
-                stack.append((child, v, j + 1, kids))
+                kids[b] = child
+                stack.append((child, b, j + 1, kids))
     if _past_cap(bound + shift, n, capv):
         _refuse(n, capv)
     return bound

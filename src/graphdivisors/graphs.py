@@ -26,10 +26,11 @@ class Graph:
     """Undirected simple connected graph over string vertex labels.
 
     `_derived` is filled lazily by the divisors layer with values computed
-    from the vertices and edges alone (BFS layerings, the reduced
-    Laplacian's adjugate).  Every entry is the same whoever computes it
-    first, so a graph stays a value, equal and hashed by its vertices and
-    edges, and is still safe to share.
+    from the vertices and edges alone (the BFS shell table of each base,
+    the reduced Laplacian's adjugate, the rank walk's vertex order).
+    Every entry is the same whoever computes it first, so a graph stays a
+    value, equal and hashed by its vertices and edges, and is still safe
+    to share.
     """
 
     __slots__ = (

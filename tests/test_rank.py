@@ -163,6 +163,32 @@ class TestAgainstBruteForce:
                     assert how(g, d, cap) == r, (g, d, cap, how)
 
 
+def walk_outcome(g, d, cap):
+    """The walk's value, or its refusal as (message, required, cap)."""
+    try:
+        return divisors._rank_walk(g, d, cap)
+    except EnumerationCapExceededError as exc:
+        return str(exc), exc.required, exc.cap
+
+
+class TestWalkOrder:
+    @given(bridgeless_divisors(), st.data())
+    def test_vertex_reordering(self, case, data):
+        # The walk takes its base and its order of the other vertices from
+        # the vertex order; neither may change the value or the refusal,
+        # at the caps just below, at and above the probes of degrees
+        # 1..r+1.
+        g, d = case
+        n = len(g.vertices)
+        perm = data.draw(st.permutations(range(n)))
+        h = Graph([g.vertices[i] for i in perm], g.edges)
+        e = Divisor(h, d.as_dict())
+        r = divisors._rank_walk(g, d)
+        needed = comb(r + 1 + n, n) - 1
+        for cap in (max(needed - 1, 0), needed, needed + 1):
+            assert walk_outcome(h, e, cap) == walk_outcome(g, d, cap), (h, e, cap)
+
+
 def two_edge_connected_graph(rng, n, max_genus=7):
     """A random bridgeless graph on n vertices, redrawn until its genus
     is at most max_genus, which bounds the probes the walks need."""
@@ -277,12 +303,15 @@ class TestWork:
         # Reducing only avalanches made 1,307, 1,700 and 170, and 4 on
         # house4 at one chip a vertex; a child read off its parent's
         # sibling and the one-wave leaves next to the base save the rest,
-        # house4-1 by the one-wave rule alone.  wheel:7 and the house4
-        # divisors lie above degree 2g - 2, where `rank` walks nothing;
-        # on complete:7 it walks K - d, of rank 2 instead of 9.
+        # house4-1 by the one-wave rule alone.  In vertex order house4-3
+        # made 156; the walk order (non-neighbours of the base first, by
+        # degree) leaves more free children at the tail of each range.
+        # wheel:7 and the house4 divisors lie above degree 2g - 2, where
+        # `rank` walks nothing; on complete:7 it walks K - d, of rank 2
+        # instead of 9.
         pytest.param("wheel:7", 2, 8, 1_118, 0, id="wheel:7-2-8-1118"),
         pytest.param("complete:7", 3, 9, 1_310, 12, id="complete:7-3-9-1310"),
-        pytest.param("house4", 3, 10, 156, 0, id="house4-3-10-156"),
+        pytest.param("house4", 3, 10, 141, 0, id="house4-3-10-141"),
         pytest.param("house4", 1, 2, 3, 0, id="house4-1-2-3"),
     ])
     def test_rank_drops(self, spec, chips, r, walked, cheaper, drops):

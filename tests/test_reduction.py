@@ -79,6 +79,30 @@ class TestLargeCoefficients:
             assert_reduction(g, d, q)
 
 
+class TestSparseDebt:
+    """Long cycles with little debt spread far from the chips that pay it,
+    so the debt stage fires balls across many shells."""
+
+    @pytest.mark.parametrize("n", [150, 300])
+    @pytest.mark.parametrize("base", ["P1", "far"])
+    @pytest.mark.parametrize("divisor", ["pile", "halfway", "alternating"])
+    def test_matches_one_chip_oracle(self, n, base, divisor):
+        # pile: (n - 1)·P1 and -1 at every other vertex; halfway: a single
+        # -1 halfway round; alternating: +1 and -1 in turn.  The far base
+        # is a quarter turn from both P1 and the halfway vertex.
+        g = generate(f"cycle:{n}")
+        coeffs = {
+            "pile": [n - 1] + [-1] * (n - 1),
+            "halfway": [-1 if v == n // 2 else 0 for v in range(n)],
+            "alternating": [(-1) ** v for v in range(n)],
+        }[divisor]
+        q = 0 if base == "P1" else 3 * n // 4
+        reduced, witness = q_reduce_with_witness(g, Divisor.from_coeffs(g, coeffs), g.vertices[q])
+        expected, fires = oracles.reduce_one_chip(g, coeffs.copy(), q)
+        assert list(reduced.coeffs) == expected
+        assert list(witness.values) == [-f for f in fires]
+
+
 @pytest.fixture
 def burning_rounds(monkeypatch):
     """rounds(g, d, q): the calls to `_dhar_unburnt` one reduction makes,
@@ -208,8 +232,8 @@ class TestDropChip:
         assert red == before
 
     def test_vertex_borrowing_twice(self):
-        # Taking a chip at P4 sends P2 (neighbours P1, P3) into debt three
-        # times over before it borrows, so it has to borrow twice.
+        # Taking a chip at P4 makes P2 (neighbours P1, P3) borrow three
+        # times in all, as `test_waves_away_from_the_base` pins.
         g = Graph([f"P{i}" for i in range(1, 7)],
                   [("P1", "P2"), ("P2", "P3"), ("P3", "P4"), ("P3", "P5"), ("P3", "P6"),
                    ("P4", "P6"), ("P5", "P6")])
