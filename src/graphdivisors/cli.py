@@ -13,7 +13,12 @@ would: two-space indent, non-ASCII and control characters escaped, keys
 in insertion order.  The payloads hold only dicts with str keys, lists,
 tuples, str, int, bool and None, so a private writer (`_dumps`) produces
 those bytes without the pure-Python encoder that `indent` forces on
-`json.dumps`; the golden digests in the tests pin them.
+`json.dumps`; the golden digests in the tests pin them.  The records of
+`corpus` (11,968 at n = 6) are the one exception: its payload holds a
+function in their place, which the writer calls with its depth, and
+`_corpus_graphs` joins their text from one piece per edge pair and one
+per verdict row, as `json.dumps(enumerate_corpus(n).to_json(),
+indent=2)` would write them.  `--format text` never calls it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ import argparse
 import json
 import signal
 import sys
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter
 
-from .corpus import enumerate_corpus
+from .corpus import CorpusResult, enumerate_corpus
 from .divisors import (
     Divisor,
     _resolve_cap,
@@ -36,7 +43,7 @@ from .divisors import (
 )
 from .errors import GraphDivisorsError
 from .galois import classify_galois_points, is_galois_point, riemann_roch_check, verify_theorem
-from .graphs import Graph, generate, parse_family
+from .graphs import Graph, _labels, generate, parse_family
 from .symmetry import Subgroup, acts_harmonically, automorphism_group, quotient_graph, subgroups_of_order
 
 USAGE_ERROR = 2
@@ -103,8 +110,12 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 class _Depth:
     """The whitespace of one nesting depth of the indented JSON, and the
     text already written there: each dict key's line prefix (newline,
-    indent, key and `": "`), and each list of strings whole.  The edge
-    pairs and record keys of a corpus repeat thousands of times."""
+    indent, key and `": "`), and each list of strings whole, written by
+    one join and filed by its items.  A graph's vertex and edge lists
+    and a quotient's orbits take that path; without it `gen`, `classify`
+    and `quotient` payloads are written up to a fifth slower.  A corpus's
+    records bypass `_encode`: `_corpus_graphs` joins them from text
+    pieces cut with the same whitespace and key prefixes."""
 
     __slots__ = ("depth", "open", "sep", "close", "keys", "strings", "_inner")
 
@@ -124,10 +135,18 @@ class _Depth:
             self._inner = _Depth(self.depth + 1)
         return self._inner
 
+    def key(self, k: str) -> str:
+        prefix = self.keys.get(k)
+        if prefix is None:
+            prefix = self.keys[k] = self.open + _escape(k) + ": "
+        return prefix
+
 
 def _dumps(payload) -> str:
     """`json.dumps(payload, indent=2)` for dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError."""
+    tuples, str, int, bool and None; any other type raises TypeError.
+    A value may also be a function of its `_Depth` that returns its text
+    there (`_corpus_graphs`)."""
     return _encode(payload, _Depth(0))
 
 
@@ -144,6 +163,8 @@ def _encode(value, at: _Depth) -> str:
             if prefix is None:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                # `at.key(k)`, inlined: the call would cost small
+                # payloads 3-4%, since each new key misses once per call.
                 prefix = keys[k] = at.open + _escape(k) + ": "
             t = type(v)
             if t is str:
@@ -175,7 +196,37 @@ def _encode(value, at: _Depth) -> str:
         return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
+    if callable(value):
+        return value(at)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# A corpus record's fields after its edges, named as in `to_json()`.
+_VERDICTS = ("rank", "galois_count", "theorem_consistent", "corollary_consistent")
+
+
+def _corpus_graphs(result: CorpusResult, at: _Depth) -> str:
+    """What `_encode` writes at depth `at` for the list of the records'
+    `to_json()`, assembled from text: one piece per edge pair and one
+    per distinct verdict row, so that a record costs one join and never
+    becomes a dict or list.  A sweep has at least one record (the
+    complete graph), and a record at least three edges."""
+    record = at.inner
+    edges = record.inner
+    pair_text = {pair: _encode(pair, edges.inner) for pair in combinations(_labels(result.n), 2)}
+    head = "{" + record.key("edges") + "[" + edges.open
+    verdicts = attrgetter(*_VERDICTS)
+    tails: dict[tuple, str] = {}
+    texts = []
+    for r in result.records:
+        row = verdicts(r)
+        tail = tails.get(row)
+        if tail is None:
+            tail = tails[row] = edges.close + "]" + "".join(
+                ["," + record.key(k) + _encode(v, record) for k, v in zip(_VERDICTS, row)]
+            ) + record.close + "}"
+        texts.append(head + edges.sep.join(map(pair_text.__getitem__, r.edges)) + tail)
+    return "[" + at.open + at.sep.join(texts) + at.close + "]"
 
 
 def _cmd_gen(g: Graph, args) -> tuple:
@@ -312,7 +363,10 @@ def _cmd_corpus(g: None, args) -> tuple:
         f"n={result.n}: {result.graphs_tested} two-edge-connected labeled graphs",
         f"consistent: {'all' if result.all_consistent else f'{len(failures)} failures'}",
     ]
-    return result.to_json(), lines, result.all_consistent
+    payload = {"n": result.n, "graphs_tested": result.graphs_tested,
+               "all_consistent": result.all_consistent,
+               "graphs": lambda at: _corpus_graphs(result, at)}
+    return payload, lines, result.all_consistent
 
 
 _FAMILY = ("--family", {"help": "inline family spec, e.g. complete:5, wheel:6, cycle:4, house4"})

@@ -87,6 +87,15 @@ def test_corpus_call_builds_one_subparser_and_no_python_encoder(parsers_made, mo
     assert json.loads(capsys.readouterr().out)["graphs_tested"] == 253
 
 
+def test_corpus_text_writes_no_json(monkeypatch, capsys):
+    def assembler(*args):
+        raise AssertionError("the corpus JSON was assembled")
+
+    monkeypatch.setattr(graphdivisors.cli, "_corpus_graphs", assembler)
+    assert main(["corpus", "--n", "5", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "n=5: 253 two-edge-connected labeled graphs\nconsistent: all\n"
+
+
 def test_import_builds_no_parser(parsers_made):
     importlib.reload(graphdivisors.cli)
     assert parsers_made == []
