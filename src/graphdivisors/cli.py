@@ -19,6 +19,13 @@ function in their place, which the writer calls with its depth, and
 `_corpus_graphs` joins their text from one piece per edge pair and one
 per verdict row, as `json.dumps(enumerate_corpus(n).to_json(),
 indent=2)` would write them.  `--format text` never calls it.
+
+An argv made only of a command name and exact `--flag value` pairs is
+read straight from `_COMMANDS` by `_read_plain`, with no parser built.
+Every other argv goes to the full parser of `build_parser`, which
+prints help, usage lines and errors with their exit codes: help flags,
+abbreviated flags, `--flag=value`, a repeated flag, a value starting
+with `-`, and any argv that `_read_plain` would not take whole.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import argparse
 import json
 import signal
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
 
@@ -41,7 +48,8 @@ from .divisors import (
     q_reduce_with_witness,
     rank,
 )
-from .errors import GraphDivisorsError
+from . import symmetry
+from .errors import GraphDivisorsError, SizeCapExceededError
 from .galois import classify_galois_points, is_galois_point, riemann_roch_check, verify_theorem
 from .graphs import Graph, _labels, generate, parse_family
 from .symmetry import Subgroup, acts_harmonically, automorphism_group, quotient_graph, subgroups_of_order
@@ -304,7 +312,18 @@ def _cmd_quotient(g: Graph, args) -> tuple:
 
 
 def _cmd_harmonic(g: Graph, args) -> tuple:
-    h = _parse_subgroup(g, args.subgroup)
+    if args.subgroup is None and args.mode == "definition":
+        # Definition mode refuses a group of more than cap elements, so
+        # the full group is drawn no further than one element past it.
+        cap = symmetry.DEFAULT_HARMONIC_DEFINITION_CAP
+        perms = frozenset(islice(symmetry._automorphisms(g)(), cap + 1))
+        if len(perms) > cap:
+            raise SizeCapExceededError(
+                f"definition mode enumerates all subgroups; group order is larger than the cap {cap}"
+            )
+        h = Subgroup(g, perms, _checked=True)
+    else:
+        h = _parse_subgroup(g, args.subgroup)
     result = acts_harmonically(g, h, args.mode)
     payload = {"harmonic": result, "mode": args.mode, "order": h.order}
     return payload, ["true" if result else "false"], True
@@ -417,34 +436,65 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser of every command, or, given a command name,
-    one that knows only that command and reads the same arguments."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command."""
     parser = argparse.ArgumentParser(
         prog="graphdivisors",
         description="Divisor theory on finite graphs: reduced divisors, rank, "
                     "harmonic actions, and Galois-point classification.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        chosen = _COMMANDS
-    else:
-        # The usage line of an error still lists every command.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        chosen = {command: _COMMANDS[command]}
-    for name, (help_text, _, options) in chosen.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
     return parser
 
 
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The arguments of a command name followed by `--flag value` pairs,
+    read from `_COMMANDS` as the full parser reads them, or None where
+    the full parser must read argv itself.
+
+    It declines unless every flag is exactly one of the command's and
+    comes once (so an abbreviation, `--flag=value`, `-h` or `--help`
+    declines), no value starts with `-`, every value passes its
+    option's `type` and lies in its `choices`, and every required
+    option is given.  An option left out takes its `default`; argparse
+    would run a str default through `type`, and no option has both.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = dict(_COMMANDS[argv[0]][2])
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or flag in values or text.startswith("-"):
+            return None
+        value = text
+        if "type" in keywords:
+            try:
+                value = keywords["type"](text)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[flag] = value
+    for flag, keywords in options.items():
+        if flag not in values:
+            if keywords.get("required"):
+                return None
+            values[flag] = keywords.get("default")
+    return argparse.Namespace(command=argv[0],
+                              **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     _, handler, options = _COMMANDS[args.command]
     try:
         g = _load_graph(args) if _FAMILY in options else None

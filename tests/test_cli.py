@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -476,3 +477,76 @@ class TestUsageErrors:
             main(command.split() + ["--family", "complete:4", "--cap", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+class TestHarmonicDefinitionCap:
+    """Without `--subgroup`, definition mode draws the full group only
+    up to one element past its cap, so it refuses before listing a
+    large group.  Work is counted (elements drawn), not timed."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The automorphisms that every search started in the test yields."""
+        drawn = []
+        automorphisms = graphdivisors.symmetry._automorphisms
+
+        def counting(*args, **kwargs):
+            search = automorphisms(*args, **kwargs)
+
+            def counted(*a, **kw):
+                for x in search(*a, **kw):
+                    drawn.append(x)
+                    yield x
+
+            return counted
+
+        monkeypatch.setattr(graphdivisors.symmetry, "_automorphisms", counting)
+        return drawn
+
+    def test_refused_after_at_most_cap_plus_one_elements(self, capsys, drawn):
+        code, out, err = run(capsys, "harmonic", "--family", "complete:9", "--mode", "definition")
+        assert code == 2 and out == ""
+        assert err == "error: definition mode enumerates all subgroups; group order is larger than the cap 48\n"
+        assert len(drawn) <= 49
+
+    def test_cap_is_read_at_the_call(self, capsys, drawn, monkeypatch):
+        monkeypatch.setattr(graphdivisors.symmetry, "DEFAULT_HARMONIC_DEFINITION_CAP", 10)
+        code, out, err = run(capsys, "harmonic", "--family", "complete:4", "--mode", "definition")
+        assert code == 2 and out == ""
+        assert err == "error: definition mode enumerates all subgroups; group order is larger than the cap 10\n"
+        assert len(drawn) <= 11
+
+    def test_vertex_cap_refuses_first(self, capsys, drawn):
+        code, out, err = run(capsys, "harmonic", "--family", "complete:11", "--mode", "definition")
+        assert code == 2 and out == ""
+        assert err == "error: automorphism search is capped at 10 vertices, graph has 11\n"
+        assert drawn == []
+
+    # sha256 over the exit code, stdout and stderr, recorded while
+    # definition mode still listed the whole group first.
+    @pytest.mark.parametrize("family, fmt, digest", [
+        ("complete:4", "text", "6750eee97616dd45312924a05db178c7f3169ccb5f38b72ed39bcc3f780711d7"),
+        ("complete:4", "json", "6910c89a3cc52e5b3e8744bb43703d00410b84afd3db0584c326cf723f1e1044"),
+        ("house4", "text", "6750eee97616dd45312924a05db178c7f3169ccb5f38b72ed39bcc3f780711d7"),
+        ("house4", "json", "cad9d2382494b47330dcb4c87fdf9155c18d905ff5bea628f8381c59215d8dab"),
+    ])
+    def test_output_under_the_cap_unchanged(self, capsys, family, fmt, digest):
+        code, out, err = run(capsys, "harmonic", "--family", family, "--mode", "definition", "--format", fmt)
+        assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() == digest
+
+    def test_subgroup_input_unchanged(self, capsys, drawn):
+        # S5 from a swap and a 5-cycle: closed from its generators, then
+        # refused by `acts_harmonically` with its order, no search drawn.
+        vertices = [f"P{i}" for i in range(1, 6)]
+        swap = {"P1": "P2", "P2": "P1", "P3": "P3", "P4": "P4", "P5": "P5"}
+        cycle = dict(zip(vertices, vertices[1:] + vertices[:1]))
+        code, out, err = run(capsys, "harmonic", "--family", "complete:5", "--mode", "definition",
+                             "--subgroup", json.dumps([swap, cycle]))
+        assert code == 2 and out == ""
+        assert err == "error: definition mode enumerates all subgroups; group order 120 exceeds the cap 48\n"
+        rot = json.dumps([{"P1": "P1", "P2": "P3", "P3": "P4", "P4": "P2"}])
+        code, out, err = run(capsys, "harmonic", "--family", "complete:4", "--mode", "definition",
+                             "--subgroup", rot, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"harmonic": True, "mode": "definition", "order": 3}
+        assert drawn == []

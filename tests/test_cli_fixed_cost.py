@@ -3,13 +3,16 @@
 `--format json` is written by a private writer, not by `json.dumps(...,
 indent=2)`, whose `indent` forces the pure-Python encoder.  The writer
 must give exactly the same string; `json.dumps` stays here as its
-oracle.  `main` builds only the subparser of the command it is given,
-and must read every argv as the full parser does.  Work is counted
-(parsers made, encoder entered), not timed.
+oracle.  `main` reads an argv of exact `--flag value` pairs from the
+command table with no parser built, and must read every argv it takes
+that way as the full parser does; every other argv goes to the full
+parser.  Work is counted (parsers made, encoder entered), not timed.
 """
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphdivisors.cli
-from graphdivisors.cli import _COMMANDS, _dumps, build_parser, main
+from graphdivisors.cli import _COMMANDS, _dumps, _read_plain, build_parser, main
 
 TRICKY_TEXT = st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", " ", "😀",
                                "1", "true", "null", ""])
@@ -77,13 +80,13 @@ def parsers_made(monkeypatch):
     return made
 
 
-def test_corpus_call_builds_one_subparser_and_no_python_encoder(parsers_made, monkeypatch, capsys):
+def test_corpus_call_builds_no_parser_and_no_python_encoder(parsers_made, monkeypatch, capsys):
     def python_encoder(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder was entered")
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
     assert main(["corpus", "--n", "5", "--format", "json"]) == 0
-    assert len(parsers_made) == 2
+    assert parsers_made == []
     assert json.loads(capsys.readouterr().out)["graphs_tested"] == 253
 
 
@@ -125,8 +128,55 @@ def test_every_command_has_a_valid_argv():
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGV))
 def test_one_command_parser_reads_as_the_full_parser(command):
+    """The table reader, which knows one command, takes every valid
+    argv and reads it as the full parser does."""
     argv = VALID_ARGV[command].split()
-    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+    assert _read_plain(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_main_builds_no_parser_for_a_plain_argv(command, parsers_made, capsys):
+    main(VALID_ARGV[command].split())
+    capsys.readouterr()
+    assert parsers_made == []
+
+
+def test_no_option_has_a_str_default_and_a_type():
+    # argparse runs a str default through `type`; the reader does not.
+    for _, _, options in _COMMANDS.values():
+        for flag, keywords in options:
+            assert not ("type" in keywords and isinstance(keywords.get("default"), str)), flag
+
+
+def full_parse(argv):
+    """The full parser's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag, _ in options})
+FLAG_TOKENS = st.sampled_from(FLAGS + ["--fo", "--fam", "--div", "--n=5", "--format=json", "-h", "--help", "--"])
+VALUE_TOKENS = st.sampled_from(["5", "4", "-1", "", "x", "json", "text", " 7 ", "1_0", "\u0665", "-",
+                                "complete:4", "all-ones", "P1", "definition", "corpus", "--n"])
+PAIRS_ARGV = st.builds(
+    lambda command, pairs: [command] + [token for pair in pairs for token in pair],
+    st.sampled_from(sorted(_COMMANDS) + ["nope", "-h"]),
+    st.lists(st.tuples(FLAG_TOKENS, VALUE_TOKENS), max_size=5),
+)
+ANY_ARGV = st.lists(st.one_of(st.sampled_from(sorted(_COMMANDS)), FLAG_TOKENS, VALUE_TOKENS), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(PAIRS_ARGV, ANY_ARGV))
+def test_reader_declines_or_reads_as_the_full_parser(argv):
+    read = _read_plain(argv)
+    if read is not None:
+        full = full_parse(argv)
+        assert full is not None, "the reader took an argv the full parser rejects"
+        assert read == full
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from graphdivisors import Divisor, GaloisCertificate, audit_certificate, generate
-from graphdivisors.cli import main
+from graphdivisors.cli import _read_plain, main
 
 GOLDEN_SHA256 = {
     "corpus --n 3": "efe357864a8b1a1f5374def10b6fcac933316b701eed6b7f8a3b96b6b6af3a3f",
@@ -224,3 +224,26 @@ def test_parser_output_matches_golden_digest(command, capsys, monkeypatch):
     out = capsys.readouterr()
     digest = hashlib.sha256(json.dumps([code, out.out, out.err]).encode()).hexdigest()
     assert digest == PARSER_GOLDEN_SHA256[command]
+
+
+# sha256 over the exit code, stdout and stderr of argvs that argparse
+# reads but the plain-argv table reader declines: `--flag=value`, an
+# abbreviated flag and repeated flags (the last value wins).  Recorded
+# while every argv still went through argparse.
+FALLBACK_GOLDEN_SHA256 = {
+    "corpus --n=4 --format json": "f45eab1f6d0d24319a00b7115013943a041b61d8e91a529f1f87b7318d8b7025",
+    "corpus --fo json --n 4": "f45eab1f6d0d24319a00b7115013943a041b61d8e91a529f1f87b7318d8b7025",
+    "corpus --n 3 --n 4 --format json": "f45eab1f6d0d24319a00b7115013943a041b61d8e91a529f1f87b7318d8b7025",
+    "rank --family=complete:4 --divisor all-ones": "d6ea1868d5b7a7f089632625413bac304384306c4fc85dea49289e3dcbdc56e5",
+    "reduce --family cycle:5 --divisor all-ones --base P2 --base P3":
+        "df0296df0e08e75c6341a3f27a1ca1e832a2c16fdc82270aac938a35f56979e9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FALLBACK_GOLDEN_SHA256))
+def test_fallback_output_matches_golden_digest(command, capsys):
+    assert _read_plain(command.split()) is None
+    code = main(command.split())
+    out = capsys.readouterr()
+    digest = hashlib.sha256(json.dumps([code, out.out, out.err]).encode()).hexdigest()
+    assert digest == FALLBACK_GOLDEN_SHA256[command]
