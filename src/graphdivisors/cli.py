@@ -11,14 +11,15 @@ program, it ends by SIGPIPE when its stdout pipe is closed.
 `--format json` prints exactly what `json.dumps(payload, indent=2)`
 would: two-space indent, non-ASCII and control characters escaped, keys
 in insertion order.  The payloads hold only dicts with str keys, lists,
-tuples, str, int, bool and None, so a private writer (`_dumps`) produces
-those bytes without the pure-Python encoder that `indent` forces on
-`json.dumps`; the golden digests in the tests pin them.  The records of
-`corpus` (11,968 at n = 6) are the one exception: its payload holds a
-function in their place, which the writer calls with its depth, and
-`_corpus_graphs` joins their text from one piece per edge pair and one
-per verdict row, as `json.dumps(enumerate_corpus(n).to_json(),
-indent=2)` would write them.  `--format text` never calls it.
+tuples, str, int, bool and None, so one recursive function (`_dumps`)
+produces those bytes without the pure-Python encoder that `indent`
+forces on `json.dumps`; the golden digests in the tests pin them.  The
+records of `corpus` (11,968 at n = 6) are the one exception: its
+payload holds a function in their place, which the writer calls with
+its depth, and `_corpus_graphs` joins their text from one piece per
+edge pair and one per verdict row, as
+`json.dumps(enumerate_corpus(n).to_json(), indent=2)` would write them.
+`--format text` never calls it.
 
 An argv made only of a command name and exact `--flag value` pairs is
 read straight from `_COMMANDS` by `_read_plain`, with no parser built.
@@ -38,7 +39,7 @@ from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
 
-from .corpus import CorpusResult, enumerate_corpus
+from .corpus import VERDICT_FIELDS, CorpusResult, enumerate_corpus
 from .divisors import (
     Divisor,
     _resolve_cap,
@@ -115,65 +116,37 @@ class CliUsageError(Exception):
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-class _Depth:
-    """The whitespace of one nesting depth of the indented JSON, and the
-    text already written there: each dict key's line prefix (newline,
-    indent, key and `": "`), and each list of strings whole, written by
-    one join and filed by its items.  A graph's vertex and edge lists
-    and a quotient's orbits take that path; without it `gen`, `classify`
-    and `quotient` payloads are written up to a fifth slower.  A corpus's
-    records bypass `_encode`: `_corpus_graphs` joins them from text
-    pieces cut with the same whitespace and key prefixes."""
+def _dumps(value, depth: int = 0, keys: list[dict[str, str]] | None = None) -> str:
+    """`json.dumps(value, indent=2)`, written at nesting depth `depth`,
+    for dicts with str keys, lists, tuples, str, int, bool and None; any
+    other type raises TypeError.  A value may also be a function of its
+    depth that returns its text there (`_corpus_graphs`).
 
-    __slots__ = ("depth", "open", "sep", "close", "keys", "strings", "_inner")
-
-    def __init__(self, depth: int):
-        pad = "\n" + "  " * (depth + 1)
-        self.depth = depth
-        self.open = pad
-        self.sep = "," + pad
-        self.close = "\n" + "  " * depth
-        self.keys: dict[str, str] = {}
-        self.strings: dict[tuple[str, ...], str] = {}
-        self._inner = None
-
-    @property
-    def inner(self) -> "_Depth":
-        if self._inner is None:
-            self._inner = _Depth(self.depth + 1)
-        return self._inner
-
-    def key(self, k: str) -> str:
-        prefix = self.keys.get(k)
-        if prefix is None:
-            prefix = self.keys[k] = self.open + _escape(k) + ": "
-        return prefix
-
-
-def _dumps(payload) -> str:
-    """`json.dumps(payload, indent=2)` for dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError.
-    A value may also be a function of its `_Depth` that returns its text
-    there (`_corpus_graphs`)."""
-    return _encode(payload, _Depth(0))
-
-
-def _encode(value, at: _Depth) -> str:
+    `keys[d]` maps each dict key met at depth d to its line prefix
+    (newline, indent, key and `": "`), made once per call: an `aut`
+    payload repeats the same few keys in thousands of dicts.  Each
+    container's text is formatted whole, not concatenated piece by
+    piece, so a long one is copied once.
+    """
     if isinstance(value, str):
         return _escape(value)
+    if keys is None:
+        keys = []
     if isinstance(value, dict):
         if not value:
             return "{}"
-        keys = at.keys
+        try:
+            prefixes = keys[depth]
+        except IndexError:
+            keys += [{} for _ in range(depth + 1 - len(keys))]
+            prefixes = keys[depth]
         items = []
         for k, v in value.items():
-            prefix = keys.get(k) if type(k) is str else None
+            prefix = prefixes.get(k) if type(k) is str else None
             if prefix is None:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-                # `at.key(k)`, inlined: the call would cost small
-                # payloads 3-4%, since each new key misses once per call.
-                prefix = keys[k] = at.open + _escape(k) + ": "
+                prefix = prefixes[k] = "\n" + "  " * (depth + 1) + _escape(k) + ": "
             t = type(v)
             if t is str:
                 items.append(prefix + _escape(v))
@@ -182,59 +155,47 @@ def _encode(value, at: _Depth) -> str:
             elif t is bool or v is None:
                 items.append(prefix + _LITERALS[v])
             else:
-                items.append(prefix + _encode(v, at.inner))
-        return "{" + ",".join(items) + at.close + "}"
+                items.append(prefix + _dumps(v, depth + 1, keys))
+        return "{%s\n%s}" % (",".join(items), "  " * depth)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value[0]) is str:
-            # Only lists of str are filed, and no item of another JSON
-            # type equals a str, so a hit is a list of the same strings.
-            try:
-                key = tuple(value)
-                text = at.strings.get(key)
-                if text is None:
-                    text = at.strings[key] = "[" + at.open + at.sep.join(map(_escape, value)) + at.close + "]"
-                return text
-            except TypeError:  # an item is unhashable or not a str
-                pass
-        inner = at.inner
-        return "[" + at.open + at.sep.join([_encode(v, inner) for v in value]) + at.close + "]"
+        inner = depth + 1
+        pad = "\n" + "  " * inner
+        return "[%s%s%s]" % (pad, ("," + pad).join([_dumps(v, inner, keys) for v in value]), pad[:-2])
     if value is None or isinstance(value, bool):
         return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
     if callable(value):
-        return value(at)
+        return value(depth)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-# A corpus record's fields after its edges, named as in `to_json()`.
-_VERDICTS = ("rank", "galois_count", "theorem_consistent", "corollary_consistent")
-
-
-def _corpus_graphs(result: CorpusResult, at: _Depth) -> str:
-    """What `_encode` writes at depth `at` for the list of the records'
+def _corpus_graphs(result: CorpusResult, depth: int) -> str:
+    """What `_dumps` writes at `depth` for the list of the records'
     `to_json()`, assembled from text: one piece per edge pair and one
     per distinct verdict row, so that a record costs one join and never
     becomes a dict or list.  A sweep has at least one record (the
     complete graph), and a record at least three edges."""
-    record = at.inner
-    edges = record.inner
-    pair_text = {pair: _encode(pair, edges.inner) for pair in combinations(_labels(result.n), 2)}
-    head = "{" + record.key("edges") + "[" + edges.open
-    verdicts = attrgetter(*_VERDICTS)
+    # The line breaks of the list, of each record, of a record's keys
+    # and of its edges.
+    at_list, at_record, at_key, at_edge = ("\n" + "  " * d for d in range(depth, depth + 4))
+    pair_text = {pair: _dumps(pair, depth + 3) for pair in combinations(_labels(result.n), 2)}
+    head = "{" + at_key + '"edges": [' + at_edge
+    edge_sep = "," + at_edge
+    verdicts = attrgetter(*VERDICT_FIELDS)
     tails: dict[tuple, str] = {}
     texts = []
     for r in result.records:
         row = verdicts(r)
         tail = tails.get(row)
         if tail is None:
-            tail = tails[row] = edges.close + "]" + "".join(
-                ["," + record.key(k) + _encode(v, record) for k, v in zip(_VERDICTS, row)]
-            ) + record.close + "}"
-        texts.append(head + edges.sep.join(map(pair_text.__getitem__, r.edges)) + tail)
-    return "[" + at.open + at.sep.join(texts) + at.close + "]"
+            tail = tails[row] = at_key + "]" + "".join(
+                ["," + at_key + _escape(k) + ": " + _dumps(v) for k, v in zip(VERDICT_FIELDS, row)]
+            ) + at_record + "}"
+        texts.append(head + edge_sep.join(map(pair_text.__getitem__, r.edges)) + tail)
+    return "[%s%s%s]" % (at_record, ("," + at_record).join(texts), at_list)
 
 
 def _cmd_gen(g: Graph, args) -> tuple:
@@ -384,7 +345,7 @@ def _cmd_corpus(g: None, args) -> tuple:
     ]
     payload = {"n": result.n, "graphs_tested": result.graphs_tested,
                "all_consistent": result.all_consistent,
-               "graphs": lambda at: _corpus_graphs(result, at)}
+               "graphs": lambda depth: _corpus_graphs(result, depth)}
     return payload, lines, result.all_consistent
 
 

@@ -17,6 +17,9 @@ from .graphs import Graph, _bfs_distances, _bridgeless, _labels
 
 MAX_CORPUS_VERTICES = 6
 
+# A record's fields after its edges, in the order `to_json()` writes them.
+VERDICT_FIELDS = ("rank", "galois_count", "theorem_consistent", "corollary_consistent")
+
 
 @dataclass(frozen=True)
 class GraphRecord:
@@ -27,13 +30,7 @@ class GraphRecord:
     corollary_consistent: bool
 
     def to_json(self) -> dict:
-        return {
-            "edges": [list(e) for e in self.edges],
-            "rank": self.rank,
-            "galois_count": self.galois_count,
-            "theorem_consistent": self.theorem_consistent,
-            "corollary_consistent": self.corollary_consistent,
-        }
+        return {"edges": [list(e) for e in self.edges], **{k: getattr(self, k) for k in VERDICT_FIELDS}}
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .divisors import _check_bound, _members, _probe_rows, _rank_walk, _require_
 from .errors import (
     GraphMismatchError,
     NotTwoEdgeConnectedError,
+    ParameterOutOfRangeError,
     RankPreconditionError,
     UnknownVertexError,
 )
@@ -461,7 +462,11 @@ def verify_theorem(g: Graph, cap: int | None = None) -> TheoremCheck:
 
     Uses the all-ones divisor.  For complete graphs the stronger
     statement is also recorded: every vertex must be a Galois point.
+    The characterization is stated for n >= 3 vertices, as the corpus
+    sweeps it; a smaller graph raises ParameterOutOfRangeError.
     """
+    if len(g.vertices) < 3:
+        raise ParameterOutOfRangeError(f"the theorem check needs n >= 3 vertices, got {len(g.vertices)}")
     report = classify_galois_points(g, Divisor.all_ones(g), cap)
     return _theorem_from_report(g, report)
 

@@ -281,23 +281,23 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
     return frozenset(elems)
 
 
-def automorphism_group(g: Graph, cap: int | None = None) -> Subgroup:
+def automorphism_group(g: Graph) -> Subgroup:
     """The full automorphism group of g, found by `_automorphisms`
     with no bound or prune beyond adjacency."""
-    return Subgroup(g, frozenset(_automorphisms(g, cap)()), _checked=True)
+    return Subgroup(g, frozenset(_automorphisms(g)()), _checked=True)
 
 
-def _automorphisms(g: Graph, cap: int | None = None,
-                   m: int | None = None, pin: int | None = None) -> Callable[..., Iterator[tuple[int, ...]]]:
+def _automorphisms(g: Graph, m: int | None = None,
+                   pin: int | None = None) -> Callable[..., Iterator[tuple[int, ...]]]:
     """Return search(last=None, rest=()), a function that yields, lazily
     and in sorted order, the automorphisms x of g after `last` with
     x*c > x and c*x > x for every permutation c in `rest`.  Given m, it
     yields only the non-identity ones whose order divides m and that fix
     no vertex together with a neighbour; given pin, only those fixing
     that vertex, and every c in `rest` must then fix it too.  The vertex
-    cap (`DEFAULT_AUTOMORPHISM_VERTEX_CAP` when None, read at the call)
-    is checked and the tables of g are built here, once for all the
-    searches the function starts.
+    cap `DEFAULT_AUTOMORPHISM_VERTEX_CAP`, read at the call, is checked
+    and the tables of g are built here, once for all the searches the
+    function starts.
 
     Exhaustive by construction: a backtracking search that gives vertex
     0, 1, ... its image in turn, smallest first, pruned to same-degree
@@ -324,7 +324,7 @@ def _automorphisms(g: Graph, cap: int | None = None,
     run out, dropped mid-way or never started.
     """
     n = len(g.vertices)
-    cap = DEFAULT_AUTOMORPHISM_VERTEX_CAP if cap is None else cap
+    cap = DEFAULT_AUTOMORPHISM_VERTEX_CAP
     if n > cap:
         raise SizeCapExceededError(
             f"automorphism search is capped at {cap} vertices, graph has {n}"
@@ -789,8 +789,7 @@ def _harmonic_element(adj, p: tuple[int, ...]) -> bool:
     return not any(p[v] == v and any(p[w] == w for w in adj[v]) for v in range(len(p)))
 
 
-def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
-                      cap: int | None = None) -> bool:
+def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion") -> bool:
     """Whether h acts harmonically on g.
 
     criterion mode: no non-identity element may fix both a vertex and
@@ -799,8 +798,8 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
     subgroup of h, including h itself and the trivial one, must be a
     harmonic morphism.  The two modes agree; the acceptance suite checks
     this on every subgroup of every corpus graph.  Definition mode
-    refuses a group of more than cap elements
-    (`DEFAULT_HARMONIC_DEFINITION_CAP` when None, read at the call).
+    refuses a group of more than `DEFAULT_HARMONIC_DEFINITION_CAP`
+    elements, read at the call.
     """
     if h.graph != g:
         raise GraphMismatchError("subgroup acts on a different graph")
@@ -808,7 +807,7 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion",
         identity = tuple(range(len(g.vertices)))
         return all(_harmonic_element(g._adj, p) for p in h.perms if p != identity)
     if mode == "definition":
-        cap = DEFAULT_HARMONIC_DEFINITION_CAP if cap is None else cap
+        cap = DEFAULT_HARMONIC_DEFINITION_CAP
         if len(h.perms) > cap:
             raise SizeCapExceededError(
                 f"definition mode enumerates all subgroups; group order {len(h.perms)} "

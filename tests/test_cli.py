@@ -201,6 +201,15 @@ class TestCheckCommands:
         code, out, _ = run(capsys, "verify-theorem", "--family", "house4")
         assert code == 0  # equivalence holds (both sides false)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_theorem_one_vertex_is_bad_input(self, capsys, tmp_path, fmt):
+        # K1 lies outside the characterization (n >= 3): exit 2, not a failed check.
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+        code, out, err = run(capsys, "verify-theorem", "--graph", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: the theorem check needs n >= 3 vertices, got 1\n"
+
     def test_rr_check(self, capsys):
         code, out, _ = run(
             capsys, "rr-check", "--family", "house4", "--divisor", "all-ones", "--format", "json"

@@ -14,6 +14,7 @@ from graphdivisors import (
     GraphMismatchError,
     NoQualifyingSubgroup,
     NotTwoEdgeConnectedError,
+    ParameterOutOfRangeError,
     RankNotTwo,
     RankPreconditionError,
     Subgroup,
@@ -457,6 +458,13 @@ class TestVerifyTheorem:
         check = verify_theorem(generate("complete:3"))
         assert check.is_complete and check.has_two_galois and check.equivalence_holds
         assert check.galois_count == 3
+
+    @pytest.mark.parametrize("vertices, edges", [(["a"], []), (["a", "b"], [("a", "b")])],
+                             ids=["K1", "K2"])
+    def test_fewer_than_three_vertices_refused(self, vertices, edges):
+        g = build_graph(vertices, edges)
+        with pytest.raises(ParameterOutOfRangeError, match="n >= 3"):
+            verify_theorem(g)
 
 
 class TestRiemannRoch:

@@ -140,7 +140,7 @@ class TestAutomorphismGroup:
     def test_vertex_cap(self):
         g = generate("cycle:12")
         with pytest.raises(SizeCapExceededError):
-            automorphism_group(g, cap=10)
+            automorphism_group(g)
 
 
 class TestSubgroups:
@@ -418,10 +418,13 @@ class TestActsHarmonically:
             for h in all_subgroups(automorphism_group(g)):
                 assert acts_harmonically(g, h, "criterion") == acts_harmonically(g, h, "definition")
 
-    def test_definition_mode_cap(self, k4):
+    def test_definition_mode_cap(self, k4, monkeypatch):
+        import graphdivisors.symmetry as symmetry
+
         full = automorphism_group(k4)
+        monkeypatch.setattr(symmetry, "DEFAULT_HARMONIC_DEFINITION_CAP", 10)
         with pytest.raises(SizeCapExceededError):
-            acts_harmonically(k4, full, "definition", cap=10)
+            acts_harmonically(k4, full, "definition")
 
     def test_unknown_mode(self, k4):
         with pytest.raises(ValueError):
