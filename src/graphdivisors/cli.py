@@ -6,7 +6,11 @@ and whether its check passed.  `main` alone loads the graph, writes
 stdout and sets the exit status: 0 for a computed answer or a passing
 check, 1 when a consistency check fails mathematically (verify-theorem,
 rr-check, classify, corpus), 2 for usage or input errors.  Run as a
-program, it ends by SIGPIPE when its stdout pipe is closed.
+program, it ends by SIGPIPE when its stdout pipe is closed.  The
+symmetry limits are read and checked in `symmetry` alone: `harmonic
+--mode definition` without `--subgroup` takes its group from
+`symmetry._definition_group`, drawn only up to one element past the
+definition-mode cap.
 
 `--format json` prints exactly what `json.dumps(payload, indent=2)`
 would: two-space indent, non-ASCII and control characters escaped, keys
@@ -35,7 +39,7 @@ import argparse
 import json
 import signal
 import sys
-from itertools import combinations, islice
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
 
@@ -49,11 +53,11 @@ from .divisors import (
     q_reduce_with_witness,
     rank,
 )
-from . import symmetry
-from .errors import GraphDivisorsError, SizeCapExceededError
+from .errors import GraphDivisorsError
 from .galois import classify_galois_points, is_galois_point, riemann_roch_check, verify_theorem
 from .graphs import Graph, _labels, generate, parse_family
-from .symmetry import Subgroup, acts_harmonically, automorphism_group, quotient_graph, subgroups_of_order
+from .symmetry import (Subgroup, _definition_group, acts_harmonically, automorphism_group, quotient_graph,
+                       subgroups_of_order)
 
 USAGE_ERROR = 2
 
@@ -273,18 +277,8 @@ def _cmd_quotient(g: Graph, args) -> tuple:
 
 
 def _cmd_harmonic(g: Graph, args) -> tuple:
-    if args.subgroup is None and args.mode == "definition":
-        # Definition mode refuses a group of more than cap elements, so
-        # the full group is drawn no further than one element past it.
-        cap = symmetry.DEFAULT_HARMONIC_DEFINITION_CAP
-        perms = frozenset(islice(symmetry._automorphisms(g)(), cap + 1))
-        if len(perms) > cap:
-            raise SizeCapExceededError(
-                f"definition mode enumerates all subgroups; group order is larger than the cap {cap}"
-            )
-        h = Subgroup(g, perms, _checked=True)
-    else:
-        h = _parse_subgroup(g, args.subgroup)
+    definition = args.subgroup is None and args.mode == "definition"
+    h = _definition_group(g) if definition else _parse_subgroup(g, args.subgroup)
     result = acts_harmonically(g, h, args.mode)
     payload = {"harmonic": result, "mode": args.mode, "order": h.order}
     return payload, ["true" if result else "false"], True

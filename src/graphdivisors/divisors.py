@@ -97,7 +97,9 @@ class Divisor:
 
     @classmethod
     def from_json(cls, graph: "Graph", obj: Mapping[str, int]) -> "Divisor":
-        return cls(graph, dict(obj))
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"divisor JSON must be an object, got {type(obj).__name__}")
+        return cls(graph, obj)
 
     def to_json(self) -> dict:
         return {v: c for v, c in zip(self.graph.vertices, self.coeffs) if c != 0}
@@ -530,16 +532,14 @@ def linearly_equivalent(g: "Graph", d1: Divisor, d2: Divisor) -> bool:
     """True iff d1 - d2 is principal.
 
     Decided by one reduction of d1 - d2 at the canonical base vertex
-    (the first vertex in construction order): a divisor of degree 0 is
-    principal iff its reduced form is 0, since 0 is reduced and the
-    reduced representative of a class is unique.
+    (the first vertex in construction order): a divisor is principal
+    iff its reduced form is 0, since 0 is reduced and the reduced
+    representative of a class is unique.  A principal divisor has
+    degree 0, and reduction keeps the degree, so d1 and d2 of different
+    degrees reduce to a nonzero form.
     """
     _check_bound(g, d1)
     _check_bound(g, d2)
-    if d1.coeffs == d2.coeffs:
-        return True
-    if d1.degree != d2.degree:
-        return False
     reduced, _ = _reduce_coeffs(g, [a - b for a, b in zip(d1.coeffs, d2.coeffs)], 0)
     return not any(reduced)
 
@@ -739,12 +739,10 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     an empty child, and then bound = j - 1 cuts P.  The walk keeps one
     row per node on its path.
 
-    The one-wave rule: at leaves only a child's emptiness matters.
-    Where j + 1 >= bound, a nonempty child cannot lower the bound.
-    Where only the cap limit makes them leaves, it can, but not below
-    the limit, and a final bound at or above the limit refuses whatever
-    its value.  If red[0] >= deg(0) and v is a neighbour of vertex 0,
-    the child is not empty.  Off the base, sigma = deg - 1 - red is
+    The one-wave rule: at leaves (j + 1 >= bound) only a child's
+    emptiness matters, since a nonempty child cannot lower the bound.
+    If red[0] >= deg(0) and v is a neighbour of vertex 0, the child is
+    not empty.  Off the base, sigma = deg - 1 - red is
     recurrent, and sigma + e_v <= sigma + beta, where beta counts each
     vertex's edges to vertex 0.  By Dhar's burning test (PRL 1990)
     sigma + beta topples every vertex exactly once, and by the abelian
@@ -754,8 +752,10 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the call refuses iff r + shift
-    >= s - 1, that is iff a probe of degree s - shift would be needed,
-    and the walk never goes past degree s - shift - 1.  With shift 0
+    >= s - 1, that is iff a probe of degree s - shift would be needed.
+    So a starting bound past the cap is lowered to s - shift - 1: the
+    walk never goes past that degree, and a final bound still there
+    refuses whatever r is, while one below it is r.  With shift 0
     that is the walk of d itself; `rank` walks K - d with shift
     deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
     further than the walk of d would.
@@ -768,9 +768,9 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
         base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
         if base[0] >= 0:
             bound, stack = base[0], [(base, 0, 0, None)]
-    # The bound only falls, so the limit can cut the walk only when the
-    # starting bound is already past the cap.
-    limit = _refusal_degree(n, capv) - shift - 1 if _past_cap(bound + shift, n, capv) else bound + 1
+    # The bound only falls, so the cap can cut the walk only when the
+    # starting bound is already past it.
+    bound = min(bound, _refusal_degree(n, capv) - shift - 1) if _past_cap(bound + shift, n, capv) else bound
     adj = g._adj
     deg0, near0 = len(adj[0]), g._adj_masks[0]
     order = g._derived.get("walk order")
@@ -779,9 +779,9 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     m = n - 1
     while stack:
         red, i, j, row = stack.pop()
-        if j >= bound or j >= limit:
+        if j >= bound:
             continue
-        leaves = j + 1 >= bound or j + 1 >= limit
+        leaves = j + 1 >= bound
         wave = leaves and red[0] >= deg0
         kids = None if leaves else [None] * m
         p = order[i] if row else None

@@ -12,7 +12,7 @@ that reproduces in isolation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import chain
 from math import gcd
@@ -96,9 +96,16 @@ def _reason_to_json(reason: FailureReason | None):
 def _reason_from_json(obj) -> FailureReason | None:
     if obj is None:
         return None
-    tags = {c.tag: c for c in (RankNotTwo, Cond1Fail, Cond2Fail, NoQualifyingSubgroup)}
-    cls = tags[obj["tag"]]
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"reason JSON must be an object, got {type(obj).__name__}")
+    tag = obj.get("tag")
+    cls = next((c for c in (RankNotTwo, Cond1Fail, Cond2Fail, NoQualifyingSubgroup) if c.tag == tag), None)
+    if cls is None:
+        raise ValueError(f"reason JSON has an unknown tag {tag!r}")
     kwargs = {k: v for k, v in obj.items() if k != "tag"}
+    names = [f.name for f in fields(cls)]
+    if kwargs.keys() != set(names):
+        raise ValueError(f"{cls.tag} reason JSON needs the fields {names}, got {list(kwargs)}")
     return cls(**kwargs)
 
 
@@ -133,6 +140,11 @@ class GaloisCertificate:
 
     @classmethod
     def from_json(cls, graph: Graph, obj: Mapping) -> "GaloisCertificate":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"certificate JSON must be an object, got {type(obj).__name__}")
+        for key in ("vertex", "verdict"):
+            if key not in obj:
+                raise ValueError(f"certificate JSON has no {key!r} key")
         return cls(
             vertex=obj["vertex"],
             verdict=obj["verdict"],
@@ -217,15 +229,16 @@ def _require_rank_two(g: Graph, d: Divisor, cap: int | None) -> None:
         raise RankPreconditionError(f"divisor has rank {r}, but rank 2 is required", rank=r)
 
 
-def check_smoothness(g: Graph, d: Divisor, p: str, cap: int | None = None) -> SmoothnessCheck:
+def check_smoothness(g: Graph, d: Divisor, p: str) -> SmoothnessCheck:
     """Conditions for p to behave like a smooth plane-curve point:
     rank(d - p) = 1 and rank(d - p - q) = 0 for every q, including q = p.
 
-    Requires rank(d) = 2 (the cap applies to that rank computation);
-    returns the first violation found, scanning q in vertex order.
+    Requires rank(d) = 2, a rank computation that
+    `DEFAULT_ENUMERATION_CAP`, read at the call, limits; returns the
+    first violation found, scanning q in vertex order.
     """
     pi = g.index_of(p)
-    _require_rank_two(g, d, cap)
+    _require_rank_two(g, d, None)
     return _smoothness(g, pi, _probe_rows(g, d, (pi,))[0][0])
 
 
@@ -510,8 +523,7 @@ def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannR
     )
 
 
-def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
-                      cap: int | None = None) -> list[str]:
+def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate) -> list[str]:
     """Re-verify a certificate without trusting the search that built it.
 
     Returns a list of problems; an empty list means the certificate is
@@ -526,7 +538,8 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     derived reason as a whole; where nothing is derived, the harmonic
     subgroups of order deg(d) - 1 are recounted in one unpinned pass,
     without the search's pinned pass or its arithmetic shortcuts, and
-    must give the recorded NoQualifyingSubgroup.
+    must give the recorded NoQualifyingSubgroup.  The ranks and the
+    recount refuse past `DEFAULT_ENUMERATION_CAP`, read at the call.
     """
     problems: list[str] = []
     p = cert.vertex
@@ -536,12 +549,12 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
         return [f"certificate names unknown vertex {p!r}"]
     dp = d - Divisor.vertex(g, p)
     derived = None
-    if (r := rank(g, d, cap)) != 2:
+    if (r := rank(g, d)) != 2:
         derived = RankNotTwo(r)
-    elif (r := rank(g, dp, cap)) != 1:
+    elif (r := rank(g, dp)) != 1:
         derived = Cond1Fail(p, r)
     else:
-        ranks = ((q, rank(g, dp - Divisor.vertex(g, q), cap)) for q in g.vertices)
+        ranks = ((q, rank(g, dp - Divisor.vertex(g, q))) for q in g.vertices)
         derived = next((Cond2Fail(p, q, r) for q, r in ranks if r), None)
 
     if cert.verdict:
@@ -592,7 +605,7 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate,
     if derived is None:
         m = dp.degree
         groups = _harmonic_subgroups(g, m)
-        _require_enumerable(m, len(g.vertices), cap)
+        _require_enumerable(m, len(g.vertices), None)
         again = _first_witness(g, p, list(q_reduce(g, dp, g.vertices[0]).coeffs), groups)
         if again.verdict:
             return ["a qualifying subgroup exists after all"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -262,7 +263,7 @@ def _as_perm(graph: Graph, e) -> tuple[int, ...]:
     raise InvalidMorphismError(f"cannot interpret {e!r} as an automorphism")
 
 
-def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> frozenset | None:
+def _closure(gens: list[tuple[int, ...]], n: int, cap: int) -> frozenset | None:
     """Group generated by gens; None if the size passes cap."""
     identity = tuple(range(n))
     elems = {identity}
@@ -273,7 +274,7 @@ def _closure(gens: list[tuple[int, ...]], n: int, cap: int | None = None) -> fro
             for gpm in gens:
                 b = _compose(a, gpm)
                 if b not in elems:
-                    if cap is not None and len(elems) >= cap:
+                    if len(elems) >= cap:
                         return None
                     elems.add(b)
                     new.append(b)
@@ -787,6 +788,19 @@ def _harmonic_element(adj, p: tuple[int, ...]) -> bool:
     with one of its neighbours, the condition that every element of a
     harmonically acting group must meet."""
     return not any(p[v] == v and any(p[w] == w for w in adj[v]) for v in range(len(p)))
+
+
+def _definition_group(g: Graph) -> Subgroup:
+    """Aut(g) for definition mode, which refuses a group of more than
+    `DEFAULT_HARMONIC_DEFINITION_CAP` elements (read at the call): the
+    group is drawn no further than one element past the cap."""
+    cap = DEFAULT_HARMONIC_DEFINITION_CAP
+    perms = frozenset(islice(_automorphisms(g)(), cap + 1))
+    if len(perms) > cap:
+        raise SizeCapExceededError(
+            f"definition mode enumerates all subgroups; group order is larger than the cap {cap}"
+        )
+    return Subgroup(g, perms, _checked=True)
 
 
 def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion") -> bool:

@@ -7,6 +7,10 @@ definition and enumerates every probe, group enumeration filters raw
 permutations (networkx's VF2 matcher lists them from nine vertices up)
 or closes small generating sets, and `reduce_one_chip`
 reduces with a burning loop that fires one chip per round.
+`rank_walk_spec` walks the rank probes in the order and by the rules
+that `divisors._rank_walk` documents, but reduces every probe from
+scratch with `reduce_one_chip`, to name the avalanches the walk must
+make.
 `system_nonempty`, which `rank_brute` asks of every probe, leans on the
 reduced-divisor theorem (Baker-Norine: |D| is nonempty iff its q-reduced
 form is effective), not on library code: it is one `reduce_one_chip`
@@ -181,6 +185,73 @@ def rank_brute(g: Graph, d: Divisor):
             if not system_nonempty(g, probe):
                 return s - 1
         s += 1
+
+
+def rank_walk_spec(g: Graph, d: Divisor):
+    """(rank of d, avalanches) by the walk `divisors._rank_walk` documents,
+    without its cap, where avalanches lists (reduced parent, vertex) for
+    every child that the walk's rules leave to `_drop_chip`.
+
+    Each node is a multiset e' of vertices off vertex 0 with
+    nondecreasing positions in the walk order (the non-neighbours of
+    vertex 0, then its neighbours, each group by ascending degree), and
+    its reduced form is `reduce_one_chip` of d - e' at vertex 0, from
+    scratch.  The bound starts at the base's chips (-1 if |d| is empty)
+    and falls to j at an empty child of a node of degree j, which ends
+    that node's children, and to c0 + j + 1 at a child with c0 chips at
+    the base.  A node of degree j >= bound is not visited; one with j + 1
+    >= bound keeps its children as leaves, not extended.  A node's
+    children are found in position order, then visited last first, as
+    the walk's stack pops them.  A child needs no avalanche when its
+    parent holds a chip at its vertex (the leaf rule), when the parent's
+    sibling at its position holds a chip at the parent's vertex (the
+    sibling rule), or at a leaf next to vertex 0 whose parent holds at
+    least deg(0) chips there (the one-wave rule).  Every child is still
+    reduced here and moves the bound, so a rule that spared a child that
+    mattered shows up as a different walk.
+    """
+    adj = g._adj
+    n = len(adj)
+    order = sorted(range(1, n), key=lambda v: (v in adj[0], len(adj[v])))
+
+    def reduced(taken):
+        coeffs = list(d.coeffs)
+        for v in taken:
+            coeffs[v] -= 1
+        return reduce_one_chip(g, coeffs, 0)[0]
+
+    avalanches = []
+    base = reduced(()) if d.degree >= 0 else [-1]
+    if base[0] < 0:
+        return -1, avalanches
+    bound = base[0]
+
+    def visit(taken, red, i, j, row):
+        nonlocal bound
+        if j >= bound:
+            return
+        leaves = j + 1 >= bound
+        kids = [None] * (n - 1)
+        children = []
+        for b in range(i, n - 1):
+            v = order[b]
+            kid = taken + (v,)
+            kids[b] = child = reduced(kid)
+            spared = (red[v] > 0 or (row is not None and row[b][taken[-1]] > 0)
+                      or (leaves and red[0] >= len(adj[0]) and v in adj[0]))
+            if not spared:
+                avalanches.append((tuple(red), v))
+            if child[0] < 0:
+                bound = j
+                break
+            bound = min(bound, child[0] + j + 1)
+            children.append((kid, child, b))
+        if not leaves:
+            for kid, child, b in reversed(children):
+                visit(kid, child, b, j + 1, kids)
+
+    visit((), base, 0, 0, None)
+    return bound, avalanches
 
 
 # The plain reduction: stage one clears debt off q with ball firings,

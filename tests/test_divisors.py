@@ -96,6 +96,12 @@ class TestDivisorValues:
         assert Divisor.from_json(k4, d.to_json()) == d
         assert d.to_json() == {"P1": 3, "P2": -1}
 
+    @pytest.mark.parametrize("obj, kind", [([["P1", 1]], "list"), (3, "int"), ("P1", "str"), (None, "NoneType")],
+                             ids=["pairs", "int", "str", "null"])
+    def test_json_not_an_object_rejected(self, k4, obj, kind):
+        with pytest.raises(ValueError, match=f"divisor JSON must be an object, got {kind}"):
+            Divisor.from_json(k4, obj)
+
 
 class TestVertexFunction:
     def test_total_mapping_required(self, k4):
@@ -362,3 +368,22 @@ class TestRiemannRochIdentity:
             k = canonical_divisor(g)
             assert rank(g, Divisor.zero(g)) == 0
             assert rank(g, k) == genus(g) - 1
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda g: Divisor(g, {"P1": 1.5}), ValueError, "coefficient of 'P1' must be an integer, got 1.5"),
+    (lambda g: Divisor(g, {"P2": True}), ValueError, "coefficient of 'P2' must be an integer, got True"),
+    (lambda g: Divisor.from_coeffs(g, (1, 2, 3)), ValueError, "expected 4 coefficients, got 3"),
+    (lambda g: VertexFunction(g, {"P1": 0, "P2": "x", "P3": 0, "P4": 0}), ValueError,
+     "value at 'P2' must be an integer, got 'x'"),
+    (lambda g: VertexFunction.from_values(g, (0, 1, 2, 3, 4)), MissingVertexValueError,
+     "expected 4 values, got 5"),
+    (lambda g: laplacian_apply(g, VertexFunction.constant(generate("cycle:4"), 1)), GraphMismatchError,
+     "vertex function is bound to a different graph"),
+], ids=["float coefficient", "bool coefficient", "coefficient count", "str value", "value count",
+        "foreign function"])
+def test_input_checks(make, error, message):
+    # Each refusal names what it refuses, as `errors` promises.
+    with pytest.raises(error) as exc:
+        make(generate("complete:4"))
+    assert str(exc.value) == message

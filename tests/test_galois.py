@@ -222,6 +222,33 @@ class TestIsGaloisPoint:
         bad = is_galois_point(w5, Divisor.all_ones(w5), "P3")
         assert GaloisCertificate.from_json(w5, bad.to_json()) == bad
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"reason": {"tag": "Bogus", "rank": 1}}, "unknown tag 'Bogus'"),
+        ({"reason": {"tag": ["RankNotTwo"]}}, r"unknown tag \['RankNotTwo'\]"),
+        ({"reason": {"rank": 1}}, "unknown tag None"),
+        ({"reason": [1]}, "reason JSON must be an object, got list"),
+        ({"reason": {"tag": "RankNotTwo"}}, r"RankNotTwo reason JSON needs the fields \['rank'\], got \[\]"),
+        ({"reason": {"tag": "Cond1Fail", "vertex": "P3", "rank": 2, "other": "P1"}},
+         r"Cond1Fail reason JSON needs the fields \['vertex', 'rank'\], got \['vertex', 'rank', 'other'\]"),
+        ({"reason": {"tag": "Cond2Fail", "vertex": "P3", "rank": 1}},
+         r"needs the fields \['vertex', 'other', 'rank'\], got \['vertex', 'rank'\]"),
+    ], ids=["unknown tag", "list tag", "no tag", "not an object", "no field", "extra field", "missing field"])
+    def test_malformed_reason_json_rejected(self, w5, change, problem):
+        obj = is_galois_point(w5, Divisor.all_ones(w5), "P3").to_json() | change
+        with pytest.raises(ValueError, match=problem):
+            GaloisCertificate.from_json(w5, obj)
+
+    @pytest.mark.parametrize("key", ["vertex", "verdict"])
+    def test_certificate_json_without_key_rejected(self, w5, key):
+        obj = is_galois_point(w5, Divisor.all_ones(w5), "P3").to_json()
+        del obj[key]
+        with pytest.raises(ValueError, match=f"certificate JSON has no '{key}' key"):
+            GaloisCertificate.from_json(w5, obj)
+
+    def test_certificate_json_not_an_object_rejected(self, w5):
+        with pytest.raises(ValueError, match="certificate JSON must be an object, got list"):
+            GaloisCertificate.from_json(w5, [["vertex", "P1"]])
+
 
 class TestAudit:
     def test_positive_certificates_pass(self, k4, w5):

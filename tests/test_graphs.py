@@ -225,3 +225,16 @@ class TestJson:
             build_graph([1, 2], [(1, 2)])
         with pytest.raises(UnknownEndpointError, match=r"\['P2'\]"):
             build_graph(["P1", "P2"], [("P1", ["P2"])])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Graph([], []), ValueError, "a graph needs at least one vertex"),
+    (lambda: generate("house4").edge_key("P4", "P2"), UnknownEndpointError, "{'P4', 'P2'} is not an edge"),
+    (lambda: parse_family("complete:x"), ValueError, "family size 'x' is not an integer"),
+    (lambda: generate(GraphFamily("bogus", 3)), ValueError, "unknown graph family 'bogus'"),
+], ids=["no vertices", "non-edge key", "size not an integer", "unknown family"])
+def test_input_checks(make, error, message):
+    # Each refusal names what it refuses, as `errors` promises.
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

@@ -6,8 +6,11 @@ decided in `symmetry` alone, and the walks over reduced divisors live in
 `_harmonic_subgroups`, the one entry point for the harmonic subgroups
 of an order, and `_vertex_orbits`.  It reaches the divisor internals
 through the probe table, the rank walk, the member walk and two guards;
-it neither reduces a divisor nor takes a chip itself.  These tests read
-the imports of `galois.py` instead of running it.
+it neither reduces a divisor nor takes a chip itself.  `cli` reaches
+them through `_definition_group` alone, the bounded draw for definition
+mode, so the definition-mode cap is read and checked in `symmetry`
+only.  These tests read the sources of `galois.py` and `cli.py` instead
+of running them.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 import graphdivisors
 
 GALOIS = Path(graphdivisors.__file__).parent / "galois.py"
+CLI = Path(graphdivisors.__file__).parent / "cli.py"
 ALLOWED = {"_harmonic_subgroups", "_vertex_orbits"}
 DIVISORS_ALLOWED = {"_check_bound", "_members", "_probe_rows", "_rank_walk", "_require_enumerable"}
 
@@ -48,3 +52,13 @@ def test_galois_imports_only_the_listed_divisor_internals():
     assert private == [], f"galois.py imports private divisor names {private}"
     assert "_probe_rows" in names
     assert "divisors" not in names, "galois.py imports the divisors module whole"
+
+
+def test_cli_reaches_symmetry_only_through_the_definition_draw():
+    names = set(imported_names(CLI, "symmetry"))
+    private = sorted(name for name in names if name.startswith("_") and name != "_definition_group")
+    assert private == [], f"cli.py imports private symmetry names {private}"
+    assert "symmetry" not in names, "cli.py imports the symmetry module whole"
+    source = CLI.read_text(encoding="utf-8")
+    for name in ("DEFAULT_HARMONIC_DEFINITION_CAP", "_automorphisms"):
+        assert name not in source, f"cli.py names {name}"

@@ -7,7 +7,9 @@ that refusal point against a per-degree count, `rank` against the walk
 of d itself (value or refusal), the values against `oracles.rank_brute`
 and, beyond the brute force's reach, the walk against the Baker-Norine
 facts, the smoothness table against the brute-force smoothness oracle,
-and the work of all of them in `_drop_chip` calls.
+the work of all of them in `_drop_chip` calls, and the walk's
+avalanches, each with the reduced form it starts from, against the
+documented walk of `oracles.rank_walk_spec`.
 """
 
 import random
@@ -293,6 +295,60 @@ class TestSmoothnessOracle:
                 assert cert.verdict or isinstance(cert.reason, NoQualifyingSubgroup), p
             else:
                 assert not cert.verdict and cert.reason == expected.failure, p
+
+
+@pytest.fixture
+def avalanches(monkeypatch):
+    """(reduced form, vertex) of every `_drop_chip` call made after setup."""
+    calls = []
+    real = divisors._drop_chip
+
+    def recording(adj, red, v):
+        calls.append((tuple(red), v))
+        return real(adj, red, v)
+
+    monkeypatch.setattr(divisors, "_drop_chip", recording)
+    return calls
+
+
+def spec_walk_cases():
+    """The all-ones divisor on named graphs, then 200 seeded bridgeless
+    graphs on 3-7 vertices with coefficients in [-2, 4], redrawn up to
+    degree 10, which keeps each walk of d to a few hundred nodes."""
+    specs = ["house4"] + [f"cycle:{n}" for n in range(4, 7)] + [f"complete:{n}" for n in range(3, 8)]
+    for spec in specs + [f"wheel:{n}" for n in range(5, 9)]:
+        g = generate(spec)
+        yield g, Divisor.all_ones(g)
+    rng = random.Random("spec-walk")
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        g = two_edge_connected_graph(rng, n)
+        while True:
+            d = Divisor.from_coeffs(g, [rng.randint(-2, 4) for _ in range(n)])
+            if d.degree <= 10:
+                break
+        yield g, d
+
+
+class TestSpecWalk:
+    def test_avalanches_match_the_documented_walk(self, avalanches):
+        # The walk must make exactly the avalanches its rules leave, on
+        # exactly the reduced forms its documented order reaches: the
+        # walk of d itself (shift 0), and from degree g - 1 up the walk
+        # of K - d that `rank` makes with shift deg(d) + 1 - g.
+        walked_k_minus_d = 0
+        for g, d in spec_walk_cases():
+            delta = d.degree + 1 - (len(g.edges) - len(g.vertices) + 1)
+            walks = [(d, 0, lambda: divisors._rank_walk(g, d))]
+            if delta >= 0:
+                walks.append((canonical_divisor(g) - d, delta, lambda: rank(g, d)))
+            for e, shift, run in walks:
+                avalanches.clear()
+                r, expected = oracles.rank_walk_spec(g, e)
+                assert run() == r + shift, (g, d, shift)
+                assert Counter(avalanches) == Counter(expected), (g, d, shift)
+            walked_k_minus_d += delta >= 0 and bool(expected)
+        assert walked_k_minus_d > 0
 
 
 class TestWork:

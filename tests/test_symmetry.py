@@ -5,9 +5,11 @@ import pytest
 from graphdivisors import (
     Automorphism,
     Divisor,
+    EdgeClass,
     GraphMismatchError,
     GraphMorphism,
     InvalidMorphismError,
+    QuotientGraph,
     SizeCapExceededError,
     Subgroup,
     UnknownVertexError,
@@ -522,3 +524,48 @@ class TestLimitsReadAtTheCall:
         monkeypatch.setattr(symmetry, "DEFAULT_HARMONIC_DEFINITION_CAP", 10)
         with pytest.raises(SizeCapExceededError, match="exceeds the cap 10"):
             acts_harmonically(k4, automorphism_group(k4), "definition")
+
+
+def house_morphism(quotient=False, vertex_map=None, edge_map=None):
+    """The identity of house4, or its projection onto the quotient by the
+    swap of P2 and P4, built again with one map replaced."""
+    g = generate("house4")
+    phi = GraphMorphism.identity(g)
+    if quotient:
+        swap = Subgroup.from_generators(g, [{"P1": "P1", "P2": "P4", "P3": "P3", "P4": "P2"}])
+        phi = quotient_graph(g, swap).projection
+    return GraphMorphism(g, phi.target, vertex_map or phi.vertex_map, edge_map or phi.edge_map)
+
+
+FOREIGN_CLASS = EdgeClass(7, ("P1", "P2"), (("P1", "P2"),))
+K4 = "complete:4"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda g: Automorphism.from_mapping(g, {"P1": "P1", "P2": "P2", "P3": "P3"}), InvalidMorphismError,
+     "mapping gives no image for vertex 'P4'"),
+    (lambda g: Automorphism.identity(g) * Automorphism.identity(generate(K4)), GraphMismatchError,
+     "automorphisms of different graphs cannot be composed"),
+    (lambda g: Subgroup(g, frozenset({(0, 3, 2, 1)})), ValueError, "a subgroup must contain the identity"),
+    (lambda g: Subgroup.from_elements(g, [Automorphism.identity(generate(K4))]), GraphMismatchError,
+     "automorphism is bound to a different graph"),
+    (lambda g: QuotientGraph(g, Subgroup.trivial(generate(K4))), GraphMismatchError,
+     "subgroup acts on a different graph"),
+    (lambda g: house_morphism(vertex_map={"P1": "P1", "P2": "P2", "P3": "P3", "P4": "Q4"}), InvalidMorphismError,
+     "vertex image 'Q4' is not a target vertex"),
+    (lambda g: house_morphism(edge_map={("P2", "P4"): ("P2", "P4")}), InvalidMorphismError,
+     "{'P2', 'P4'} is not an edge of the graph"),
+    (lambda g: house_morphism(True, edge_map={e: FOREIGN_CLASS for e in g.edges}), InvalidMorphismError,
+     f"{FOREIGN_CLASS!r} is not an edge class of the target"),
+    (lambda g: house_morphism(True, edge_map={e: ("P1", "P2") for e in g.edges}), InvalidMorphismError,
+     "cannot interpret ('P1', 'P2') as a target edge class"),
+    (lambda g: acts_harmonically(g, Subgroup.trivial(generate(K4))), GraphMismatchError,
+     "subgroup acts on a different graph"),
+], ids=["missing image", "compose across graphs", "no identity", "foreign element", "foreign quotient group",
+        "vertex image off the target", "non-edge key", "foreign edge class", "edge value type",
+        "foreign harmonic group"])
+def test_input_checks(make, error, message):
+    # Each refusal names what it refuses, as `errors` promises.
+    with pytest.raises(error) as exc:
+        make(generate("house4"))
+    assert str(exc.value) == message
