@@ -9,8 +9,9 @@ Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
 reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The table of BFS shells around each base vertex, the
-reduced Laplacian's adjugate and the rank walk's vertex order are
-computed once per graph and kept on it.  The rank walk, the probe table
+reduced Laplacian's adjugate, the rank walk's vertex order and the
+canonical divisor's coefficients are facts of the graph (`graphs._fact`),
+computed once and kept on it.  The rank walk, the probe table
 (`_probe_rows`) and `linear_system` reduce their divisor once and derive
 every other reduced form from a parent's by a one-grain sandpile
 avalanche (`_drop_chip`); `rank` walks d or K - d, whichever
@@ -39,7 +40,7 @@ from .errors import (
     GraphMismatchError,
     MissingVertexValueError,
 )
-from .graphs import Graph, genus
+from .graphs import Graph, _fact, genus
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -246,7 +247,11 @@ class VertexFunction:
 
 def canonical_divisor(g: "Graph") -> Divisor:
     """The divisor with coefficient deg(v) - 2 at every vertex v."""
-    return Divisor.from_coeffs(g, tuple(len(nbrs) - 2 for nbrs in g._adj))
+    return Divisor.from_coeffs(g, _fact(g, _canonical_coeffs))
+
+
+def _canonical_coeffs(g: "Graph") -> tuple[int, ...]:
+    return tuple(len(nbrs) - 2 for nbrs in g._adj)
 
 
 def _function_values(g: "Graph", f) -> tuple[int, ...]:
@@ -308,7 +313,7 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
 
 
 def _shells(g: "Graph", q: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """The BFS shells around base q, built in one pass and kept per base.
+    """The BFS shells around base q, built in one pass; a fact of g per q.
 
     Returns (shells, nearer, farther): the vertices at each distance from
     q, nearest first, and for every vertex its counts of neighbours one
@@ -316,35 +321,31 @@ def _shells(g: "Graph", q: int) -> tuple[list[list[int]], list[int], list[int]]:
     consecutive shells is counted at both ends when the search first
     meets it from the nearer end.
     """
-    key = ("shells", q)
-    table = g._derived.get(key)
-    if table is None:
-        adj = g._adj
-        n = len(adj)
-        dist, nearer, farther = [-1] * n, [0] * n, [0] * n
-        dist[q] = 0
-        shells = []
-        frontier = [q]
-        while frontier:
-            shells.append(frontier)
-            k = len(shells)
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = k
-                        nxt.append(w)
-                    if dist[w] == k:
-                        farther[v] += 1
-                        nearer[w] += 1
-            frontier = nxt
-        table = g._derived[key] = (shells, nearer, farther)
-    return table
+    adj = g._adj
+    n = len(adj)
+    dist, nearer, farther = [-1] * n, [0] * n, [0] * n
+    dist[q] = 0
+    shells = []
+    frontier = [q]
+    while frontier:
+        shells.append(frontier)
+        k = len(shells)
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = k
+                    nxt.append(w)
+                if dist[w] == k:
+                    farther[v] += 1
+                    nearer[w] += 1
+        frontier = nxt
+    return shells, nearer, farther
 
 
 def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adjugate, determinant) of the Laplacian with vertex 0's row and
-    column removed, computed once per graph.
+    column removed; a fact of g.
 
     The determinant is the number of spanning trees (Kirchhoff).  The
     matrix is symmetric positive definite for a connected graph, so every
@@ -352,32 +353,28 @@ def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
     (Bareiss) needs no pivoting; every division in it is exact.  It ends
     with det times the identity on the left and the adjugate on the right.
     """
-    cached = g._derived.get("adjugate")
-    if cached is None:
-        adj = g._adj
-        m = len(adj) - 1
-        rows = []
+    adj = g._adj
+    m = len(adj) - 1
+    rows = []
+    for i in range(m):
+        row = [0] * (2 * m)
+        row[i] = len(adj[i + 1])
+        for w in adj[i + 1]:
+            if w:
+                row[w - 1] = -1
+        row[m + i] = 1
+        rows.append(row)
+    prev = 1
+    for k in range(m):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
         for i in range(m):
-            row = [0] * (2 * m)
-            row[i] = len(adj[i + 1])
-            for w in adj[i + 1]:
-                if w:
-                    row[w - 1] = -1
-            row[m + i] = 1
-            rows.append(row)
-        prev = 1
-        for k in range(m):
-            pivot_row = rows[k]
-            pivot = pivot_row[k]
-            for i in range(m):
-                if i != k:
-                    row = rows[i]
-                    factor = row[k]
-                    rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
-            prev = pivot
-        cached = (tuple(tuple(row[m:]) for row in rows), prev)
-        g._derived["adjugate"] = cached
-    return cached
+            if i != k:
+                row = rows[i]
+                factor = row[k]
+                rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pivot
+    return tuple(tuple(row[m:]) for row in rows), prev
 
 
 def _clear_debt(table, coeffs: list[int], fires: list[int]) -> None:
@@ -420,7 +417,7 @@ def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> N
     leaves t + L(x - f), whose coefficient at each v lies strictly
     between -deg(v) and deg(v).
     """
-    adjugate, det = _laplacian_adjugate(g)
+    adjugate, det = _fact(g, _laplacian_adjugate)
     rhs = coeffs[1:]
     if q:
         rhs[q - 1] -= sum(coeffs)
@@ -482,7 +479,7 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     n = len(coeffs)
     adj = g._adj
     fires = [0] * n
-    table = _shells(g, q)
+    table = _fact(g, _shells, q)
     _clear_debt(table, coeffs, fires)
     fires_q = fires[q]
     if sum(coeffs) - coeffs[q] > 2 * len(g._edges_idx):
@@ -535,11 +532,13 @@ def linearly_equivalent(g: "Graph", d1: Divisor, d2: Divisor) -> bool:
     (the first vertex in construction order): a divisor is principal
     iff its reduced form is 0, since 0 is reduced and the reduced
     representative of a class is unique.  A principal divisor has
-    degree 0, and reduction keeps the degree, so d1 and d2 of different
-    degrees reduce to a nonzero form.
+    degree 0, so d1 and d2 of different degrees are refused before any
+    reduction.
     """
     _check_bound(g, d1)
     _check_bound(g, d2)
+    if d1.degree != d2.degree:
+        return False
     reduced, _ = _reduce_coeffs(g, [a - b for a, b in zip(d1.coeffs, d2.coeffs)], 0)
     return not any(reduced)
 
@@ -708,7 +707,7 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     the bound, and its children stop at an empty one.
 
     The walk order: e' is taken as a multiset with nondecreasing
-    positions in one order of the vertices off the base, kept per graph:
+    positions in one order of the vertices off the base, a fact of g:
     the non-neighbours of vertex 0 first, then its neighbours, each
     group by ascending degree.  A node's children range over the
     positions from its own on, so the tail of the order shows up in the
@@ -773,9 +772,7 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     bound = min(bound, _refusal_degree(n, capv) - shift - 1) if _past_cap(bound + shift, n, capv) else bound
     adj = g._adj
     deg0, near0 = len(adj[0]), g._adj_masks[0]
-    order = g._derived.get("walk order")
-    if order is None:
-        order = g._derived["walk order"] = sorted(range(1, n), key=lambda v: (near0 >> v & 1, len(adj[v])))
+    order = _fact(g, _walk_order)
     m = n - 1
     while stack:
         red, i, j, row = stack.pop()
@@ -813,6 +810,13 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     if _past_cap(bound + shift, n, capv):
         _refuse(n, capv)
     return bound
+
+
+def _walk_order(g: "Graph") -> list[int]:
+    """The rank walk's order of the vertices off the base (`_rank_walk`);
+    a fact of g."""
+    adj, near0 = g._adj, g._adj_masks[0]
+    return sorted(range(1, len(adj)), key=lambda v: (near0 >> v & 1, len(adj[v])))
 
 
 def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[bool], list[int]]]:

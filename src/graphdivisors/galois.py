@@ -145,13 +145,19 @@ class GaloisCertificate:
         for key in ("vertex", "verdict"):
             if key not in obj:
                 raise ValueError(f"certificate JSON has no {key!r} key")
+        if not isinstance(obj["verdict"], bool):
+            raise ValueError(f"certificate JSON 'verdict' must be true or false, got {obj['verdict']!r}")
+        count = obj.get("quotient_vertex_count")
+        if count is not None and (not isinstance(count, int) or isinstance(count, bool)):
+            raise ValueError(f"certificate JSON 'quotient_vertex_count' must be an integer or null, "
+                             f"got {count!r}")
         return cls(
             vertex=obj["vertex"],
             verdict=obj["verdict"],
             subgroup=Subgroup.from_json(graph, obj["subgroup"]) if obj.get("subgroup") else None,
             e1=Divisor.from_json(graph, obj["E1"]) if obj.get("E1") else None,
             e2=Divisor.from_json(graph, obj["E2"]) if obj.get("E2") else None,
-            quotient_vertex_count=obj.get("quotient_vertex_count"),
+            quotient_vertex_count=count,
             reason=_reason_from_json(obj.get("reason")),
         )
 
@@ -289,8 +295,7 @@ def _orbits_fit(g: Graph, m: int) -> bool:
     return True
 
 
-def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None,
-                  orbits_fit: bool) -> GaloisCertificate:
+def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCertificate:
     """The certificate at a smooth vertex p, where dp is the 0-reduced
     form of d - p: the first qualifying witness among the harmonic
     subgroups of order m = deg(d) - 1, or, once every one fails,
@@ -298,19 +303,18 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None,
 
     The groups fixing p come first, built from searches pinned at p,
     then the groups that move p.  Arithmetic rules out both passes
-    before they draw anything: when `orbits_fit` (`_orbits_fit(g, m)`,
-    computed once per classification) is False there is no harmonic
-    group of order m, and the count is 0; when m does not divide deg p,
-    no such group fixes p, so the pinned pass is skipped.  The cap
-    refuses the search whenever it would refuse to enumerate the linear
-    system of d - p, after the automorphism vertex cap, and before
-    either shortcut.
+    before they draw anything: when `_orbits_fit(g, m)` is False there
+    is no harmonic group of order m, and the count is 0; when m does not
+    divide deg p, no such group fixes p, so the pinned pass is skipped.
+    The cap refuses the search whenever it would refuse to enumerate the
+    linear system of d - p, after the automorphism vertex cap, and
+    before either shortcut.
     """
     pi = g.index_of(p)
     m = sum(dp)
     fixing = _harmonic_subgroups(g, m, pi)
     _require_enumerable(m, len(dp), cap)
-    if not orbits_fit:
+    if not _orbits_fit(g, m):
         return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, 0))
     if len(g._adj[pi]) % m:
         fixing = ()
@@ -356,9 +360,9 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
     bridgeless graph.  One `_probe_rows` table gives each vertex p its
-    smoothness row and d - p reduced, the orbit arithmetic of order
-    deg(d) - 1 is done once, and each smooth p runs `_find_witness` on
-    d - p unless it can carry over the certificate of the vertex before.
+    smoothness row and d - p reduced, and each smooth p runs
+    `_find_witness` on d - p unless it can carry over the certificate of
+    the vertex before.
 
     Let p - 1 and p be twins (`_twin_swap`), so that the transposition
     t = (p - 1 p) is an automorphism of g that fixes d, and let the
@@ -382,7 +386,6 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
     already passed at p - 1.
     """
     indices = [g.index_of(p) for p in vertices]
-    fit = _orbits_fit(g, d.degree - 1)
     certs: list[GaloisCertificate] = []
     for p, pi, (zero, dp) in zip(vertices, indices, _probe_rows(g, d, indices)):
         smooth = _smoothness(g, pi, zero)
@@ -397,7 +400,7 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
             carried = frozenset(tuple([t[x[u]] for u in t]) for x in last.subgroup.perms)
             certs.append(_first_witness(g, p, dp, [carried]))
         else:
-            certs.append(_find_witness(g, p, dp, cap, fit))
+            certs.append(_find_witness(g, p, dp, cap))
     return tuple(certs)
 
 
@@ -431,20 +434,23 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    The bridge check, rank(d) and the probe table of d, which gives
-    every smoothness verdict, are computed once per call.  A smooth
-    vertex whose twin just before it was searched carries the twin's
-    certificate over by their swap (`_certificates`).  Every other
-    smooth vertex searches the admissible automorphisms that fix it, one
-    pruned search per group, until the first witness; only a vertex
-    whose fixing pass finds none runs one pass over the full admissible
-    pool for the subgroups that move it.
-    When rank(d) differs from 2 no vertex can qualify, so every
+    rank(d) and the probe table of d, which gives every smoothness
+    verdict, are computed once per call, and the bridge check once per
+    graph (`graphs._fact`).  A smooth vertex whose twin just before it
+    was searched carries the twin's certificate over by their swap
+    (`_certificates`).  Every other smooth vertex searches the
+    admissible automorphisms that fix it, one pruned search per group,
+    until the first witness; only a vertex whose fixing pass finds none
+    runs one pass over the full admissible pool for the subgroups that
+    move it.  When rank(d) differs from 2 no vertex can qualify, so every
     certificate carries RankNotTwo instead of raising.  The count
     constraint (0, 1, or all vertices) only applies to the all-ones
     divisor at rank 2; otherwise the report is vacuously consistent.
     The cache serves `enumerate_corpus`, which passes every labeled
     graph of an isomorphism class as the same representative (g, d).
+    It answers a repeated (g, d, cap) without reading the module limits
+    (`DEFAULT_ENUMERATION_CAP`, `DEFAULT_AUTOMORPHISM_VERTEX_CAP`) again,
+    so assigning a limit does not reach an answer already cached.
     """
     _check_bound(g, d)
     _require_two_edge_connected(g)

@@ -25,17 +25,20 @@ from .errors import (
 class Graph:
     """Undirected simple connected graph over string vertex labels.
 
-    `_derived` is filled lazily by the divisors layer with values computed
-    from the vertices and edges alone (the BFS shell table of each base,
-    the reduced Laplacian's adjugate, the rank walk's vertex order).
-    Every entry is the same whoever computes it first, so a graph stays a
-    value, equal and hashed by its vertices and edges, and is still safe
-    to share.
+    A graph keeps each edge once, as a sorted pair of vertex indices in
+    `_edges_idx`, which equality and the hash read, and as neighbours in
+    `_adj` and `_adj_masks`, which membership reads.  `_derived` holds
+    the facts of the graph that the layers read again and again (the
+    bridgeless verdict, the canonical divisor, the reduction's and the
+    rank walk's tables), each computed on its first read through
+    `_fact`, which alone reads and writes it.  Every entry
+    depends on the vertices and edges alone, so it is the same whoever
+    computes it first: a graph stays a value, equal and hashed by its
+    vertices and edges, and is still safe to share.
     """
 
     __slots__ = (
-        "vertices", "edges", "_index", "_adj", "_adj_masks", "_edges_idx", "_edge_set", "_hash",
-        "_derived",
+        "vertices", "edges", "_index", "_adj", "_adj_masks", "_edges_idx", "_hash", "_derived",
     )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
@@ -89,8 +92,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._adj_masks = tuple(sum(1 << w for w in nbrs) for nbrs in self._adj)
         self._edges_idx = tuple(edge_idx)
-        self._edge_set = frozenset(edge_idx)
-        self._hash = hash((verts, self._edge_set))
+        self._hash = hash((verts, self._edges_idx))
         self._derived: dict = {}
 
     def __len__(self) -> int:
@@ -101,7 +103,7 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self._edge_set == other._edge_set
+        return self.vertices == other.vertices and self._edges_idx == other._edges_idx
 
     def __hash__(self) -> int:
         return self._hash
@@ -119,10 +121,7 @@ class Graph:
         return v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
-        i, j = self.index_of(u), self.index_of(v)
-        if i > j:
-            i, j = j, i
-        return (i, j) in self._edge_set
+        return bool(self._adj_masks[self.index_of(u)] >> self.index_of(v) & 1)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self.vertices[w] for w in self._adj[self.index_of(v)])
@@ -141,10 +140,8 @@ class Graph:
 
     def edge_key(self, u: str, v: str) -> tuple[str, str]:
         """Canonical (index-ordered) form of an existing edge."""
-        i, j = self.index_of(u), self.index_of(v)
-        if i > j:
-            i, j = j, i
-        if (i, j) not in self._edge_set:
+        i, j = sorted((self.index_of(u), self.index_of(v)))
+        if not self._adj_masks[i] >> j & 1:
             raise UnknownEndpointError(f"{{{u!r}, {v!r}}} is not an edge")
         return (self.vertices[i], self.vertices[j])
 
@@ -184,6 +181,19 @@ def _bfs_distances(adj, q: int) -> list[int]:
     return dist
 
 
+def _fact(g: Graph, build, *args):
+    """The fact build(g, *args) of g, a value computed from the graph
+    alone and never None: the first read computes it and keeps it in
+    `g._derived` under (build, args), and every later read, from any
+    caller, returns the kept value.  This is the only code that reads or
+    writes `_derived`."""
+    key = (build, args)
+    value = g._derived.get(key)
+    if value is None:
+        value = g._derived[key] = build(g, *args)
+    return value
+
+
 def build_graph(vertices: Iterable[str], edges: Iterable[Iterable[str]]) -> Graph:
     """Validate and build a graph; see Graph for the accepted input."""
     return Graph(vertices, edges)
@@ -194,9 +204,13 @@ def is_two_edge_connected(g: Graph) -> bool:
 
     Connectivity is guaranteed by construction; a single-vertex graph is
     two-edge-connected vacuously.  Uses the usual DFS lowpoint scan
-    (`_bridgeless`), so the exhaustive remove-one-edge check stays
-    available as an independent test oracle.
+    (`_bridgeless`), once per graph, so the exhaustive remove-one-edge
+    check stays available as an independent test oracle.
     """
+    return _fact(g, _graph_bridgeless)
+
+
+def _graph_bridgeless(g: Graph) -> bool:
     return _bridgeless(g._adj)
 
 

@@ -65,12 +65,8 @@ class Automorphism:
             n = len(graph.vertices)
             if len(perm) != n or sorted(perm) != list(range(n)):
                 raise InvalidMorphismError(f"{perm!r} is not a permutation of {n} vertices")
-            edge_set = graph._edge_set
             for i, j in graph._edges_idx:
-                a, b = perm[i], perm[j]
-                if a > b:
-                    a, b = b, a
-                if (a, b) not in edge_set:
+                if perm[j] not in graph._adj[perm[i]]:
                     raise InvalidMorphismError(
                         f"edge {{{graph.vertices[i]!r}, {graph.vertices[j]!r}}} maps to a non-edge"
                     )
@@ -143,6 +139,8 @@ class Automorphism:
 
     @classmethod
     def from_json(cls, graph: Graph, obj: Mapping[str, str]) -> "Automorphism":
+        if not isinstance(obj, Mapping):
+            raise InvalidMorphismError(f"automorphism JSON must be an object, got {type(obj).__name__}")
         return cls.from_mapping(graph, obj)
 
     def __eq__(self, other):
@@ -248,6 +246,8 @@ class Subgroup:
 
     @classmethod
     def from_json(cls, graph: Graph, obj: Iterable[Mapping[str, str]]) -> "Subgroup":
+        if not isinstance(obj, (list, tuple)):
+            raise InvalidMorphismError(f"subgroup JSON must be a list, got {type(obj).__name__}")
         return cls.from_elements(graph, obj)
 
 

@@ -390,7 +390,7 @@ def automorphism_perms_vf2(g: Graph) -> tuple:
 def automorphism_perms_by_permutations(g: Graph) -> tuple:
     """The automorphisms filtered from all n! permutations, sorted."""
     n = len(g.vertices)
-    edge_set = g._edge_set
+    edge_set = frozenset(g._edges_idx)
     out = []
     for p in permutations(range(n)):
         if all((min(p[i], p[j]), max(p[i], p[j])) in edge_set for i, j in g._edges_idx):

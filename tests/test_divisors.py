@@ -242,6 +242,26 @@ class TestLinearEquivalence:
             d2 = oracles.random_divisor(rng, g)
             assert linearly_equivalent(g, d1, d2) == oracles.equivalent(g, d1, d2)
 
+    def test_different_degrees_refused_without_a_reduction(self, monkeypatch):
+        # Without the degree test, 100000·P2 against 0 on cycle:150 costs a
+        # reduction of almost a second; with it, no reduction at all.
+        import graphdivisors.divisors as divisors
+
+        calls = []
+        real = divisors._reduce_coeffs
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
+        g = generate("cycle:150")
+        assert not linearly_equivalent(g, Divisor(g, {"P2": 100000}), Divisor.zero(g))
+        assert not linearly_equivalent(g, Divisor.zero(g), Divisor.all_ones(g))
+        assert calls == []
+        assert linearly_equivalent(g, Divisor(g, {"P2": 1}), Divisor(g, {"P3": 1})) is False
+        assert calls == [0]
+
 
 class TestLinearSystem:
     def test_key_emptiness_on_complete_graphs(self):

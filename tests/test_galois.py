@@ -245,6 +245,19 @@ class TestIsGaloisPoint:
         with pytest.raises(ValueError, match=f"certificate JSON has no '{key}' key"):
             GaloisCertificate.from_json(w5, obj)
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"verdict": "yes"}, "'verdict' must be true or false, got 'yes'"),
+        ({"verdict": 0}, "'verdict' must be true or false, got 0"),
+        ({"verdict": None}, "'verdict' must be true or false, got None"),
+        ({"quotient_vertex_count": "many"}, "'quotient_vertex_count' must be an integer or null, got 'many'"),
+        ({"quotient_vertex_count": 2.0}, "'quotient_vertex_count' must be an integer or null, got 2.0"),
+        ({"quotient_vertex_count": True}, "'quotient_vertex_count' must be an integer or null, got True"),
+    ], ids=["string verdict", "integer verdict", "null verdict", "string count", "float count", "bool count"])
+    def test_certificate_json_of_a_wrong_kind_rejected(self, k4, change, problem):
+        obj = is_galois_point(k4, Divisor.all_ones(k4), "P2").to_json() | change
+        with pytest.raises(ValueError, match=problem):
+            GaloisCertificate.from_json(k4, obj)
+
     def test_certificate_json_not_an_object_rejected(self, w5):
         with pytest.raises(ValueError, match="certificate JSON must be an object, got list"):
             GaloisCertificate.from_json(w5, [["vertex", "P1"]])
@@ -926,14 +939,13 @@ class TestTwinCarry:
         import graphdivisors.galois as galois
         from graphdivisors.divisors import _reduce_coeffs
 
-        fit = galois._orbits_fit(g, d.degree - 1)
         certs = classify_galois_points.__wrapped__(g, d).certificates
         counts = Counter()
         for i, cert in enumerate(certs):
             if isinstance(cert.reason, (RankNotTwo, Cond1Fail, Cond2Fail)):
                 continue
             dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
-            assert cert == galois._find_witness(g, cert.vertex, dp, None, fit), (g, d, cert.vertex)
+            assert cert == galois._find_witness(g, cert.vertex, dp, None), (g, d, cert.vertex)
             last = certs[i - 1] if i else None
             if last is None or isinstance(last.reason, (Cond1Fail, Cond2Fail)) or not _twins(g, d, i - 1, i):
                 continue

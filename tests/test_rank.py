@@ -393,7 +393,7 @@ class TestWork:
         assert rank(g, d) == 2
         drops.clear()
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, cap, orbits_fit: GaloisCertificate(p, False))
+                            lambda g, p, dp, cap: GaloisCertificate(p, False))
         galois._certificates(g, d, g.vertices, None)
         assert len(drops) <= comb(n + 2, 3) - 1 + n
 
@@ -414,7 +414,7 @@ class TestWork:
         rank(g, d)
         walked = len(drops)
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, cap, orbits_fit: GaloisCertificate(p, False))
+                            lambda g, p, dp, cap: GaloisCertificate(p, False))
         for p, row in zip(g.vertices, table):
             drops.clear()
             assert check_smoothness(g, d, p) == row, p

@@ -1,0 +1,88 @@
+"""Rank does not change when edges are subdivided.
+
+Write σk(G) for G with every edge cut into k + 1 edges by k new
+vertices.  A divisor d on the vertices of G, placed on σk(G) with 0 at
+every new vertex, has the same rank on both: ranks on a graph equal
+ranks on its metric graph (Hladký-Král'-Norine, "Rank of divisors on
+tropical curves", JCTA 2013; Luo, JCTA 2011).  So this relation checks
+the rank walk on graphs full of degree-2 vertices, past the reach of
+`oracles.rank_brute`, with no oracle at all.
+
+The enumeration cap counts probes on all the vertices, so σk(G) may
+refuse where G does not; values are compared where no side refuses,
+and the share of skipped cases is bounded.
+"""
+
+import random
+
+import pytest
+
+from graphdivisors import Divisor, EnumerationCapExceededError, Graph, is_two_edge_connected, rank
+
+import oracles
+
+
+def subdivide(g, k):
+    """σk(g): the vertices of g first, in their order, then k new
+    vertices `a_b_i` on each edge {a, b}."""
+    vertices, edges = list(g.vertices), []
+    for a, b in g.edges:
+        path = [a] + [f"{a}_{b}_{i}" for i in range(1, k + 1)] + [b]
+        vertices += path[1:-1]
+        edges += zip(path, path[1:])
+    return Graph(vertices, edges)
+
+
+def atlas_classes():
+    """The connected bridgeless atlas graphs on 3-6 vertices, one per
+    isomorphism class."""
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    for h in graph_atlas_g():
+        n = h.number_of_nodes()
+        if 3 <= n <= 6 and nx.is_connected(h) and not nx.has_bridges(h):
+            labels = [f"P{i}" for i in range(1, n + 1)]
+            yield Graph(labels, [(labels[u], labels[v]) for u, v in h.edges()])
+
+
+def random_bridgeless(rng, count):
+    """count seeded random bridgeless graphs on 3-6 vertices."""
+    out = []
+    while len(out) < count:
+        g = oracles.random_connected_graph(rng, rng.randint(3, 6))
+        if is_two_edge_connected(g):
+            out.append(g)
+    return out
+
+
+def rank_or_none(g, coeffs):
+    """rank of the divisor with these leading coefficients (0 on the
+    rest), or None where the enumeration cap refuses it."""
+    try:
+        return rank(g, Divisor.from_coeffs(g, list(coeffs) + [0] * (len(g.vertices) - len(coeffs))))
+    except EnumerationCapExceededError:
+        return None
+
+
+def test_rank_is_invariant_under_subdivision():
+    rng = random.Random(1709)
+    graphs = list(atlas_classes())
+    assert len(graphs) == 75
+    graphs += random_bridgeless(rng, 25)
+    compared = skipped = 0
+    ranks = set()
+    for g in graphs:
+        refined = [subdivide(g, 1), subdivide(g, 2)]
+        for _ in range(6):
+            coeffs = [rng.randint(-2, 4) for _ in g.vertices]
+            values = [rank_or_none(h, coeffs) for h in [g] + refined]
+            if None in values:
+                skipped += 1
+                continue
+            assert values == [values[0]] * 3, (g, coeffs, values)
+            compared += 1
+            ranks.add(values[0])
+    assert compared + skipped == 600
+    assert skipped <= 120, skipped
+    assert {-1, 0, 1, 2, 3} <= ranks, ranks

@@ -83,6 +83,11 @@ class TestAutomorphism:
         s = Automorphism.from_mapping(house4, {"P1": "P3", "P3": "P1", "P2": "P2", "P4": "P4"})
         assert Automorphism.from_json(house4, s.to_json()) == s
 
+    @pytest.mark.parametrize("obj, kind", [([["P1", "P1"]], "list"), ("P1", "str"), (None, "NoneType")])
+    def test_json_not_an_object_rejected(self, house4, obj, kind):
+        with pytest.raises(InvalidMorphismError, match=f"automorphism JSON must be an object, got {kind}"):
+            Automorphism.from_json(house4, obj)
+
 
 class TestApplyToDivisor:
     def test_rotation_fixes_symmetric_divisor(self, k4):
@@ -258,6 +263,15 @@ class TestSubgroups:
     def test_json_round_trip(self, house4):
         h = automorphism_group(house4)
         assert Subgroup.from_json(house4, h.to_json()) == h
+
+    @pytest.mark.parametrize("obj, kind", [(5, "int"), ("P1", "str"), ({"P1": "P1"}, "dict")])
+    def test_json_not_a_list_rejected(self, house4, obj, kind):
+        with pytest.raises(InvalidMorphismError, match=f"subgroup JSON must be a list, got {kind}"):
+            Subgroup.from_json(house4, obj)
+
+    def test_json_element_not_an_object_rejected(self, house4):
+        with pytest.raises(InvalidMorphismError, match="cannot interpret"):
+            Subgroup.from_json(house4, [["P1", "P1"]])
 
     def test_membership_by_automorphism_tuple_or_neither(self, k4):
         h = Subgroup.from_generators(k4, [rotation(k4, ["P2", "P3", "P4"])])
