@@ -78,9 +78,9 @@ def _load_graph(args) -> Graph:
     if args.family:
         return generate(parse_family(args.family))
     try:
-        with open(args.graph) as fh:
+        with open(args.graph, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"--graph: cannot read {args.graph!r}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliUsageError(f"--graph: invalid JSON in {args.graph!r}: {exc}") from None

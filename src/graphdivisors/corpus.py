@@ -13,7 +13,7 @@ from itertools import combinations
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, _bfs_distances, _bridgeless, _labels
+from .graphs import Graph, _bridgeless, _labels
 
 MAX_CORPUS_VERTICES = 6
 
@@ -122,7 +122,7 @@ def _representative(labels: list[str], pairs: list[tuple[int, int]], cap: int | 
     for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    if -1 in _bfs_distances(adj, 0) or not _bridgeless(adj):
+    if not _bridgeless(adj):
         return ()
     g = Graph(labels, [(labels[a], labels[b]) for a, b in pairs])
     d = Divisor.all_ones(g)

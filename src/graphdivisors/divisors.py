@@ -40,7 +40,7 @@ from .errors import (
     GraphMismatchError,
     MissingVertexValueError,
 )
-from .graphs import Graph, _fact, genus
+from .graphs import Graph, _fact, _shells, genus
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -310,37 +310,6 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
         if not any(coeffs[v] < (masks[v] & outside).bit_count() for v in members):
             return False
     return True
-
-
-def _shells(g: "Graph", q: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """The BFS shells around base q, built in one pass; a fact of g per q.
-
-    Returns (shells, nearer, farther): the vertices at each distance from
-    q, nearest first, and for every vertex its counts of neighbours one
-    step nearer to q and one step farther.  Each edge between
-    consecutive shells is counted at both ends when the search first
-    meets it from the nearer end.
-    """
-    adj = g._adj
-    n = len(adj)
-    dist, nearer, farther = [-1] * n, [0] * n, [0] * n
-    dist[q] = 0
-    shells = []
-    frontier = [q]
-    while frontier:
-        shells.append(frontier)
-        k = len(shells)
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = k
-                    nxt.append(w)
-                if dist[w] == k:
-                    farther[v] += 1
-                    nearer[w] += 1
-        frontier = nxt
-    return shells, nearer, farther
 
 
 def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:

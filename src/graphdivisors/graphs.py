@@ -31,7 +31,9 @@ class Graph:
     the facts of the graph that the layers read again and again (the
     bridgeless verdict, the canonical divisor, the reduction's and the
     rank walk's tables), each computed on its first read through
-    `_fact`, which alone reads and writes it.  Every entry
+    `_fact`, which alone reads and writes it.  Construction reads the
+    BFS shell table of vertex 0 (`_shells`) to refuse a disconnected
+    graph, so every reduction at vertex 0 finds it kept.  Every entry
     depends on the vertices and edges alone, so it is the same whoever
     computes it first: a graph stays a value, equal and hashed by its
     vertices and edges, and is still safe to share.
@@ -45,17 +47,15 @@ class Graph:
         verts = tuple(vertices)
         if not verts:
             raise ValueError("a graph needs at least one vertex")
-        seen: set[str] = set()
-        for v in verts:
+        index: dict[str, int] = {}
+        for i, v in enumerate(verts):
             if not isinstance(v, str):
                 raise ValueError(f"vertex label {v!r} is not a string")
-            if v in seen:
+            if index.setdefault(v, i) != i:
                 raise DuplicateVertexError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        index = {v: i for i, v in enumerate(verts)}
 
+        masks = [0] * len(verts)
         edge_idx: list[tuple[int, int]] = []
-        edge_seen: set[tuple[int, int]] = set()
         for e in edges:
             pair = tuple(e)
             if len(pair) != 2:
@@ -69,31 +69,33 @@ class Graph:
             i, j = index[a], index[b]
             if i > j:
                 i, j = j, i
-            if (i, j) in edge_seen:
+            if masks[i] >> j & 1:
                 raise DuplicateEdgeError(f"duplicate edge {{{a!r}, {b!r}}}")
-            edge_seen.add((i, j))
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
             edge_idx.append((i, j))
         edge_idx.sort()
 
+        # The pairs are sorted with i < j, so every list comes out sorted.
         adj: list[list[int]] = [[] for _ in verts]
         for i, j in edge_idx:
             adj[i].append(j)
             adj[j].append(i)
 
-        dist = _bfs_distances(adj, 0)
-        if -1 in dist:
-            raise DisconnectedError(
-                f"vertex {verts[dist.index(-1)]!r} is not reachable from {verts[0]!r}"
-            )
-
         self.vertices = verts
         self.edges = tuple((verts[i], verts[j]) for i, j in edge_idx)
         self._index = index
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._adj_masks = tuple(sum(1 << w for w in nbrs) for nbrs in self._adj)
+        self._adj = tuple(map(tuple, adj))
+        self._adj_masks = tuple(masks)
         self._edges_idx = tuple(edge_idx)
         self._hash = hash((verts, self._edges_idx))
         self._derived: dict = {}
+        # Off the base, a vertex is reached iff a neighbour is one step nearer.
+        nearer = _fact(self, _shells, 0)[1]
+        if 0 in nearer[1:]:
+            raise DisconnectedError(
+                f"vertex {verts[nearer.index(0, 1)]!r} is not reachable from {verts[0]!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -165,20 +167,35 @@ class Graph:
         return cls(obj["vertices"], obj["edges"])
 
 
-def _bfs_distances(adj, q: int) -> list[int]:
-    """The edge distance of every vertex from q; -1 where q cannot reach."""
-    dist = [-1] * len(adj)
+def _shells(g: Graph, q: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The BFS shells around base q, built in one pass; a fact of g per q.
+
+    Returns (shells, nearer, farther): the vertices at each distance from
+    q, nearest first, and for every vertex its counts of neighbours one
+    step nearer to q and one step farther.  Each edge between
+    consecutive shells is counted at both ends when the search first
+    meets it from the nearer end.
+    """
+    adj = g._adj
+    n = len(adj)
+    dist, nearer, farther = [-1] * n, [0] * n, [0] * n
     dist[q] = 0
+    shells = []
     frontier = [q]
     while frontier:
+        shells.append(frontier)
+        k = len(shells)
         nxt = []
         for v in frontier:
             for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
+                if dist[w] < 0:
+                    dist[w] = k
                     nxt.append(w)
+                if dist[w] == k:
+                    farther[v] += 1
+                    nearer[w] += 1
         frontier = nxt
-    return dist
+    return shells, nearer, farther
 
 
 def _fact(g: Graph, build, *args):
@@ -215,11 +232,10 @@ def _graph_bridgeless(g: Graph) -> bool:
 
 
 def _bridgeless(adj) -> bool:
-    """Whether the connected simple graph with adjacency lists adj has
-    no bridge, by a DFS lowpoint scan from vertex 0."""
+    """Whether the simple graph with adjacency lists adj is connected
+    and has no bridge, by one DFS lowpoint scan from vertex 0: every
+    vertex is discovered and none is cut off by a bridge."""
     n = len(adj)
-    if n == 1:
-        return True
     disc = [0] * n  # 0 = unvisited
     low = [0] * n
     parent = [-1] * n
@@ -248,7 +264,7 @@ def _bridgeless(adj) -> bool:
                     low[p] = low[v]
                 if low[v] > disc[p]:
                     return False
-    return True
+    return timer == n
 
 
 def genus(g: Graph) -> int:

@@ -415,6 +415,27 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}: invalid JSON") and err.count("\n") == 1
 
+    def test_graph_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + '{"vertices": ["P\u00e9"], "edges": []}'.encode("latin-1"))
+        code, out, err = run(capsys, "gen", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --graph: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.count("error:") == 1 and "Traceback" not in err
+
+    def test_graph_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale, without UTF-8 mode, Python's default file
+        # encoding is ASCII; the JSON writer escapes non-ASCII output.
+        path = tmp_path / "utf8.json"
+        path.write_bytes('{"vertices": ["P\u00e9"], "edges": []}'.encode("utf-8"))
+        src = str(Path(graphdivisors.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "graphdivisors.cli", "gen", "--graph", str(path), "--format", "json"]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["vertices"] == ["P\u00e9"]
+
     @pytest.mark.parametrize("argv, problem", [
         ("galois --family complete:4", "--vertex is required"),
         ("subgroups --family complete:4", "--order is required"),

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import graphdivisors.cli
+import graphdivisors.divisors as divisors
+import graphdivisors.graphs as graphs
 import oracles
 from graphdivisors import Graph, classify_galois_points, corpus, enumerate_corpus
 from graphdivisors.cli import main
@@ -130,3 +132,38 @@ class TestOneClassificationPerClass:
         monkeypatch.setattr(Graph, "__init__", counting)
         enumerate_corpus(5)
         assert len(built) == SIZES[5][1]
+
+    def test_one_scan_per_class_and_one_shell_table_per_graph(self, monkeypatch):
+        # Each mask class reached gets one DFS (`graphs._bridgeless`), and
+        # each class graph one more when its classification asks whether
+        # it is bridgeless.  The only BFS is the base-0 shell table that a
+        # class graph's construction computes, and every reduction reuses.
+        scans, tables, built = [], set(), []
+        bridgeless, fact, init = graphs._bridgeless, graphs._fact, Graph.__init__
+
+        def scanning(adj):
+            scans.append(adj)
+            return bridgeless(adj)
+
+        def reading(g, build, *args):
+            if build is graphs._shells:
+                tables.add((id(g), args))  # `built` keeps g, so its id stays its own
+            return fact(g, build, *args)
+
+        def building(self, vertices, edges):
+            built.append(self)
+            init(self, vertices, edges)
+
+        monkeypatch.setattr(graphs, "_bridgeless", scanning)
+        monkeypatch.setattr(corpus, "_bridgeless", scanning)
+        monkeypatch.setattr(graphs, "_fact", reading)
+        monkeypatch.setattr(divisors, "_fact", reading)
+        monkeypatch.setattr(Graph, "__init__", building)
+        classify_galois_points.cache_clear()
+        enumerate_corpus(5)
+        # The graphs on five vertices with at least five edges, up to
+        # isomorphism: the mask classes the sweep reaches.
+        classes = 20
+        assert len(built) == SIZES[5][1]
+        assert len(scans) == classes + len(built)
+        assert tables == {(id(g), (0,)) for g in built}

@@ -1,5 +1,6 @@
 import pytest
 
+import graphdivisors.graphs as graphs
 from graphdivisors import (
     DisconnectedError,
     Divisor,
@@ -52,6 +53,23 @@ class TestBuildGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError, match="P3"):
             build_graph(["P1", "P2", "P3", "P4"], [("P1", "P2"), ("P3", "P4")])
+
+    def test_construction_errors_word_for_word(self):
+        # The lowest-index vertex that vertex 0 cannot reach is named.
+        cases = [
+            (DisconnectedError, ["P1", "P2", "P3", "P4", "P5"], [("P1", "P4"), ("P5", "P3")],
+             "vertex 'P2' is not reachable from 'P1'"),
+            (DisconnectedError, ["P1", "P2", "P3", "P4"], [("P1", "P2"), ("P4", "P3")],
+             "vertex 'P3' is not reachable from 'P1'"),
+            (DuplicateVertexError, ["P1", "P2", "P1"], [("P1", "P2")], "duplicate vertex 'P1'"),
+            (DuplicateEdgeError, ["P1", "P2", "P3"], [("P1", "P2"), ("P2", "P3"), ("P2", "P1")],
+             "duplicate edge {'P2', 'P1'}"),
+            (DuplicateEdgeError, ["P1", "P2"], [("P1", "P2"), ("P1", "P2")], "duplicate edge {'P1', 'P2'}"),
+        ]
+        for error, vertices, edges, text in cases:
+            with pytest.raises(error) as exc:
+                build_graph(vertices, edges)
+            assert str(exc.value) == text
 
     def test_vertex_queries(self):
         g = generate("house4")
@@ -165,6 +183,18 @@ class TestTwoEdgeConnected:
             assert is_two_edge_connected(g) == (not find_bridges(4, edges))
             checked += 1
         assert checked == 38  # connected labeled graphs on 4 vertices
+
+    def test_scan_matches_networkx_on_the_atlas(self):
+        # `_bridgeless` answers "connected and bridgeless" for any
+        # adjacency lists, as the corpus asks it of each edge mask.
+        nx = pytest.importorskip("networkx")
+        from networkx.generators.atlas import graph_atlas_g
+
+        atlas = [h for h in graph_atlas_g() if h.number_of_nodes()]
+        assert len(atlas) == 1252
+        for h in atlas:
+            adj = [sorted(h[v]) for v in range(h.number_of_nodes())]
+            assert graphs._bridgeless(adj) == (nx.is_connected(h) and not nx.has_bridges(h)), h.edges()
 
 
 class TestGenusAndCanonical:
