@@ -10,7 +10,8 @@ program, it ends by SIGPIPE when its stdout pipe is closed.  The
 symmetry limits are read and checked in `symmetry` alone: `harmonic
 --mode definition` without `--subgroup` takes its group from
 `symmetry._definition_group`, drawn only up to one element past the
-definition-mode cap.
+definition-mode cap.  The enumeration cap is read and checked in
+`divisors` alone: `reduce` reports its self-check's refusal as a note.
 
 `--format json` prints exactly what `json.dumps(payload, indent=2)`
 would: two-space indent, non-ASCII and control characters escaped, keys
@@ -46,14 +47,13 @@ from operator import attrgetter
 from .corpus import VERDICT_FIELDS, CorpusResult, enumerate_corpus
 from .divisors import (
     Divisor,
-    _resolve_cap,
     is_q_reduced,
     linear_system,
     linearly_equivalent,
     q_reduce_with_witness,
     rank,
 )
-from .errors import GraphDivisorsError
+from .errors import EnumerationCapExceededError, GraphDivisorsError
 from .galois import classify_galois_points, is_galois_point, riemann_roch_check, verify_theorem
 from .graphs import Graph, _labels, generate, parse_family
 from .symmetry import (Subgroup, _definition_group, acts_harmonically, automorphism_group, quotient_graph,
@@ -218,15 +218,12 @@ def _cmd_reduce(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor)
     base = args.base if args.base is not None else g.vertices[0]
     reduced, witness = q_reduce_with_witness(g, d, base)
-    # The self-check enumerates 2^(n-1) subsets; past the cap it is skipped.
-    subsets = 1 << (len(g.vertices) - 1)
-    capv = _resolve_cap(args.cap)
-    if subsets > capv:
+    # The self-check enumerates 2^(n-1) subsets; past the cap it refuses and is skipped.
+    try:
+        is_reduced = is_q_reduced(g, reduced, base, args.cap)
+    except EnumerationCapExceededError as exc:
         is_reduced = None
-        print(f"note: is_reduced not checked: the subset check needs {subsets} subsets (cap {capv})",
-              file=sys.stderr)
-    else:
-        is_reduced = is_q_reduced(g, reduced, base)
+        print(f"note: is_reduced not checked: {exc}", file=sys.stderr)
     payload = {
         "base": base,
         "divisor": d.to_json(),
@@ -252,18 +249,18 @@ def _cmd_linsys(g: Graph, args) -> tuple:
 
 
 def _cmd_aut(g: Graph, args) -> tuple:
-    full = automorphism_group(g)
-    lines = [f"order {full.order}"] + [a.cycle_notation() for a in full.elements]
-    return {"order": full.order, "elements": full.to_json()}, lines, True
+    elements = automorphism_group(g).elements
+    lines = [f"order {len(elements)}"] + [a.cycle_notation() for a in elements]
+    return {"order": len(elements), "elements": [a.mapping() for a in elements]}, lines, True
 
 
 def _cmd_subgroups(g: Graph, args) -> tuple:
     if args.order is None:
         raise CliUsageError("--order is required for this command")
-    subs = subgroups_of_order(automorphism_group(g), args.order)
-    payload = {"order": args.order, "count": len(subs), "subgroups": [s.to_json() for s in subs]}
+    subs = [s.elements for s in subgroups_of_order(automorphism_group(g), args.order)]
+    payload = {"order": args.order, "count": len(subs), "subgroups": [[a.mapping() for a in s] for s in subs]}
     lines = [f"{len(subs)} subgroup(s) of order {args.order}"]
-    lines += ["  {" + ", ".join(a.cycle_notation() for a in s.elements) + "}" for s in subs]
+    lines += ["  {" + ", ".join(a.cycle_notation() for a in s) + "}" for s in subs]
     return payload, lines, True
 
 

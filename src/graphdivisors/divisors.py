@@ -23,9 +23,9 @@ rank walk also reads a child off its parent's sibling when that
 sibling holds the parent's last chip, and settles a leaf next to a
 base holding at least its degree in chips without reducing it, since
 such an avalanche is one wave (Dhar's burning test).  The
-enumerating operations (`linear_system`, `rank`) refuse, via
-`EnumerationCapExceededError`, to start an enumeration above the cap;
-they never silently truncate.
+enumerating operations (`linear_system`, `rank`, `is_q_reduced`)
+refuse, via `EnumerationCapExceededError`, to start an enumeration
+above the cap; they never silently truncate.
 """
 
 from __future__ import annotations
@@ -281,12 +281,13 @@ def _check_bound(g: "Graph", d: Divisor) -> None:
         raise GraphMismatchError("divisor is bound to a different graph")
 
 
-def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
+def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool:
     """Check the definition of q-reducedness by direct subset enumeration.
 
     d is q-reduced iff d(v) >= 0 for every v != q and every nonempty
     subset S avoiding q contains a vertex with d(v) < outdeg_S(v).
-    This is the reference oracle; it is exponential in |V| on purpose.
+    This is the reference oracle; it is exponential in |V| on purpose,
+    and refuses up front when its 2^(n-1) subsets exceed the cap.
     """
     _check_bound(g, d)
     qi = g.index_of(q)
@@ -295,9 +296,13 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
     others = [v for v in range(n) if v != qi]
     if any(coeffs[v] < 0 for v in others):
         return False
+    capv, subsets = _resolve_cap(cap), 1 << len(others)
+    if subsets > capv:
+        raise EnumerationCapExceededError(f"the subset check needs {subsets} subsets (cap {capv})",
+                                          required=subsets, cap=capv)
     masks = g._adj_masks
     full = (1 << n) - 1
-    for bits in range(1, 1 << len(others)):
+    for bits in range(1, subsets):
         smask = 0
         members = []
         rest = bits

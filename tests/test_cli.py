@@ -86,6 +86,15 @@ class TestQueryCommands:
                              "--cap", "31", "--format", "json")
         assert code == 0 and json.loads(out)["is_reduced"] is None and "(cap 31)" in err
 
+    def test_reduce_reads_the_one_enumeration_cap(self, capsys, monkeypatch):
+        # The limit has one name, in `divisors`, read at the call.
+        assert not hasattr(graphdivisors, "DEFAULT_ENUMERATION_CAP")
+        monkeypatch.setattr(graphdivisors.divisors, "DEFAULT_ENUMERATION_CAP", 31)
+        code, out, err = run(capsys, "reduce", "--family", "cycle:6", "--divisor", "all-ones",
+                             "--format", "json")
+        assert code == 0 and json.loads(out)["is_reduced"] is None
+        assert err == "note: is_reduced not checked: the subset check needs 32 subsets (cap 31)\n"
+
     def test_rank_two_thousand_chips_on_one_vertex(self, capsys, tmp_path):
         path = tmp_path / "point.json"
         path.write_text(json.dumps({"vertices": ["P1"], "edges": []}))

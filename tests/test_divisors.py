@@ -170,6 +170,31 @@ class TestIsQReduced:
         with pytest.raises(UnknownVertexError):
             is_q_reduced(k4, Divisor.zero(k4), "Q7")
 
+    def test_refuses_past_cap(self):
+        g = generate("cycle:12")
+        with pytest.raises(EnumerationCapExceededError) as exc:
+            is_q_reduced(g, Divisor.all_ones(g), "P1", cap=1000)
+        assert (exc.value.required, exc.value.cap) == (2048, 1000)
+        assert str(exc.value) == "the subset check needs 2048 subsets (cap 1000)"
+
+    def test_negative_off_base_decided_before_cap(self):
+        # 2^29 subsets are past the default cap, but a debt off the base
+        # answers before any subset is counted.
+        g = generate("cycle:30")
+        assert not is_q_reduced(g, Divisor(g, {"P1": 5, "P17": -1}), "P1")
+
+    def test_matches_dhar_criterion(self):
+        # Dhar (PRL 1990): d is q-reduced iff it is nonnegative off q and
+        # fire started at q burns every vertex.
+        rng = random.Random(1990)
+        for _ in range(3000):
+            g = oracles.random_connected_graph(rng, rng.randint(1, 7))
+            coeffs = [rng.randint(-1, 3) for _ in g.vertices]
+            qi = rng.randrange(len(coeffs))
+            expected = (all(c >= 0 for v, c in enumerate(coeffs) if v != qi)
+                        and oracles._dhar_unburnt(g._adj, coeffs, qi) is None)
+            assert is_q_reduced(g, Divisor.from_coeffs(g, coeffs), g.vertices[qi]) == expected, (g, coeffs, qi)
+
 
 class TestQReduce:
     def test_k4_all_ones(self, k4):

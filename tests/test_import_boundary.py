@@ -9,8 +9,9 @@ through the probe table, the rank walk, the member walk and two guards;
 it neither reduces a divisor nor takes a chip itself.  `cli` reaches
 them through `_definition_group` alone, the bounded draw for definition
 mode, so the definition-mode cap is read and checked in `symmetry`
-only.  These tests read the sources of `galois.py` and `cli.py` instead
-of running them.
+only; it imports no private divisor name, so the enumeration cap is
+read and checked in `divisors` only.  These tests read the sources of
+`galois.py` and `cli.py` instead of running them.
 """
 
 import ast
@@ -61,4 +62,14 @@ def test_cli_reaches_symmetry_only_through_the_definition_draw():
     assert "symmetry" not in names, "cli.py imports the symmetry module whole"
     source = CLI.read_text(encoding="utf-8")
     for name in ("DEFAULT_HARMONIC_DEFINITION_CAP", "_automorphisms"):
+        assert name not in source, f"cli.py names {name}"
+
+
+def test_cli_leaves_the_enumeration_cap_to_divisors():
+    names = set(imported_names(CLI, "divisors"))
+    private = sorted(name for name in names if name.startswith("_"))
+    assert private == [], f"cli.py imports private divisor names {private}"
+    assert "divisors" not in names, "cli.py imports the divisors module whole"
+    source = CLI.read_text(encoding="utf-8")
+    for name in ("_resolve_cap", "DEFAULT_ENUMERATION_CAP"):
         assert name not in source, f"cli.py names {name}"

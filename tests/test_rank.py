@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import graphdivisors.divisors as divisors
 import graphdivisors.galois as galois
 from graphdivisors import (
-    DEFAULT_ENUMERATION_CAP,
     Divisor,
     EnumerationCapExceededError,
     GaloisCertificate,
@@ -40,6 +39,7 @@ from graphdivisors import (
     laplacian_apply,
     rank,
 )
+from graphdivisors.divisors import DEFAULT_ENUMERATION_CAP
 
 import oracles
 

@@ -11,13 +11,20 @@ the rank walk on graphs full of degree-2 vertices, past the reach of
 The enumeration cap counts probes on all the vertices, so σk(G) may
 refuse where G does not; values are compared where no side refuses,
 and the share of skipped cases is bounded.
+
+The same placement keeps the Galois points of the families' all-ones
+divisor on G's vertices of σ1(G), and every certificate on σ1(G)
+passes the audit.  σ1(K3) is C6, where the new vertices are Galois
+points too.
 """
 
 import random
 
 import pytest
 
-from graphdivisors import Divisor, EnumerationCapExceededError, Graph, is_two_edge_connected, rank
+import graphdivisors.symmetry as symmetry
+from graphdivisors import (Divisor, EnumerationCapExceededError, Graph, audit_certificate,
+                           classify_galois_points, generate, is_two_edge_connected, rank)
 
 import oracles
 
@@ -86,3 +93,22 @@ def test_rank_is_invariant_under_subdivision():
     assert compared + skipped == 600
     assert skipped <= 120, skipped
     assert {-1, 0, 1, 2, 3} <= ranks, ranks
+
+
+@pytest.mark.parametrize("family", ["house4", "complete:3", "complete:4", "complete:5", "complete:6",
+                                    "wheel:5", "wheel:6", "wheel:7", "cycle:4", "cycle:5"])
+def test_galois_points_survive_subdivision(family, monkeypatch):
+    # σ1(wheel:7) has 19 vertices and σ1(K6) 21, past the default
+    # automorphism vertex cap of 10.
+    monkeypatch.setattr(symmetry, "DEFAULT_AUTOMORPHISM_VERTEX_CAP", 21)
+    g = generate(family)
+    h = subdivide(g, 1)
+    before = classify_galois_points(g, Divisor.all_ones(g))
+    d = Divisor(h, dict.fromkeys(g.vertices, 1))
+    after = classify_galois_points(h, d)
+    assert after.rank == before.rank
+    assert [v for v in after.galois_vertices if v in g.vertices] == list(before.galois_vertices)
+    if family == "complete:3":
+        assert after.galois_vertices == h.vertices
+    for cert in after.certificates:
+        assert audit_certificate(h, d, cert) == [], (family, cert.vertex)
