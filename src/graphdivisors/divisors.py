@@ -24,8 +24,10 @@ sibling holds the parent's last chip, and settles a leaf next to a
 base holding at least its degree in chips without reducing it, since
 such an avalanche is one wave (Dhar's burning test).  The
 enumerating operations (`linear_system`, `rank`, `is_q_reduced`)
-refuse, via `EnumerationCapExceededError`, to start an enumeration
-above the cap; they never silently truncate.
+refuse to start an enumeration above the cap; they never silently
+truncate.  Every refusal is raised by `_refuse`, one
+`EnumerationCapExceededError` of one shape, "<what> needs <required>
+<unit> (cap <cap>)", carrying `required` and `cap`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 
 def _resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP if cap is None else cap
+
+
+def _refuse(what: str, required: int, unit: str, capv: int) -> None:
+    """Raise the one refusal of every enumeration past the cap."""
+    raise EnumerationCapExceededError(f"{what} needs {required} {unit} (cap {capv})",
+                                      required=required, cap=capv)
 
 
 class Divisor:
@@ -298,8 +306,7 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool
         return False
     capv, subsets = _resolve_cap(cap), 1 << len(others)
     if subsets > capv:
-        raise EnumerationCapExceededError(f"the subset check needs {subsets} subsets (cap {capv})",
-                                          required=subsets, cap=capv)
+        _refuse("the subset check", subsets, "subsets", capv)
     masks = g._adj_masks
     full = (1 << n) - 1
     for bits in range(1, subsets):
@@ -523,12 +530,7 @@ def _require_enumerable(k: int, n: int, cap: int | None) -> None:
     capv = _resolve_cap(cap)
     size = comb(k + n - 1, n - 1)
     if size > capv:
-        raise EnumerationCapExceededError(
-            f"linear system of degree {k} on {n} vertices needs {size} "
-            f"effective divisors (cap {capv})",
-            required=size,
-            cap=capv,
-        )
+        _refuse(f"linear system of degree {k} on {n} vertices", size, "effective divisors", capv)
 
 
 def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[Divisor]:
@@ -645,23 +647,6 @@ def _refusal_degree(n: int, capv: int) -> int:
     return bisect_left(range(hi), True, (hi + 1) // 2, key=lambda t: comb(t + n, n) - 1 > capv)
 
 
-def _past_cap(r: int, n: int, capv: int) -> bool:
-    """Whether r >= s - 1 for the refusal degree s: certifying a rank r
-    >= 0 takes a probe of degree r + 1, past the cap iff the probes of
-    degrees 1..r+1 exceed it."""
-    return r >= 0 and comb(r + 1 + n, n) - 1 > capv
-
-
-def _refuse(n: int, capv: int) -> None:
-    s = _refusal_degree(n, capv)
-    required = comb(s + n, n) - 1
-    raise EnumerationCapExceededError(
-        f"rank probe at degree {s} needs {required} effective divisors (cap {capv})",
-        required=required,
-        cap=capv,
-    )
-
-
 def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -> int:
     """Rank of the divisor class of d by one branch-and-bound walk,
     refusing as a divisor of rank r(d) + shift would.
@@ -724,13 +709,15 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     most deg(0) chips.
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
-    least s where that exceeds the cap, the call refuses iff r + shift
-    >= s - 1, that is iff a probe of degree s - shift would be needed.
-    So a starting bound past the cap is lowered to s - shift - 1: the
-    walk never goes past that degree, and a final bound still there
-    refuses whatever r is, while one below it is r.  With shift 0
-    that is the walk of d itself; `rank` walks K - d with shift
-    deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
+    least s where that exceeds the cap, the refusal degree, the call
+    refuses iff r + shift >= s - 1, that is iff a probe of degree
+    s - shift would be needed.  The bound only falls, so s is worked
+    out once, and only when the starting bound plus shift is past the
+    cap (one `comb` test); the bound is then lowered to s - shift - 1.
+    The walk never goes past that degree, and a final bound still there
+    refuses through `_refuse` whatever r is, while one below it is r.
+    With shift 0 that is the walk of d itself; `rank` walks K - d with
+    shift deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
     further than the walk of d would.
     """
     _check_bound(g, d)
@@ -741,9 +728,12 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
         base, _ = _reduce_coeffs(g, list(d.coeffs), 0)
         if base[0] >= 0:
             bound, stack = base[0], [(base, 0, 0, None)]
-    # The bound only falls, so the cap can cut the walk only when the
-    # starting bound is already past it.
-    bound = min(bound, _refusal_degree(n, capv) - shift - 1) if _past_cap(bound + shift, n, capv) else bound
+    # Certifying r >= 0 takes a probe of degree r + 1, past the cap iff
+    # the probes of degrees 1..r+1 exceed it.
+    s = None
+    if bound + shift >= 0 and comb(bound + shift + 1 + n, n) - 1 > capv:
+        s = _refusal_degree(n, capv)
+        bound = s - shift - 1
     adj = g._adj
     deg0, near0 = len(adj[0]), g._adj_masks[0]
     order = _fact(g, _walk_order)
@@ -781,8 +771,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
             if not leaves:
                 kids[b] = child
                 stack.append((child, b, j + 1, kids))
-    if _past_cap(bound + shift, n, capv):
-        _refuse(n, capv)
+    if s is not None and bound + shift >= s - 1:
+        _refuse(f"rank probe at degree {s}", comb(s + n, n) - 1, "effective divisors", capv)
     return bound
 
 

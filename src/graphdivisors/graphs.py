@@ -29,14 +29,15 @@ class Graph:
     `_edges_idx`, which equality and the hash read, and as neighbours in
     `_adj` and `_adj_masks`, which membership reads.  `_derived` holds
     the facts of the graph that the layers read again and again (the
-    bridgeless verdict, the canonical divisor, the reduction's and the
-    rank walk's tables), each computed on its first read through
-    `_fact`, which alone reads and writes it.  Construction reads the
-    BFS shell table of vertex 0 (`_shells`) to refuse a disconnected
-    graph, so every reduction at vertex 0 finds it kept.  Every entry
-    depends on the vertices and edges alone, so it is the same whoever
-    computes it first: a graph stays a value, equal and hashed by its
-    vertices and edges, and is still safe to share.
+    bridgeless verdict, the canonical divisor's coefficients
+    `_canonical_coeffs`, the reduction's and the rank walk's tables),
+    each computed on its first read through `_fact`, which alone reads
+    and writes it.  Construction reads the BFS shell table of vertex 0
+    (`_shells`) to refuse a disconnected graph, so every reduction at
+    vertex 0 finds it kept.  Every entry depends on the vertices and
+    edges alone, so it is the same whoever computes it first: a graph
+    stays a value, equal and hashed by its vertices and edges, and is
+    still safe to share.
     """
 
     __slots__ = (

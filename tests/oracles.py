@@ -11,6 +11,8 @@ reduces with a burning loop that fires one chip per round.
 that `divisors._rank_walk` documents, but reduces every probe from
 scratch with `reduce_one_chip`, to name the avalanches the walk must
 make.
+`rank_by_recursion` takes the rank one chip at a time from the same
+`reduce_one_chip` test, with no probe enumeration and no walk rule.
 `system_nonempty`, which `rank_brute` asks of every probe, leans on the
 reduced-divisor theorem (Baker-Norine: |D| is nonempty iff its q-reduced
 form is effective), not on library code: it is one `reduce_one_chip`
@@ -185,6 +187,28 @@ def rank_brute(g: Graph, d: Divisor):
             if not system_nonempty(g, probe):
                 return s - 1
         s += 1
+
+
+def rank_by_recursion(g: Graph, coeffs, memo: dict) -> int:
+    """Rank of the divisor with these coefficients by the recursion
+    r(D) = -1 when |D| is empty, else 1 + min over v of r(D - v).
+
+    Removing a chip lowers the rank by at most one, and some chip of an
+    empty probe of degree r(D) + 1 lowers it by exactly one.  |D| is
+    empty iff the 0-reduced form from `reduce_one_chip` is negative at
+    vertex 0; `memo` keeps the ranks by that form, one per class.
+    """
+    red, _ = reduce_one_chip(g, list(coeffs), 0)
+    key = tuple(red)
+    if key not in memo:
+        if red[0] < 0:
+            memo[key] = -1
+        else:
+            memo[key] = 1 + min(
+                rank_by_recursion(g, [c - (v == w) for w, c in enumerate(red)], memo)
+                for v in range(len(red))
+            )
+    return memo[key]
 
 
 def rank_walk_spec(g: Graph, d: Divisor):

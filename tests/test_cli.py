@@ -124,6 +124,12 @@ class TestQueryCommands:
         assert payload["count"] == 2
         assert {"P1": 3} in payload["divisors"]
 
+    def test_linsys_refusal_word_for_word(self, capsys):
+        code, out, err = run(capsys, "linsys", "--family", "complete:4", "--divisor", '{"P1": 10}',
+                             "--cap", "5")
+        assert code == 2 and out == ""
+        assert err == "error: linear system of degree 10 on 4 vertices needs 286 effective divisors (cap 5)\n"
+
     def test_linsys_on_twelve_hundred_vertices(self, capsys):
         # The default cap admits these 1,200 candidates; the walk keeps
         # its own stack instead of taking one call frame per vertex.

@@ -322,6 +322,13 @@ class TestLinearSystem:
         assert exc.value.required == 286  # C(13,3)
         assert exc.value.cap == 5
 
+    def test_cap_refusal_word_for_word(self, k4):
+        # The witness-search gate reuses this text.
+        with pytest.raises(EnumerationCapExceededError) as exc:
+            linear_system(k4, Divisor(k4, {"P1": 10}), cap=5)
+        assert str(exc.value) == "linear system of degree 10 on 4 vertices needs 286 effective divisors (cap 5)"
+        assert (exc.value.required, exc.value.cap) == (286, 5)
+
 
 class TestRank:
     def test_negative_degree(self, k4):

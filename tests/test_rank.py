@@ -130,6 +130,36 @@ class TestCapThreshold:
         assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
+class TestHugeChipCounts:
+    """Chip counts far past the cap refuse from the starting bound alone,
+    at once, and never build a range as long as the bound."""
+
+    def refused_quickly(self, how, g, d, *shift):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceededError) as exc:
+            how(g, d, None, *shift)
+        assert time.perf_counter() - start < 0.5
+        return str(exc.value), exc.value.required, exc.value.cap
+
+    @pytest.mark.parametrize("how", [rank, divisors._rank_walk])
+    def test_cycle3(self, how):
+        g = generate("cycle:3")
+        assert self.refused_quickly(how, g, 10**30 * Divisor.vertex(g, "P1")) == (
+            "rank probe at degree 309 needs 5013319 effective divisors (cap 5000000)",
+            5_013_319,
+            DEFAULT_ENUMERATION_CAP,
+        )
+
+    @pytest.mark.parametrize("shift", [0, 3])
+    def test_one_vertex_walk(self, shift):
+        g = Graph(["P1"], [])
+        assert self.refused_quickly(divisors._rank_walk, g, 10**30 * Divisor.vertex(g, "P1"), shift) == (
+            "rank probe at degree 5000001 needs 5000001 effective divisors (cap 5000000)",
+            5_000_001,
+            DEFAULT_ENUMERATION_CAP,
+        )
+
+
 @st.composite
 def bridgeless_divisors(draw):
     """A 2-edge-connected graph on 3-6 vertices and a divisor on it with
@@ -198,6 +228,36 @@ def two_edge_connected_graph(rng, n, max_genus=7):
         g = oracles.random_connected_graph(rng, n, extra_edge_prob=0.3)
         if len(g.edges) - n + 1 <= max_genus and oracles.two_edge_connected(n, list(g._edges_idx)):
             return g
+
+
+class TestAgainstRecursion:
+    """`oracles.rank_by_recursion` shares no rule with the walk: it
+    takes one chip at a time and reduces every divisor from scratch."""
+
+    @pytest.mark.parametrize("family", ["house4", "cycle:5", "complete:4", "complete:5", "wheel:5", "wheel:6"])
+    def test_every_effective_divisor_of_the_families(self, family):
+        g = generate(family)
+        n, memo = len(g.vertices), {}
+        top = min(len(g.edges) - n + 3, 7)  # min(g + 2, 7), the genus counted from the edges
+        for k in range(top + 1):
+            for e in oracles.effective_tuples(k, n):
+                assert rank(g, Divisor.from_coeffs(g, e)) == oracles.rank_by_recursion(g, e, memo), (family, e)
+
+    def test_random_bridgeless_graphs(self):
+        rng = random.Random(2308)
+        ranks = set()
+        for _ in range(40):
+            g = two_edge_connected_graph(rng, rng.randint(3, 7))
+            n, memo = len(g.vertices), {}
+            for _ in range(20):
+                while True:
+                    coeffs = [rng.randint(-2, 4) for _ in range(n)]
+                    if sum(coeffs) <= 8:
+                        break
+                r = oracles.rank_by_recursion(g, coeffs, memo)
+                assert rank(g, Divisor.from_coeffs(g, coeffs)) == r, (g, coeffs)
+                ranks.add(r)
+        assert {-1, 0, 1, 2, 3} <= ranks, ranks
 
 
 class TestCheaperSide:

@@ -23,8 +23,10 @@ import random
 import pytest
 
 import graphdivisors.symmetry as symmetry
-from graphdivisors import (Divisor, EnumerationCapExceededError, Graph, audit_certificate,
-                           classify_galois_points, generate, is_two_edge_connected, rank)
+from graphdivisors import (DisconnectedError, Divisor, EnumerationCapExceededError, Graph,
+                           audit_certificate, classify_galois_points, generate, genus,
+                           is_two_edge_connected, rank)
+from graphdivisors.divisors import _rank_walk
 
 import oracles
 
@@ -61,6 +63,21 @@ def random_bridgeless(rng, count):
         if is_two_edge_connected(g):
             out.append(g)
     return out
+
+
+def chipfire_graph(rng):
+    """A labeled graph on 6-9 vertices, each pair an edge with
+    probability 1/2, redrawn until connected and bridgeless."""
+    n = rng.randint(6, 9)
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        try:
+            g = Graph(labels, [p for p in pairs if rng.random() < 0.5])
+        except DisconnectedError:
+            continue
+        if is_two_edge_connected(g):
+            return g
 
 
 def rank_or_none(g, coeffs):
@@ -112,3 +129,23 @@ def test_galois_points_survive_subdivision(family, monkeypatch):
         assert after.galois_vertices == h.vertices
     for cert in after.certificates:
         assert audit_certificate(h, d, cert) == [], (family, cert.vertex)
+
+
+def test_rank_walk_is_invariant_under_subdivision_on_dense_graphs():
+    # Graphs drawn as perfbench's chipfire workload draws them, and
+    # effective divisors of degree g + 2 and g + 3 placed chip by chip on
+    # G's vertices.  The walk of d itself, since at these degrees `rank`
+    # would walk K - d, of degree g - 4 or g - 5, and certify a small rank.
+    rng = random.Random(1)
+    ranks = set()
+    for _ in range(12):
+        g = chipfire_graph(rng)
+        h = subdivide(g, 1)
+        for extra in (2, 3):
+            coeffs = [0] * len(g.vertices)
+            for _ in range(genus(g) + extra):
+                coeffs[rng.randrange(len(coeffs))] += 1
+            r = _rank_walk(g, Divisor.from_coeffs(g, coeffs))
+            assert _rank_walk(h, Divisor(h, dict(zip(g.vertices, coeffs)))) == r, (g, coeffs)
+            ranks.add(r)
+    assert {2, 3, 4} <= ranks, ranks
