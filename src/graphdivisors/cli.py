@@ -1,14 +1,14 @@
 """Command-line front end.
 
 A command's handler only computes: from the graph (None for `corpus`)
-and the parsed arguments it returns its JSON payload, its text lines
-and whether its check passed.  `main` alone loads the graph, writes
-stdout and sets the exit status: 0 for a computed answer or a passing
-check, 1 when a consistency check fails mathematically (verify-theorem,
-rr-check, classify, corpus), 2 for usage or input errors.  Run as a
-program, it ends by SIGPIPE when its stdout pipe is closed.  The
-symmetry limits are read and checked in `symmetry` alone: `harmonic
---mode definition` without `--subgroup` takes its group from
+and the parsed arguments it returns its JSON payload, an iterable of
+its text lines and whether its check passed.  `main` alone loads the
+graph, writes stdout and sets the exit status: 0 for a computed answer
+or a passing check, 1 when a consistency check fails mathematically
+(verify-theorem, rr-check, classify, corpus), 2 for usage or input
+errors.  Run as a program, it ends by SIGPIPE when its stdout pipe is
+closed.  The symmetry limits are read and checked in `symmetry` alone:
+`harmonic --mode definition` without `--subgroup` takes its group from
 `symmetry._definition_group`, drawn only up to one element past the
 definition-mode cap.  The enumeration cap is read and checked in
 `divisors` alone: `reduce` reports its self-check's refusal as a note.
@@ -18,13 +18,16 @@ would: two-space indent, non-ASCII and control characters escaped, keys
 in insertion order.  The payloads hold only dicts with str keys, lists,
 tuples, str, int, bool and None, so one recursive function (`_dumps`)
 produces those bytes without the pure-Python encoder that `indent`
-forces on `json.dumps`; the golden digests in the tests pin them.  The
-records of `corpus` (11,968 at n = 6) are the one exception: its
-payload holds a function in their place, which the writer calls with
-its depth, and `_corpus_graphs` joins their text from one piece per
-edge pair and one per verdict row, as
+forces on `json.dumps`; the golden digests in the tests pin them.
+
+A call builds only the format it prints.  The long list of `aut`,
+`subgroups`, `linsys` and `corpus` stands in its payload as a function,
+which the writer calls with its depth, so `--format text` never builds
+it; the text lines of `aut`, `subgroups` and `linsys` are an iterator
+that `main` reads, so `--format json` never formats them.  The records
+of `corpus` (11,968 at n = 6) are joined by `_corpus_graphs` from one
+piece per edge pair and one per verdict row, as
 `json.dumps(enumerate_corpus(n).to_json(), indent=2)` would write them.
-`--format text` never calls it.
 
 An argv made only of a command name and exact `--flag value` pairs is
 read straight from `_COMMANDS` by `_read_plain`, with no parser built.
@@ -40,7 +43,7 @@ import argparse
 import json
 import signal
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter
 
@@ -120,60 +123,38 @@ class CliUsageError(Exception):
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _dumps(value, depth: int = 0, keys: list[dict[str, str]] | None = None) -> str:
+def _dumps(value, depth: int = 0) -> str:
     """`json.dumps(value, indent=2)`, written at nesting depth `depth`,
-    for dicts with str keys, lists, tuples, str, int, bool and None; any
-    other type raises TypeError.  A value may also be a function of its
-    depth that returns its text there (`_corpus_graphs`).
-
-    `keys[d]` maps each dict key met at depth d to its line prefix
-    (newline, indent, key and `": "`), made once per call: an `aut`
-    payload repeats the same few keys in thousands of dicts.  Each
-    container's text is formatted whole, not concatenated piece by
-    piece, so a long one is copied once.
+    for dicts with str keys, lists, tuples, str, int, bool and None, one
+    case per type and no state kept between values; any other type, or
+    a key that is not str, raises TypeError (`_escape` takes only str).
+    A value may also be a function of its depth that returns its text
+    there: the long list of `aut`, `subgroups`, `linsys` and `corpus`,
+    which `--format text` thus never builds.  Each container's text is
+    formatted whole, not concatenated piece by piece, so a long one is
+    copied once; its pieces come from a generator, so `join` frees
+    their list before the copy.
     """
     if isinstance(value, str):
         return _escape(value)
-    if keys is None:
-        keys = []
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        try:
-            prefixes = keys[depth]
-        except IndexError:
-            keys += [{} for _ in range(depth + 1 - len(keys))]
-            prefixes = keys[depth]
-        items = []
-        for k, v in value.items():
-            prefix = prefixes.get(k) if type(k) is str else None
-            if prefix is None:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-                prefix = prefixes[k] = "\n" + "  " * (depth + 1) + _escape(k) + ": "
-            t = type(v)
-            if t is str:
-                items.append(prefix + _escape(v))
-            elif t is int:
-                items.append(prefix + int.__repr__(v))
-            elif t is bool or v is None:
-                items.append(prefix + _LITERALS[v])
-            else:
-                items.append(prefix + _dumps(v, depth + 1, keys))
-        return "{%s\n%s}" % (",".join(items), "  " * depth)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = depth + 1
-        pad = "\n" + "  " * inner
-        return "[%s%s%s]" % (pad, ("," + pad).join([_dumps(v, inner, keys) for v in value]), pad[:-2])
     if value is None or isinstance(value, bool):
         return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
-    if callable(value):
+    if isinstance(value, dict):
+        texts = (_escape(k) + ": " + _dumps(v, depth + 1) for k, v in value.items())
+        shape = "{%s%s%s}"
+    elif isinstance(value, (list, tuple)):
+        texts = (_dumps(v, depth + 1) for v in value)
+        shape = "[%s%s%s]"
+    elif callable(value):
         return value(depth)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        return shape % ("", "", "")
+    pad = "\n" + "  " * (depth + 1)
+    return shape % (pad, ("," + pad).join(texts), pad[:-2])
 
 
 def _corpus_graphs(result: CorpusResult, depth: int) -> str:
@@ -244,23 +225,26 @@ def _cmd_equiv(g: Graph, args) -> tuple:
 def _cmd_linsys(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor)
     members = sorted(linear_system(g, d, args.cap), key=lambda e: e.coeffs)
-    payload = {"degree": d.degree, "count": len(members), "divisors": [e.to_json() for e in members]}
-    return payload, [str(e) for e in members] or ["(empty)"], True
+    payload = {"degree": d.degree, "count": len(members),
+               "divisors": lambda depth: _dumps([e.to_json() for e in members], depth)}
+    return payload, map(str, members) if members else ["(empty)"], True
 
 
 def _cmd_aut(g: Graph, args) -> tuple:
     elements = automorphism_group(g).elements
-    lines = [f"order {len(elements)}"] + [a.cycle_notation() for a in elements]
-    return {"order": len(elements), "elements": [a.mapping() for a in elements]}, lines, True
+    payload = {"order": len(elements),
+               "elements": lambda depth: _dumps([a.mapping() for a in elements], depth)}
+    return payload, chain([f"order {len(elements)}"], (a.cycle_notation() for a in elements)), True
 
 
 def _cmd_subgroups(g: Graph, args) -> tuple:
     if args.order is None:
         raise CliUsageError("--order is required for this command")
     subs = [s.elements for s in subgroups_of_order(automorphism_group(g), args.order)]
-    payload = {"order": args.order, "count": len(subs), "subgroups": [[a.mapping() for a in s] for s in subs]}
-    lines = [f"{len(subs)} subgroup(s) of order {args.order}"]
-    lines += ["  {" + ", ".join(a.cycle_notation() for a in s) + "}" for s in subs]
+    payload = {"order": args.order, "count": len(subs),
+               "subgroups": lambda depth: _dumps([[a.mapping() for a in s] for s in subs], depth)}
+    lines = chain([f"{len(subs)} subgroup(s) of order {args.order}"],
+                  ("  {" + ", ".join(a.cycle_notation() for a in s) + "}" for s in subs))
     return payload, lines, True
 
 
@@ -354,7 +338,7 @@ def _graph_options(*extra, divisor: bool = False, cap: bool = False) -> tuple:
             + ((_CAP,) if cap else ()) + extra)
 
 
-# name -> (help, handler(g, args) -> (payload, text lines, passed),
+# name -> (help, handler(g, args) -> (payload, iterable of text lines, passed),
 #          options as (flag, add_argument keywords))
 _COMMANDS = {
     "gen": ("emit a named family graph", _cmd_gen, _graph_options()),

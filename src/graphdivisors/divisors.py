@@ -200,7 +200,7 @@ class VertexFunction:
     a mapping that misses a vertex raises MissingVertexValueError.
     """
 
-    __slots__ = ("graph", "values", "_hash")
+    __slots__ = ("graph", "values")
 
     def __init__(self, graph: "Graph", values: Mapping[str, int]):
         vals = [None] * len(graph.vertices)
@@ -213,7 +213,6 @@ class VertexFunction:
                 raise MissingVertexValueError(f"no value for vertex {graph.vertices[i]!r}")
         self.graph = graph
         self.values = tuple(vals)
-        self._hash = hash((graph, self.values))
 
     @classmethod
     def from_values(cls, graph: "Graph", values: Iterable[int]) -> "VertexFunction":
@@ -223,7 +222,6 @@ class VertexFunction:
             raise MissingVertexValueError(f"expected {len(graph.vertices)} values, got {len(t)}")
         f.graph = graph
         f.values = t
-        f._hash = hash((graph, t))
         return f
 
     @classmethod
@@ -247,7 +245,7 @@ class VertexFunction:
         return self.graph == other.graph and self.values == other.values
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.values))
 
     def __repr__(self):
         return f"VertexFunction({self.as_dict()!r})"
@@ -536,8 +534,9 @@ def _require_enumerable(k: int, n: int, cap: int | None) -> None:
 def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[Divisor]:
     """All effective divisors linearly equivalent to d; empty for
     negative degree.  Reduces d once and walks the members by `_members`
-    with one orbit per vertex, so the cost follows the members, not the
-    C(k+n-1, n-1) candidates, though the cap still counts those.
+    with one orbit per vertex: each of its `_drop_chip` calls reaches a
+    distinct effective divisor of degree at most k off vertex 0, so the
+    work is at most the C(k+n-1, n-1) candidates that the cap counts.
     """
     _check_bound(g, d)
     k = d.degree
@@ -582,27 +581,38 @@ def _drop_chip(adj, red: list[int], v: int) -> list[int]:
 
 def _members(adj, red: list[int], orbits: list[list[int]]) -> list[tuple[int, ...]]:
     """The effective e, constant on each orbit, equivalent to the divisor
-    whose 0-reduced form is red.
+    whose 0-reduced form is red; `orbits[0]` holds vertex 0 first.
 
-    e is built orbit by orbit, in increasing order, carrying the reduced
-    form (the remainder) of red - e' for the part e' taken so far, chip
-    by chip with `_drop_chip`.  A remainder negative at the base has an empty linear
-    system, and stays empty, so it is not extended; a complete e is a
-    member iff its remainder is zero.  The walk keeps its own stack of
+    e is built orbit by orbit over `orbits[1:]`, in increasing order,
+    carrying the reduced form (the remainder) of red - e' for the part
+    e' taken so far, chip by chip with `_drop_chip`.  A remainder
+    negative at the base has an empty linear system, and stays empty,
+    so it is not extended.  At every node the chips left can only go to
+    `orbits[0]`, so the node completes in at most one way: the count
+    must divide evenly, and dropping it at each of that orbit's other
+    vertices must leave zero off the base (a chip at vertex 0 takes no
+    avalanche).  With one orbit per vertex each drop reaches its own
+    node, so the work is at most the C(k+n-1, n-1) candidates that
+    `linear_system`'s cap counts.  The walk keeps its own stack of
     (remainder, lowest open orbit, chips left, (orbit, value) pairs).
     """
     found = []
-    stack = [(red, 0, sum(red), ())] if red[0] >= 0 else []
+    base, others = orbits[0], orbits[0][1:]
+    stack = [(red, 1, sum(red), ())] if red[0] >= 0 else []
     while stack:
         rest, start, left, taken = stack.pop()
-        if not left:
-            if not any(rest):
+        last, spare = divmod(left, len(base))
+        if not spare:
+            child = rest
+            for v in others:
+                for _ in range(last):
+                    child = _drop_chip(adj, child, v)
+            if not any(child[1:]):
                 coeffs = [0] * len(red)
-                for i, value in taken:
+                for i, value in taken + ((0, last),):
                     for v in orbits[i]:
                         coeffs[v] = value
                 found.append(tuple(coeffs))
-            continue
         for i in range(start, len(orbits)):
             orbit = orbits[i]
             child = rest

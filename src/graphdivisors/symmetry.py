@@ -58,7 +58,7 @@ def _perm_order(p: tuple[int, ...]) -> int:
 class Automorphism:
     """Adjacency-preserving bijection on the vertices of one graph."""
 
-    __slots__ = ("graph", "perm", "_hash")
+    __slots__ = ("graph", "perm")
 
     def __init__(self, graph: Graph, perm: tuple[int, ...], _checked: bool = False):
         if not _checked:
@@ -72,7 +72,6 @@ class Automorphism:
                     )
         self.graph = graph
         self.perm = perm
-        self._hash = hash((graph, perm))
 
     @classmethod
     def identity(cls, graph: Graph) -> "Automorphism":
@@ -149,7 +148,7 @@ class Automorphism:
         return self.graph == other.graph and self.perm == other.perm
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.perm))
 
     def __repr__(self):
         return f"Automorphism({self.cycle_notation()})"
@@ -168,7 +167,7 @@ def apply_to_divisor(sigma: Automorphism, d: Divisor) -> Divisor:
 class Subgroup:
     """A finite set of automorphisms of one graph, closed under composition."""
 
-    __slots__ = ("graph", "perms", "_hash")
+    __slots__ = ("graph", "perms")
 
     def __init__(self, graph: Graph, perms: frozenset[tuple[int, ...]], _checked: bool = False):
         if not _checked:
@@ -183,7 +182,6 @@ class Subgroup:
                         raise ValueError("element set is not closed under composition")
         self.graph = graph
         self.perms = perms
-        self._hash = hash((graph, perms))
 
     @classmethod
     def trivial(cls, graph: Graph) -> "Subgroup":
@@ -236,7 +234,7 @@ class Subgroup:
         return self.graph == other.graph and self.perms == other.perms
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.perms))
 
     def __repr__(self):
         return f"Subgroup(order {len(self.perms)})"

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphdivisors.cli
+from graphdivisors import Automorphism, Divisor
 from graphdivisors.cli import _COMMANDS, _dumps, _read_plain, build_parser, main
 
 TRICKY_TEXT = st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", " ", "😀",
@@ -97,6 +98,32 @@ def test_corpus_text_writes_no_json(monkeypatch, capsys):
     monkeypatch.setattr(graphdivisors.cli, "_corpus_graphs", assembler)
     assert main(["corpus", "--n", "5", "--format", "text"]) == 0
     assert capsys.readouterr().out == "n=5: 253 two-edge-connected labeled graphs\nconsistent: all\n"
+
+
+# What each format of `aut`, `subgroups` and `linsys` must never call.
+UNPRINTED = {
+    "text": ((Automorphism, "mapping"), (Divisor, "to_json")),
+    "json": ((Automorphism, "cycle_notation"), (Divisor, "__str__")),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(UNPRINTED))
+@pytest.mark.parametrize("argv", [
+    "aut --family wheel:5",
+    "subgroups --family complete:4 --order 2",
+    "linsys --family cycle:4 --divisor all-ones",
+])
+def test_each_call_builds_only_the_format_it_prints(argv, fmt, monkeypatch, capsys):
+    argv = argv.split() + ["--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    for cls, name in UNPRINTED[fmt]:
+        def unprinted(*args, name=name):
+            raise AssertionError(f"{name} was called for --format {fmt}")
+
+        monkeypatch.setattr(cls, name, unprinted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_import_builds_no_parser(parsers_made):

@@ -7,9 +7,9 @@ that refusal point against a per-degree count, `rank` against the walk
 of d itself (value or refusal), the values against `oracles.rank_brute`
 and, beyond the brute force's reach, the walk against the Baker-Norine
 facts, the smoothness table against the brute-force smoothness oracle,
-the work of all of them in `_drop_chip` calls, and the walk's
-avalanches, each with the reduced form it starts from, against the
-documented walk of `oracles.rank_walk_spec`.
+the work of all of them and of `linear_system` in `_drop_chip` calls,
+and the walk's avalanches, each with the reduced form it starts from,
+against the documented walk of `oracles.rank_walk_spec`.
 """
 
 import random
@@ -37,6 +37,7 @@ from graphdivisors import (
     enumerate_corpus,
     generate,
     laplacian_apply,
+    linear_system,
     rank,
 )
 from graphdivisors.divisors import DEFAULT_ENUMERATION_CAP
@@ -496,3 +497,32 @@ class TestWork:
         drops.clear()
         rank(g, d)
         assert [c - len(drops) for c in counts] == [11, 14, 14, 14, 14, 14]
+
+
+class TestMemberWalkWork:
+    """`linear_system` takes the chips of the base vertex in one count at
+    each node of its member walk, so for degree k on n vertices it makes
+    at most one `_drop_chip` call per effective divisor of degree at
+    most k off vertex 0: C(k+n-1, n-1) - 1, the candidates its cap
+    counts less the empty one."""
+
+    def test_cycle3_fifty_chips(self, drops):
+        g = generate("cycle:3")
+        linear_system(g, 50 * Divisor.vertex(g, "P1"))
+        assert len(drops) == comb(52, 2) - 1 == 1_325
+
+    @pytest.mark.parametrize("spec", ["house4", "wheel:5", "complete:4"])
+    def test_at_most_the_candidates_the_cap_counts(self, spec, drops):
+        g = generate(spec)
+        n = len(g.vertices)
+        for v in g.vertices:
+            for k in range(10):
+                drops.clear()
+                linear_system(g, k * Divisor.vertex(g, v))
+                assert len(drops) <= comb(k + n - 1, n - 1) - 1, (v, k)
+
+    @pytest.mark.parametrize("spec, k", [("cycle:3", 30), ("house4", 9), ("wheel:5", 8), ("complete:4", 9)])
+    def test_many_chips_on_one_vertex_match_brute_oracle(self, spec, k):
+        g = generate(spec)
+        d = k * Divisor.vertex(g, "P1")
+        assert linear_system(g, d) == oracles.linear_system_brute(g, d)
