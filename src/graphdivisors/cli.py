@@ -6,12 +6,15 @@ its text lines and whether its check passed.  `main` alone loads the
 graph, writes stdout and sets the exit status: 0 for a computed answer
 or a passing check, 1 when a consistency check fails mathematically
 (verify-theorem, rr-check, classify, corpus), 2 for usage or input
-errors.  Run as a program, it ends by SIGPIPE when its stdout pipe is
-closed.  The symmetry limits are read and checked in `symmetry` alone:
-`harmonic --mode definition` without `--subgroup` takes its group from
-`symmetry._definition_group`, drawn only up to one element past the
-definition-mode cap.  The enumeration cap is read and checked in
-`divisors` alone: `reduce` reports its self-check's refusal as a note.
+errors.  A usage error is a `ValueError`, as the library's bad values
+are; `main` prints it, a `GraphDivisorsError` or running out of memory
+as one `error:` line on stderr.  Run as a program, it ends by SIGPIPE
+when its stdout pipe is closed.  The symmetry limits are read and
+checked in `symmetry` alone: `harmonic --mode definition` without
+`--subgroup` takes its group from `symmetry._definition_group`, drawn
+only up to one element past the definition-mode cap.  The enumeration
+cap is read and checked in `divisors` alone: `reduce` reports its
+self-check's refusal as a note.
 
 `--format json` prints exactly what `json.dumps(payload, indent=2)`
 would: two-space indent, non-ASCII and control characters escaped, keys
@@ -77,22 +80,22 @@ def _cap(text: str) -> int:
 
 def _load_graph(args) -> Graph:
     if bool(args.family) == bool(args.graph):
-        raise CliUsageError("exactly one of --family or --graph is required")
+        raise ValueError("exactly one of --family or --graph is required")
     if args.family:
         return generate(parse_family(args.family))
     try:
         with open(args.graph, encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliUsageError(f"--graph: cannot read {args.graph!r}: {exc}") from None
+        raise ValueError(f"--graph: cannot read {args.graph!r}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliUsageError(f"--graph: invalid JSON in {args.graph!r}: {exc}") from None
+        raise ValueError(f"--graph: invalid JSON in {args.graph!r}: {exc}") from None
     return Graph.from_json(obj)
 
 
 def _parse_divisor(g: Graph, text: str | None, flag: str = "--divisor") -> Divisor:
     if text is None:
-        raise CliUsageError(f"{flag} is required for this command")
+        raise ValueError(f"{flag} is required for this command")
     if text == "all-ones":
         return Divisor.all_ones(g)
     if text == "zero":
@@ -110,14 +113,10 @@ def _json_option(text: str, flag: str, kind: type, expected: str):
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliUsageError(f"{flag}: invalid JSON ({exc})") from None
+        raise ValueError(f"{flag}: invalid JSON ({exc})") from None
     if not isinstance(obj, kind):
-        raise CliUsageError(f"{flag}: expected a JSON {expected}")
+        raise ValueError(f"{flag}: expected a JSON {expected}")
     return obj
-
-
-class CliUsageError(Exception):
-    pass
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -239,7 +238,7 @@ def _cmd_aut(g: Graph, args) -> tuple:
 
 def _cmd_subgroups(g: Graph, args) -> tuple:
     if args.order is None:
-        raise CliUsageError("--order is required for this command")
+        raise ValueError("--order is required for this command")
     subs = [s.elements for s in subgroups_of_order(automorphism_group(g), args.order)]
     payload = {"order": args.order, "count": len(subs),
                "subgroups": lambda depth: _dumps([[a.mapping() for a in s] for s in subs], depth)}
@@ -268,7 +267,7 @@ def _cmd_harmonic(g: Graph, args) -> tuple:
 def _cmd_galois(g: Graph, args) -> tuple:
     d = _parse_divisor(g, args.divisor or "all-ones")
     if args.vertex is None:
-        raise CliUsageError("--vertex is required for this command")
+        raise ValueError("--vertex is required for this command")
     cert = is_galois_point(g, d, args.vertex, args.cap)
     if cert.verdict:
         lines = [f"{cert.vertex}: galois point",
@@ -440,8 +439,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for line in text_lines:
                 print(line)
-    except (CliUsageError, GraphDivisorsError, ValueError) as exc:
+    except (GraphDivisorsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
     return 0 if passed else 1
 

@@ -157,16 +157,12 @@ class Divisor:
 
     __rmul__ = __mul__
 
+    # Python answers d <= e with the reflected e >= d.
     def __ge__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented
         self._same_graph(other)
         return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __le__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return other.__ge__(self)
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):
@@ -408,8 +404,8 @@ def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> N
 
 
 def _dhar_unburnt(adj, coeffs, q: int):
-    """Vertices left unburnt by fire spreading from q, with the count of
-    burnt neighbours of every vertex, or None if all burn.
+    """(unburnt vertices, burnt marks, counts of burnt neighbours) of fire
+    spreading from q, or None if all burn.
 
     A vertex burns once the number of its burnt neighbours exceeds its
     coefficient.  The unburnt set S, when nonempty, can fire without
@@ -433,7 +429,7 @@ def _dhar_unburnt(adj, coeffs, q: int):
                     stack.append(w)
     if remaining == 0:
         return None
-    return [v for v in range(n) if not burnt[v]], threat
+    return [v for v in range(n) if not burnt[v]], burnt, threat
 
 
 def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], list[int]]:
@@ -447,17 +443,19 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     all on q (this leaves fewer than 2|E| off q, in absolute value) and
     clears the debt that rounding left.  Stage three is Dhar's burning
     loop, which fires each unburnt set as many times in a row as it
-    stays effective, until no subset can fire.  Each step is a sequence
-    of legal firings, so the loop ends, and the number of burning rounds
-    does not grow with the chip count.
+    stays effective, until no subset can fire.  It fires from the
+    burn's own marks: each unburnt v loses times * threat[v] at once
+    (its out-degree from the set), and each burnt neighbour gains times
+    per edge.  Each step is a sequence of legal firings, so the loop
+    ends, and the number of burning rounds does not grow with the chip
+    count.
 
     The firing counts are unique up to a constant, and are shifted so
     that q's count is the one stage one gives (stage three never fires
     q): the counts a one-chip-per-round burning loop would return.
     """
-    n = len(coeffs)
     adj = g._adj
-    fires = [0] * n
+    fires = [0] * len(coeffs)
     table = _fact(g, _shells, q)
     _clear_debt(table, coeffs, fires)
     fires_q = fires[q]
@@ -469,18 +467,16 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
         burning = _dhar_unburnt(adj, coeffs, q)
         if burning is None:
             break
-        unburnt, threat = burning
-        in_set = [False] * n
+        unburnt, burnt, threat = burning
         times = None
         for v in unburnt:
-            in_set[v] = True
             if threat[v] and (times is None or coeffs[v] // threat[v] < times):
                 times = coeffs[v] // threat[v]
         for v in unburnt:
             fires[v] += times
+            coeffs[v] -= times * threat[v]
             for w in adj[v]:
-                if not in_set[w]:
-                    coeffs[v] -= times
+                if burnt[w]:
                     coeffs[w] += times
 
     shift = fires_q - fires[q]
@@ -659,7 +655,8 @@ def _refusal_degree(n: int, capv: int) -> int:
 
 def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -> int:
     """Rank of the divisor class of d by one branch-and-bound walk,
-    refusing as a divisor of rank r(d) + shift would.
+    refusing as a divisor of rank r(d) + shift would.  Its callers,
+    `rank` and `galois.riemann_roch_check`, check that d is bound to g.
 
     -1 when the linear system of d is empty; otherwise the largest r
     such that removing any effective divisor of degree r leaves a
@@ -730,7 +727,6 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     shift deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
     further than the walk of d would.
     """
-    _check_bound(g, d)
     capv = _resolve_cap(cap)
     n = len(g.vertices)
     bound, stack = -1, []

@@ -121,7 +121,7 @@ class Graph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._index
+        return isinstance(v, str) and v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
         return bool(self._adj_masks[self.index_of(u)] >> self.index_of(v) & 1)
@@ -273,7 +273,8 @@ def genus(g: Graph) -> int:
     return 1 - len(g.vertices) + len(g.edges)
 
 
-_FAMILY_KINDS = ("complete", "wheel", "cycle", "house4")
+# Each family kind with its least size; house4 takes no size.
+_FAMILY_KINDS = {"complete": 3, "wheel": 5, "cycle": 3, "house4": None}
 
 
 @dataclass(frozen=True)
@@ -317,28 +318,23 @@ def generate(family: GraphFamily | str) -> Graph:
     if isinstance(family, str):
         family = parse_family(family)
     kind, n = family.kind, family.n
-    if kind == "complete":
-        if n is None or n < 3:
-            raise ParameterOutOfRangeError(f"complete graph needs n >= 3, got {n}")
-        labels = _labels(n)
-        return Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)])
-    if kind == "cycle":
-        if n is None or n < 3:
-            raise ParameterOutOfRangeError(f"cycle graph needs n >= 3, got {n}")
-        labels = _labels(n)
-        return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-    if kind == "wheel":
-        if n is None or n < 5:
-            raise ParameterOutOfRangeError(f"wheel graph needs n >= 5, got {n}")
-        labels = _labels(n)
-        hub = labels[0]
-        rim = labels[1:]
-        edges = [(hub, v) for v in rim]
-        edges += [(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))]
-        return Graph(labels, edges)
+    if kind not in _FAMILY_KINDS:
+        raise ValueError(f"unknown graph family {kind!r}")
     if kind == "house4":
         return Graph(
             ["P1", "P2", "P3", "P4"],
             [("P1", "P2"), ("P2", "P3"), ("P3", "P4"), ("P4", "P1"), ("P1", "P3")],
         )
-    raise ValueError(f"unknown graph family {kind!r}")
+    least = _FAMILY_KINDS[kind]
+    if n is None or n < least:
+        raise ParameterOutOfRangeError(f"{kind} graph needs n >= {least}, got {n}")
+    labels = _labels(n)
+    if kind == "complete":
+        return Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)])
+    if kind == "cycle":
+        return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+    hub = labels[0]
+    rim = labels[1:]
+    edges = [(hub, v) for v in rim]
+    edges += [(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))]
+    return Graph(labels, edges)

@@ -595,3 +595,30 @@ class TestHarmonicDefinitionCap:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"harmonic": True, "mode": "definition", "order": 3}
         assert drawn == []
+
+
+class TestOutOfMemory:
+    """Running out of memory ends the command with one error line and
+    exit 2, not a traceback.  The failure is simulated: building a graph
+    too large for memory could end the whole process first."""
+
+    def test_family_too_large_for_memory(self, capsys, monkeypatch):
+        def no_memory(family):
+            raise MemoryError
+
+        monkeypatch.setattr(graphdivisors.cli, "generate", no_memory)
+        assert run(capsys, "gen", "--family", "complete:100000") == (2, "", "error: out of memory\n")
+
+    def test_lines_already_printed_stay(self, capsys, monkeypatch):
+        class Element:
+            def __init__(self, text):
+                self.text = text
+
+            def cycle_notation(self):
+                if self.text is None:
+                    raise MemoryError
+                return self.text
+
+        group = type("Group", (), {"elements": [Element("()"), Element(None)]})
+        monkeypatch.setattr(graphdivisors.cli, "automorphism_group", lambda g: group)
+        assert run(capsys, "aut", "--family", "complete:3") == (2, "order 2\n()\n", "error: out of memory\n")

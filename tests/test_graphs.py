@@ -80,6 +80,14 @@ class TestBuildGraph:
         with pytest.raises(UnknownVertexError):
             g.degree("Q1")
 
+    def test_has_vertex_answers_false_for_any_other_label(self):
+        g = generate("house4")
+        assert g.has_vertex("P1")
+        for label in ("Q1", "", 1, None, ("P1",), []):
+            assert not g.has_vertex(label)
+            with pytest.raises(UnknownVertexError):
+                g.index_of(label)
+
     def test_degrees_in_families(self):
         k5 = generate("complete:5")
         assert all(k5.degree(v) == 4 for v in k5.vertices)
