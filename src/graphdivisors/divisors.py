@@ -9,9 +9,10 @@ Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
 reduction), and finishes with Dhar's burning algorithm, firing each
 unburnt set in bulk; the number of burning rounds does not grow with the
 chip count.  The table of BFS shells around each base vertex, the
-reduced Laplacian's adjugate, the rank walk's vertex order and the
-canonical divisor's coefficients are facts of the graph (`graphs._fact`),
-computed once and kept on it.  The rank walk, the probe table
+reduced Laplacian's adjugate, the rank walk's vertex order (over a
+rank-determining set) and the canonical divisor's coefficients are
+facts of the graph (`graphs._fact`), computed once and kept on it.
+The rank walk, the probe table
 (`_probe_rows`) and `linear_system` reduce their divisor once and derive
 every other reduced form from a parent's by a one-grain sandpile
 avalanche (`_drop_chip`); `rank` walks d or K - d, whichever
@@ -680,6 +681,12 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     most ranges; it holds the children that most often come free,
     next to the base (the one-wave rule) and of high degree, likelier to
     hold a chip (the leaf rule).  Any order gives the same answer.
+    The order holds only the vertices off the base of a rank-determining
+    set A (`_walk_order`; Luo, JCTA 2011, on the metric graph of g, whose
+    ranks are those of g by Hladký-Král'-Norine, JCTA 2013), so r is the
+    least bound over the probes supported on A.  A keeps vertex 0, where
+    the padding bound puts its chips, and leaves out most degree-2
+    vertices.  The rules below are stated over positions in the order.
 
     The leaf rule (`_probe_rows` uses it too): a child that takes its
     chip from a vertex v holding one (red[v] > 0) needs no avalanche:
@@ -743,7 +750,7 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     adj = g._adj
     deg0, near0 = len(adj[0]), g._adj_masks[0]
     order = _fact(g, _walk_order)
-    m = n - 1
+    m = len(order)
     while stack:
         red, i, j, row = stack.pop()
         if j >= bound:
@@ -783,10 +790,33 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
 
 
 def _walk_order(g: "Graph") -> list[int]:
-    """The rank walk's order of the vertices off the base (`_rank_walk`);
-    a fact of g."""
+    """The rank walk's order of the vertices off the base that it probes
+    (`_rank_walk`); a fact of g.
+
+    Those are the vertices of A off the base, a rank-determining set:
+    ranks on g equal ranks on its metric graph (Hladký-Král'-Norine,
+    JCTA 2013), where the vertex set of any loopless model is
+    rank-determining (Luo, JCTA 2011).  A keeps vertex 0 and every
+    vertex of degree other than 2; each maximal chain of degree-2
+    vertices then joins two of those, an edge of the model, or closes
+    on one, and keeps its lowest vertex so that the model has no loop.
+    """
     adj, near0 = g._adj, g._adj_masks[0]
-    return sorted(range(1, len(adj)), key=lambda v: (near0 >> v & 1, len(adj[v])))
+    keep = [v == 0 or len(nbrs) != 2 for v, nbrs in enumerate(adj)]
+    seen = keep.copy()
+    for v in range(1, len(adj)):
+        if seen[v]:
+            continue
+        ends = []
+        for w in adj[v]:
+            prev = v
+            while not keep[w]:
+                seen[w] = True
+                prev, w = w, adj[w][adj[w][0] == prev]
+            ends.append(w)
+        keep[v] = ends[0] == ends[1]
+    probed = [v for v in range(1, len(adj)) if keep[v]]
+    return sorted(probed, key=lambda v: (near0 >> v & 1, len(adj[v])))
 
 
 def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[bool], list[int]]]:

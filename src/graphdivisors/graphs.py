@@ -321,6 +321,8 @@ def generate(family: GraphFamily | str) -> Graph:
     if kind not in _FAMILY_KINDS:
         raise ValueError(f"unknown graph family {kind!r}")
     if kind == "house4":
+        if n is not None:
+            raise ValueError("family 'house4' takes no parameter")
         return Graph(
             ["P1", "P2", "P3", "P4"],
             [("P1", "P2"), ("P2", "P3"), ("P3", "P4"), ("P4", "P1"), ("P1", "P3")],

@@ -8,9 +8,11 @@ permutations (networkx's VF2 matcher lists them from nine vertices up)
 or closes small generating sets, and `reduce_one_chip`
 reduces with a burning loop that fires one chip per round.
 `rank_walk_spec` walks the rank probes in the order and by the rules
-that `divisors._rank_walk` documents, but reduces every probe from
-scratch with `reduce_one_chip`, to name the avalanches the walk must
-make.
+that `divisors._rank_walk` documents, supported on the rank-determining
+set that `rank_determining_set` builds from its definition, but reduces
+every probe from scratch with `reduce_one_chip`, to name the avalanches
+the walk must make.  `rank_brute` takes the same set as a support for
+its probes, to check the theorem as the walk applies it.
 `rank_by_recursion` takes the rank one chip at a time from the same
 `reduce_one_chip` test, with no probe enumeration and no walk rule.
 `system_nonempty`, which `rank_brute` asks of every probe, leans on the
@@ -176,15 +178,20 @@ def linear_system_brute(g: Graph, d: Divisor):
     )
 
 
-def rank_brute(g: Graph, d: Divisor):
+def rank_brute(g: Graph, d: Divisor, support=None):
+    """Rank of d by its definition, probing every effective divisor of
+    each degree in turn; with `support`, only those supported on these
+    vertex indices."""
     if not system_nonempty(g, d):
         return -1
-    n = len(g.vertices)
+    support = range(len(g.vertices)) if support is None else sorted(support)
     s = 1
     while True:
-        for e in effective_tuples(s, n):
-            probe = Divisor.from_coeffs(g, [a - b for a, b in zip(d.coeffs, e)])
-            if not system_nonempty(g, probe):
+        for e in effective_tuples(s, len(support)):
+            coeffs = list(d.coeffs)
+            for v, c in zip(support, e):
+                coeffs[v] -= c
+            if not system_nonempty(g, Divisor.from_coeffs(g, coeffs)):
                 return s - 1
         s += 1
 
@@ -211,19 +218,45 @@ def rank_by_recursion(g: Graph, coeffs, memo: dict) -> int:
     return memo[key]
 
 
+def rank_determining_set(g: Graph) -> set:
+    """The vertex indices of a loopless model of the metric graph of g,
+    a rank-determining set (Luo, JCTA 2011): vertex 0, every vertex
+    whose degree is not 2, and for each connected set of the other
+    degree-2 vertices (a chain) that touches just one vertex of those,
+    its lowest vertex."""
+    adj = g._adj
+    kept = {v for v in range(len(adj)) if v == 0 or len(adj[v]) != 2}
+    chained = set()
+    for start in range(len(adj)):
+        if start in kept or start in chained:
+            continue
+        chain, ends, todo = {start}, set(), [start]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w in kept:
+                    ends.add(w)
+                elif w not in chain:
+                    chain.add(w)
+                    todo.append(w)
+        chained |= chain
+        if len(ends) == 1:
+            kept.add(min(chain))
+    return kept
+
+
 def rank_walk_spec(g: Graph, d: Divisor):
     """(rank of d, avalanches) by the walk `divisors._rank_walk` documents,
     without its cap, where avalanches lists (reduced parent, vertex) for
     every child that the walk's rules leave to `_drop_chip`.
 
-    Each node is a multiset e' of vertices off vertex 0 with
-    nondecreasing positions in the walk order (the non-neighbours of
-    vertex 0, then its neighbours, each group by ascending degree), and
-    its reduced form is `reduce_one_chip` of d - e' at vertex 0, from
-    scratch.  The bound starts at the base's chips (-1 if |d| is empty)
-    and falls to j at an empty child of a node of degree j, which ends
-    that node's children, and to c0 + j + 1 at a child with c0 chips at
-    the base.  A node of degree j >= bound is not visited; one with j + 1
+    Each node is a multiset e' of the vertices of `rank_determining_set`
+    off vertex 0 with nondecreasing positions in the walk order (the
+    non-neighbours of vertex 0, then its neighbours, each group by
+    ascending degree), and its reduced form is `reduce_one_chip` of
+    d - e' at vertex 0, from scratch.  The bound starts at the base's
+    chips (-1 if |d| is empty) and falls to j at an empty child of a
+    node of degree j, which ends that node's children, and to
+    c0 + j + 1 at a child with c0 chips at the base.  A node of degree j >= bound is not visited; one with j + 1
     >= bound keeps its children as leaves, not extended.  A node's
     children are found in position order, then visited last first, as
     the walk's stack pops them.  A child needs no avalanche when its
@@ -235,8 +268,8 @@ def rank_walk_spec(g: Graph, d: Divisor):
     mattered shows up as a different walk.
     """
     adj = g._adj
-    n = len(adj)
-    order = sorted(range(1, n), key=lambda v: (v in adj[0], len(adj[v])))
+    order = sorted((v for v in rank_determining_set(g) if v), key=lambda v: (v in adj[0], len(adj[v])))
+    m = len(order)
 
     def reduced(taken):
         coeffs = list(d.coeffs)
@@ -255,9 +288,9 @@ def rank_walk_spec(g: Graph, d: Divisor):
         if j >= bound:
             return
         leaves = j + 1 >= bound
-        kids = [None] * (n - 1)
+        kids = [None] * m
         children = []
-        for b in range(i, n - 1):
+        for b in range(i, m):
             v = order[b]
             kid = taken + (v,)
             kids[b] = child = reduced(kid)

@@ -270,7 +270,8 @@ class TestJson:
     (lambda: generate("house4").edge_key("P4", "P2"), UnknownEndpointError, "{'P4', 'P2'} is not an edge"),
     (lambda: parse_family("complete:x"), ValueError, "family size 'x' is not an integer"),
     (lambda: generate(GraphFamily("bogus", 3)), ValueError, "unknown graph family 'bogus'"),
-], ids=["no vertices", "non-edge key", "size not an integer", "unknown family"])
+    (lambda: generate(GraphFamily("house4", 9)), ValueError, "family 'house4' takes no parameter"),
+], ids=["no vertices", "non-edge key", "size not an integer", "unknown family", "house4 with a size"])
 def test_input_checks(make, error, message):
     # Each refusal names what it refuses, as `errors` promises.
     with pytest.raises(error) as exc:

@@ -423,13 +423,15 @@ class TestWork:
         # house4-1 by the one-wave rule alone.  In vertex order house4-3
         # made 156; the walk order (non-neighbours of the base first, by
         # degree) leaves more free children at the tail of each range.
+        # Probing every vertex off the base, house4 made 141 and 3; its
+        # rank-determining set is {P1, P3}, so the walk probes P3 alone.
         # wheel:7 and the house4 divisors lie above degree 2g - 2, where
         # `rank` walks nothing; on complete:7 it walks K - d, of rank 2
         # instead of 9.
         pytest.param("wheel:7", 2, 8, 1_118, 0, id="wheel:7-2-8-1118"),
         pytest.param("complete:7", 3, 9, 1_310, 12, id="complete:7-3-9-1310"),
-        pytest.param("house4", 3, 10, 141, 0, id="house4-3-10-141"),
-        pytest.param("house4", 1, 2, 3, 0, id="house4-1-2-3"),
+        pytest.param("house4", 3, 10, 4, 0, id="house4-3-10-4"),
+        pytest.param("house4", 1, 2, 0, 0, id="house4-1-2-0"),
     ])
     def test_rank_drops(self, spec, chips, r, walked, cheaper, drops):
         g = generate(spec)
