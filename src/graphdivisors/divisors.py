@@ -3,12 +3,14 @@
 Everything is exact integer arithmetic.  `is_q_reduced` checks the
 subset definition directly (2^(n-1) subsets) and serves as the reference
 oracle; `q_reduce` computes the unique reduced representative and is the
-fast path used by everything else.  It clears debt with ball firings,
-jumps close to the answer with the rounded solution of the reduced
-Laplacian system (the idea behind Baker-Shokrieh's polynomial-time
-reduction), and finishes with Dhar's burning algorithm, firing each
-unburnt set in bulk; the number of burning rounds does not grow with the
-chip count.  The table of BFS shells around each base vertex, the
+fast path used by everything else.  It clears debt with ball firings
+and finishes with Dhar's burning algorithm, firing each unburnt set in
+bulk.  With many chips off the base it jumps instead by the floor of the
+reduced Laplacian system's solution (the idea behind Baker-Shokrieh's
+polynomial-time reduction), which never passes the reduced form, and
+finishes by least borrowing (`_borrow`): no burning round, and the
+borrowings are bounded by a fact of the graph, not by the chip count.
+The table of BFS shells around each base vertex, the
 reduced Laplacian's adjugate, the rank walk's vertex order (over a
 rank-determining set) and the canonical divisor's coefficients are
 facts of the graph (`graphs._fact`), computed once and kept on it.
@@ -28,7 +30,9 @@ enumerating operations (`linear_system`, `rank`, `is_q_reduced`)
 refuse to start an enumeration above the cap; they never silently
 truncate.  Every refusal is raised by `_refuse`, one
 `EnumerationCapExceededError` of one shape, "<what> needs <required>
-<unit> (cap <cap>)", carrying `required` and `cap`.
+<unit> (cap <cap>)", carrying `required` and `cap`.  A cap is None
+(the module limit) or a nonnegative int; `_resolve_cap` raises
+ValueError for anything else.
 """
 
 from __future__ import annotations
@@ -49,7 +53,13 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 
 
 def _resolve_cap(cap: int | None) -> int:
-    return DEFAULT_ENUMERATION_CAP if cap is None else cap
+    """The cap of one call: the module limit for None, else cap itself,
+    which must be a nonnegative int (a bool is refused)."""
+    if cap is None:
+        return DEFAULT_ENUMERATION_CAP
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise ValueError(f"cap must be a nonnegative integer, got {cap!r}")
+    return cap
 
 
 def _refuse(what: str, required: int, unit: str, capv: int) -> None:
@@ -293,13 +303,14 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool
     and refuses up front when its 2^(n-1) subsets exceed the cap.
     """
     _check_bound(g, d)
+    capv = _resolve_cap(cap)
     qi = g.index_of(q)
     coeffs = d.coeffs
     n = len(coeffs)
     others = [v for v in range(n) if v != qi]
     if any(coeffs[v] < 0 for v in others):
         return False
-    capv, subsets = _resolve_cap(cap), 1 << len(others)
+    subsets = 1 << len(others)
     if subsets > capv:
         _refuse("the subset check", subsets, "subsets", capv)
     masks = g._adj_masks
@@ -385,23 +396,48 @@ def _clear_debt(table, coeffs: list[int], fires: list[int]) -> None:
 
 
 def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> None:
-    """Fire the integer part of the rational firing vector that would move
-    every chip onto q.
+    """Fire the integer part of the rational firing vector, zero at q,
+    that would move every chip onto q.
 
-    With t = deg(d) chips on q, d - t = L x has the unique solution x with
-    x[0] = 0, namely x = adj (d - t)|_{v != 0} / det.  Firing f = floor(x)
-    leaves t + L(x - f), whose coefficient at each v lies strictly
-    between -deg(v) and deg(v).
+    With t = deg(d) chips on q, d - t = L x has a solution X / det with
+    X = adj (d - t)|_{v != 0} and X[0] = 0, and the one with x[q] = 0 is
+    (X - X[q]) / det.  Firing f = floor(x) leaves t + L(x - f), whose
+    coefficient at each v lies strictly between -deg(v) and deg(v), and
+    f[q] = 0 leaves q's firing count as it was.
     """
     adjugate, det = _fact(g, _laplacian_adjugate)
     rhs = coeffs[1:]
     if q:
         rhs[q - 1] -= sum(coeffs)
-    f = [0]
-    f.extend(sum(map(mul, row, rhs)) // det for row in adjugate)
+    x = [0]
+    x.extend(sum(map(mul, row, rhs)) for row in adjugate)
+    xq = x[q]
+    f = [(xv - xq) // det for xv in x]
     for v, nbrs in enumerate(g._adj):
         fires[v] += f[v]
         coeffs[v] -= len(nbrs) * f[v] - sum(map(f.__getitem__, nbrs))
+
+
+def _borrow(adj, coeffs: list[int], fires: list[int], q: int) -> None:
+    """Let every vertex off q in debt borrow (gain its degree, each
+    neighbour losing one) until none is; coeffs and fires change in place.
+
+    A vertex borrows ceil(-c / deg) times at once, each time in debt, so
+    every step is a legal borrowing and q never borrows.
+    """
+    # Every vertex off q in debt is on the stack exactly once.
+    stack = [v for v, c in enumerate(coeffs) if c < 0 and v != q]
+    while stack:
+        u = stack.pop()
+        nbrs = adj[u]
+        times = -(coeffs[u] // len(nbrs))
+        fires[u] -= times
+        coeffs[u] += times * len(nbrs)
+        for w in nbrs:
+            c = coeffs[w]
+            coeffs[w] = c - times
+            if 0 <= c < times and w != q:
+                stack.append(w)
 
 
 def _dhar_unburnt(adj, coeffs, q: int):
@@ -439,31 +475,41 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     Returns (reduced coefficients, firing counts), where the input minus
     the Laplacian of the firing counts equals the output.  Stage one
     clears debt off q by bulk-firing balls around q, farthest shell
-    first.  If more than 2|E| chips then sit off q, stage two fires the
-    rounded solution of the reduced Laplacian system that would put them
-    all on q (this leaves fewer than 2|E| off q, in absolute value) and
-    clears the debt that rounding left.  Stage three is Dhar's burning
-    loop, which fires each unburnt set as many times in a row as it
+    first.  If at most 2|E| chips then sit off q, Dhar's burning loop
+    follows, which fires each unburnt set as many times in a row as it
     stays effective, until no subset can fire.  It fires from the
     burn's own marks: each unburnt v loses times * threat[v] at once
     (its out-degree from the set), and each burnt neighbour gains times
     per edge.  Each step is a sequence of legal firings, so the loop
-    ends, and the number of burning rounds does not grow with the chip
-    count.
+    ends.  Such small reductions never build the adjugate.
 
-    The firing counts are unique up to a constant, and are shifted so
-    that q's count is the one stage one gives (stage three never fires
-    q): the counts a one-chip-per-round burning loop would return.
+    With more chips off q, `_round_to_base` fires f, the floor of the
+    rational x with x[q] = 0 that would put every chip on q, and
+    `_borrow` finishes, with no burning round.  Let d* be the reduced
+    form and f* its firing vector with f*[q] = 0.
+    - f >= f*: x - f* = L_q^-1 d*, where d* is effective off q and
+      L_q^-1 >= 0 (Baker-Shokrieh), and f* is an integer.
+    - Least action: f leaves d* fired h = f - f* >= 0 times, never at q,
+      so borrowing at vertices in debt off q until none is stops after
+      some u <= h borrowings (Fey-Levine-Peres).
+    - Superstability: that leaves d* fired h - u >= 0 times, effective
+      off q.  Were h - u not 0, each v in the set S where it is largest
+      (q not in S) would lose at least outdeg_S(v) chips of d*, which a
+      reduced d* cannot pay; so u = h, the result is d*, and each v
+      borrows floor((L_q^-1 d*)[v]) <= (L_q^-1 (deg - 1))[v] times: a
+      fact of the graph, not of the chip count.
+
+    The firing counts are unique up to a constant.  Neither path fires
+    q after stage one, so q's count is the one stage one gives: the
+    counts a one-chip-per-round burning loop would return.
     """
     adj = g._adj
     fires = [0] * len(coeffs)
-    table = _fact(g, _shells, q)
-    _clear_debt(table, coeffs, fires)
-    fires_q = fires[q]
+    _clear_debt(_fact(g, _shells, q), coeffs, fires)
     if sum(coeffs) - coeffs[q] > 2 * len(g._edges_idx):
         _round_to_base(g, coeffs, fires, q)
-        _clear_debt(table, coeffs, fires)
-
+        _borrow(adj, coeffs, fires, q)
+        return coeffs, fires
     while True:
         burning = _dhar_unburnt(adj, coeffs, q)
         if burning is None:
@@ -479,10 +525,6 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
             for w in adj[v]:
                 if burnt[w]:
                     coeffs[w] += times
-
-    shift = fires_q - fires[q]
-    if shift:
-        fires = [c + shift for c in fires]
     return coeffs, fires
 
 
@@ -536,11 +578,12 @@ def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[D
     work is at most the C(k+n-1, n-1) candidates that the cap counts.
     """
     _check_bound(g, d)
+    capv = _resolve_cap(cap)
     k = d.degree
     if k < 0:
         return frozenset()
     n = len(g.vertices)
-    _require_enumerable(k, n, cap)
+    _require_enumerable(k, n, capv)
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
     members = _members(g._adj, red, [[v] for v in range(n)])
     return frozenset(Divisor.from_coeffs(g, e) for e in members)

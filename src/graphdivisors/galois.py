@@ -430,7 +430,7 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
     return _certificates(g, d, (p,), cap)[0]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
@@ -450,7 +450,8 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     graph of an isomorphism class as the same representative (g, d).
     It answers a repeated (g, d, cap) without reading the module limits
     (`DEFAULT_ENUMERATION_CAP`, `DEFAULT_AUTOMORPHISM_VERTEX_CAP`) again,
-    so assigning a limit does not reach an answer already cached.
+    so assigning a limit does not reach an answer already cached.  It
+    keys cap by type too, so cap=True is refused, not read off cap=1.
     """
     _check_bound(g, d)
     _require_two_edge_connected(g)

@@ -11,6 +11,7 @@ from graphdivisors import (
     UnknownVertexError,
     VertexFunction,
     canonical_divisor,
+    classify_galois_points,
     generate,
     genus,
     is_q_reduced,
@@ -439,3 +440,59 @@ def test_input_checks(make, error, message):
     with pytest.raises(error) as exc:
         make(generate("complete:4"))
     assert str(exc.value) == message
+
+
+CAP_CALLS = {
+    "rank": lambda g, cap: rank(g, Divisor.all_ones(g), cap=cap),
+    "linear_system": lambda g, cap: linear_system(g, Divisor.all_ones(g), cap=cap),
+    "linear_system of negative degree": lambda g, cap: linear_system(g, -Divisor.all_ones(g), cap=cap),
+    "is_q_reduced": lambda g, cap: is_q_reduced(g, Divisor.all_ones(g), "P1", cap=cap),
+    "is_q_reduced in debt": lambda g, cap: is_q_reduced(g, -Divisor.all_ones(g), "P1", cap=cap),
+    "classify_galois_points": lambda g, cap: classify_galois_points(g, Divisor.all_ones(g), cap),
+}
+
+
+class TestCapValues:
+    """A cap is None or a nonnegative int, checked before any answer."""
+
+    @pytest.mark.parametrize("call", CAP_CALLS.values(), ids=CAP_CALLS.keys())
+    @pytest.mark.parametrize("cap", [-1, -3, 2.5, "10", True, False], ids=repr)
+    def test_refused(self, call, cap):
+        with pytest.raises(ValueError) as exc:
+            call(generate("complete:4"), cap)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"cap must be a nonnegative integer, got {cap!r}"
+
+    @pytest.mark.parametrize("name, cap, message", [
+        ("rank", 0, "rank probe at degree 1 needs 4 effective divisors (cap 0)"),
+        ("rank", 33, "rank probe at degree 3 needs 34 effective divisors (cap 33)"),
+        ("classify_galois_points", 0, "rank probe at degree 1 needs 4 effective divisors (cap 0)"),
+        ("linear_system", 0, "linear system of degree 4 on 4 vertices needs 35 effective divisors (cap 0)"),
+        ("linear_system", 34, "linear system of degree 4 on 4 vertices needs 35 effective divisors (cap 34)"),
+        ("is_q_reduced", 0, "the subset check needs 8 subsets (cap 0)"),
+        ("is_q_reduced", 7, "the subset check needs 8 subsets (cap 7)"),
+    ])
+    def test_valid_caps_refuse_as_before(self, name, cap, message):
+        with pytest.raises(EnumerationCapExceededError) as exc:
+            CAP_CALLS[name](generate("complete:4"), cap)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name, cap, answer", [
+        ("rank", 34, 2),
+        ("linear_system", 35, 5),
+        ("linear_system of negative degree", 0, 0),
+        ("is_q_reduced", 8, False),
+        ("is_q_reduced in debt", 0, False),
+    ])
+    def test_valid_caps_answer(self, name, cap, answer):
+        result = CAP_CALLS[name](generate("complete:4"), cap)
+        assert (len(result) if isinstance(result, frozenset) else result) == answer
+
+    def test_cached_classification_refuses_a_bool_cap(self):
+        # True == 1 and they hash alike, so an untyped cache would answer
+        # cap=True from the entry of cap=1.
+        g = generate("complete:4")
+        d = -Divisor.all_ones(g)
+        assert classify_galois_points(g, d, 1).rank == -1
+        with pytest.raises(ValueError, match="got True"):
+            classify_galois_points(g, d, True)

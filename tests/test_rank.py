@@ -428,10 +428,10 @@ class TestWork:
         # wheel:7 and the house4 divisors lie above degree 2g - 2, where
         # `rank` walks nothing; on complete:7 it walks K - d, of rank 2
         # instead of 9.
-        pytest.param("wheel:7", 2, 8, 1_118, 0, id="wheel:7-2-8-1118"),
-        pytest.param("complete:7", 3, 9, 1_310, 12, id="complete:7-3-9-1310"),
-        pytest.param("house4", 3, 10, 4, 0, id="house4-3-10-4"),
-        pytest.param("house4", 1, 2, 0, 0, id="house4-1-2-0"),
+        pytest.param("wheel:7", 2, 8, 1_118, 0, id="wheel:7-2-8"),
+        pytest.param("complete:7", 3, 9, 1_310, 12, id="complete:7-3-9"),
+        pytest.param("house4", 3, 10, 4, 0, id="house4-3-10"),
+        pytest.param("house4", 1, 2, 0, 0, id="house4-1-2"),
     ])
     def test_rank_drops(self, spec, chips, r, walked, cheaper, drops):
         g = generate(spec)

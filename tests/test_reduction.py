@@ -1,22 +1,27 @@
 """The fast reduction and the incremental rank probes against their oracles.
 
-`q_reduce_with_witness` fires whole sets in bulk and jumps with the
-reduced Laplacian's adjugate; `oracles.reduce_one_chip` fires one chip
-per burning round.  Both must give the same reduced form and the same
-witness, and the fast one must need a number of burning rounds that does
-not grow with the chip count.
+`q_reduce_with_witness` fires whole sets in bulk; with many chips off the
+base it jumps with the reduced Laplacian's adjugate and finishes by least
+borrowing (`_borrow`), with no burning round.  `oracles.reduce_one_chip`
+fires one chip per burning round.  Both must give the same reduced form
+and the same witness.  After the jump each vertex borrows exactly
+floor((L_q^-1 d*)[v]) times, where d* is the reduced form: the
+borrowings are bounded by a fact of the graph, not by the chip count.
 """
 
 import inspect
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
+from math import floor
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from graphdivisors import (
+    DisconnectedError,
     Divisor,
     Graph,
     VertexFunction,
@@ -25,6 +30,7 @@ from graphdivisors import (
     generate,
     genus,
     is_q_reduced,
+    is_two_edge_connected,
     laplacian_apply,
     linear_system,
     q_reduce,
@@ -103,47 +109,170 @@ class TestSparseDebt:
         assert list(witness.values) == [-f for f in fires]
 
 
-@pytest.fixture
-def burning_rounds(monkeypatch):
-    """rounds(g, d, q): the calls to `_dhar_unburnt` one reduction makes,
-    that is its burning rounds (the last call finds that every vertex burns)."""
-    calls = []
-    dhar = divisors._dhar_unburnt
+def green(g, q, b):
+    """L_q^-1 b in exact fractions, 0 at q, for L_q the Laplacian with
+    q's row and column removed (positive definite, so no pivoting)."""
+    laplacian = oracles.laplacian_matrix(g)
+    keep = [v for v in range(len(g)) if v != q]
+    rows = [[Fraction(laplacian[i][j]) for j in keep] + [Fraction(b[i])] for i in keep]
+    for k, pivot_row in enumerate(rows):
+        pivot_row[:] = [a / pivot_row[k] for a in pivot_row]
+        for row in rows:
+            if row is not pivot_row and row[k]:
+                row[:] = [a - row[k] * p for a, p in zip(row, pivot_row)]
+    y = [Fraction(0)] * len(g)
+    for v, row in zip(keep, rows):
+        y[v] = row[-1]
+    return y
 
-    def counting(*args):
+
+@pytest.fixture
+def work(monkeypatch):
+    """work(g, d, q) reduces d at the vertex index q and returns (reduced
+    coefficients, burning rounds, borrowings): the calls to
+    `_dhar_unburnt` (the last finds that every vertex burns), and each
+    vertex's borrowings in `_borrow`, None if the reduction did not round."""
+    calls, borrowed = [], []
+    dhar, borrow = divisors._dhar_unburnt, divisors._borrow
+
+    def counting_dhar(*args):
         calls.append(1)
         return dhar(*args)
 
-    monkeypatch.setattr(divisors, "_dhar_unburnt", counting)
+    def counting_borrow(adj, coeffs, fires, q):
+        before = fires.copy()
+        borrow(adj, coeffs, fires, q)
+        borrowed.append([a - b for a, b in zip(before, fires)])
 
-    def rounds(g, d, q):
+    monkeypatch.setattr(divisors, "_dhar_unburnt", counting_dhar)
+    monkeypatch.setattr(divisors, "_borrow", counting_borrow)
+
+    def run(g, d, q):
         calls.clear()
-        q_reduce(g, d, q)
-        return len(calls)
+        borrowed.clear()
+        reduced = q_reduce(g, d, g.vertices[q]).coeffs
+        return reduced, len(calls), borrowed[0] if borrowed else None
 
-    return rounds
+    return run
+
+
+def assert_least_borrowing(g, reduced, q, borrowed):
+    """After the jump each vertex v borrows floor((L_q^-1 d*)[v]) times
+    for the reduced form d*, which is at most (L_q^-1 (deg - 1))[v]."""
+    exact = green(g, q, reduced)
+    bound = green(g, q, [len(nbrs) - 1 for nbrs in g._adj])
+    assert borrowed == [floor(y) for y in exact]
+    assert all(b <= y for b, y in zip(borrowed, bound))
 
 
 class TestBurningRounds:
-    def test_cycle8_multiple_of_p2(self, burning_rounds):
-        g = generate("cycle:8")
-        for q in g.vertices:
-            counts = {burning_rounds(g, Divisor(g, {"P2": 10**e}), q) for e in range(3, 13)}
-            assert len(counts) == 1 and counts.pop() <= 5
+    """On the rounding path a reduction makes no burning round, and its
+    borrowings are those of least action, whatever the chip count."""
 
-    def test_wheel10_class_moved_by_ever_more_chips(self, burning_rounds):
+    def test_cycle8_multiple_of_p2(self, work):
+        # 10^e·(P2 - q) is principal for e >= 3 (the Jacobian is Z/8), so
+        # the jump lands on the reduced form and nothing borrows.  At q =
+        # P2 every chip is on the base already and nothing rounds.
+        g = generate("cycle:8")
+        for q in range(len(g)):
+            for e in range(3, 13):
+                reduced, rounds, borrowed = work(g, Divisor(g, {"P2": 10**e}), q)
+                assert reduced[q] == 10**e
+                if q == 1:
+                    assert borrowed is None
+                else:
+                    assert rounds == 0 and borrowed == [0] * len(g)
+
+    def test_wheel10_class_moved_by_ever_more_chips(self, work):
         # r + L(c f) lies in one divisor class for every c, and its
-        # reduction moves about c chips; the rounds must not grow with c.
+        # reduction moves about c chips; the borrowings depend only on the
+        # reduced form, so they are the same for every c.
         g = generate("wheel:10")
         rng = random.Random(1)
         r = Divisor.from_coeffs(g, [rng.randint(-9, 9) for _ in g.vertices])
         f = [rng.randint(-9, 9) for _ in g.vertices]
-        for q in g.vertices:
-            counts = {
-                burning_rounds(g, r + laplacian_apply(g, VertexFunction.from_values(g, [10**e * x for x in f])), q)
-                for e in range(3, 13)
-            }
-            assert len(counts) == 1 and counts.pop() <= 5
+        for q in range(len(g)):
+            seen = set()
+            for e in range(3, 13):
+                moved = r + laplacian_apply(g, VertexFunction.from_values(g, [10**e * x for x in f]))
+                reduced, rounds, borrowed = work(g, moved, q)
+                assert rounds == 0
+                assert_least_borrowing(g, reduced, q, borrowed)
+                seen.add(tuple(borrowed))
+            assert len(seen) == 1
+            if q < 4:
+                assert sum(seen.pop()) == [3, 21, 18, 22][q]
+
+    @given(graph_and_divisor(lo=-10**6, hi=10**6))
+    def test_rounding_leaves_reduced_form_or_debt(self, case):
+        # The jump never passes the reduced form: what it leaves is either
+        # q-reduced or in debt off q, never effective off q and unreduced.
+        g, d = case
+        for q in range(len(g)):
+            coeffs, fires = list(d.coeffs), [0] * len(g)
+            divisors._clear_debt(divisors._fact(g, divisors._shells, q), coeffs, fires)
+            divisors._round_to_base(g, coeffs, fires, q)
+            in_debt = any(c < 0 for v, c in enumerate(coeffs) if v != q)
+            assert in_debt or is_q_reduced(g, Divisor.from_coeffs(g, coeffs), g.vertices[q])
+
+
+def two_edge_connected(rng, n):
+    """A labeled graph on n vertices, each edge kept with probability 1/2,
+    redrawn until it is connected and bridgeless."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        try:
+            g = Graph(labels, [p for p in pairs if rng.random() < 0.5])
+        except DisconnectedError:
+            continue
+        if is_two_edge_connected(g):
+            return g
+
+
+@pytest.fixture(scope="module")
+def cycle100():
+    """cycle:100, whose reduced Laplacian's adjugate is built once."""
+    return generate("cycle:100")
+
+
+class TestRoundingPath:
+    def test_matches_one_chip_oracle(self, work):
+        # 20 bridgeless graphs on 6-9 vertices, each with one divisor of
+        # coefficients in [-150, 150] reduced at every vertex: every one
+        # of these reductions rounds.
+        rng = random.Random(43)
+        for k in range(20):
+            g = two_edge_connected(rng, 6 + k % 4)
+            d = Divisor.from_coeffs(g, [rng.randint(-150, 150) for _ in g.vertices])
+            for q, label in enumerate(g.vertices):
+                reduced, rounds, borrowed = work(g, d, q)
+                assert rounds == 0 and borrowed is not None
+                assert_least_borrowing(g, reduced, q, borrowed)
+                _, witness = q_reduce_with_witness(g, d, label)
+                expected, fires = oracles.reduce_one_chip(g, list(d.coeffs), q)
+                assert list(reduced) == expected
+                assert list(witness.values) == [-f for f in fires]
+
+    @pytest.mark.parametrize("q", [0, 25, 50, 75])
+    def test_cycle100_hundred_thousand_chips(self, q, cycle100, work):
+        # On cycle:n, D is equivalent to deg(D)·q + e_w - q with
+        # w - q = s, the sum of D(u)·(u - q) mod n, and L_q^-1 is
+        # min(i, j)(n - max(i, j)) / n at positions i, j counted from q:
+        # the borrowings are that column at j = s, floored, and they sum
+        # to at most s(n - s)/2 <= n²/8 however many chips there are.
+        n = len(cycle100)
+        coeffs = [(-1) ** v for v in range(n)]
+        coeffs[1] += 10**5
+        reduced, rounds, borrowed = work(cycle100, Divisor.from_coeffs(cycle100, coeffs), q)
+        s = sum(c * (u - q) for u, c in enumerate(coeffs)) % n
+        expected = [0] * n
+        expected[q] = sum(coeffs) - (s > 0)
+        expected[(q + s) % n] += s > 0
+        assert reduced == tuple(expected) and rounds == 0
+        positions = [(v - q) % n for v in range(n)]
+        assert borrowed == [min(i, s) * (n - max(i, s)) // n for i in positions]
+        assert sum(borrowed) <= n * n // 8
 
 
 @pytest.mark.parametrize(
