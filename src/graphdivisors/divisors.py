@@ -776,6 +776,12 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     With shift 0 that is the walk of d itself; `rank` walks K - d with
     shift deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
     further than the walk of d would.
+
+    The floor: a reduced form's part off the base is superstable, of
+    degree at most g, so r >= deg(d) - g (Baker-Norine), and the walk
+    stops once the bound is there, at a node or at the child that moved
+    it.  A bound that reaches the floor is r; a cap-lowered one at or
+    below it was the final bound anyway, so refusals do not move.
     """
     capv = _resolve_cap(cap)
     n = len(g.vertices)
@@ -794,7 +800,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     deg0, near0 = len(adj[0]), g._adj_masks[0]
     order = _fact(g, _walk_order)
     m = len(order)
-    while stack:
+    floor = d.degree - genus(g)
+    while stack and bound > floor:
         red, i, j, row = stack.pop()
         if j >= bound:
             continue
@@ -824,6 +831,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
                     break
                 if c0 + j + 1 < bound:
                     bound = c0 + j + 1
+                    if bound <= floor:
+                        break
             if not leaves:
                 kids[b] = child
                 stack.append((child, b, j + 1, kids))

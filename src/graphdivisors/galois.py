@@ -510,7 +510,10 @@ def riemann_roch_check(g: Graph, d: Divisor, cap: int | None = None) -> RiemannR
     """Evaluate rank(d) - rank(K - d) against deg(d) + 1 - genus.
 
     Both ranks come from `_rank_walk` on their own divisor, since `rank`
-    takes one of them from the other by this very identity.
+    takes one of them from the other by this very identity.  Each walk
+    still proves its upper bound with an empty probe; its lower bound
+    comes from the probes or from the degree floor r >= deg - g (see
+    `_rank_walk`), weaker than the identity checked here.
     """
     _check_bound(g, d)
     k = canonical_divisor(g)

@@ -257,7 +257,10 @@ def rank_walk_spec(g: Graph, d: Divisor):
     chips (-1 if |d| is empty) and falls to j at an empty child of a
     node of degree j, which ends that node's children, and to
     c0 + j + 1 at a child with c0 chips at the base.  A node of degree j >= bound is not visited; one with j + 1
-    >= bound keeps its children as leaves, not extended.  A node's
+    >= bound keeps its children as leaves, not extended.  The walk ends
+    once the bound is at most the degree floor deg(d) - g, with g = 1 -
+    |V| + |E|: at a node's visit, or within its children at the child
+    that lowered the bound there.  A node's
     children are found in position order, then visited last first, as
     the walk's stack pops them.  A child needs no avalanche when its
     parent holds a chip at its vertex (the leaf rule), when the parent's
@@ -282,10 +285,11 @@ def rank_walk_spec(g: Graph, d: Divisor):
     if base[0] < 0:
         return -1, avalanches
     bound = base[0]
+    floor = d.degree - (1 - len(g.vertices) + len(g.edges))
 
     def visit(taken, red, i, j, row):
         nonlocal bound
-        if j >= bound:
+        if j >= bound or bound <= floor:
             return
         leaves = j + 1 >= bound
         kids = [None] * m
@@ -302,6 +306,8 @@ def rank_walk_spec(g: Graph, d: Divisor):
                 bound = j
                 break
             bound = min(bound, child[0] + j + 1)
+            if bound <= floor:
+                break
             children.append((kid, child, b))
         if not leaves:
             for kid, child, b in reversed(children):
