@@ -3,13 +3,15 @@
 Everything is exact integer arithmetic.  `is_q_reduced` checks the
 subset definition directly (2^(n-1) subsets) and serves as the reference
 oracle; `q_reduce` computes the unique reduced representative and is the
-fast path used by everything else.  It clears debt with ball firings
-and finishes with Dhar's burning algorithm, firing each unburnt set in
-bulk.  With many chips off the base it jumps instead by the floor of the
-reduced Laplacian system's solution (the idea behind Baker-Shokrieh's
-polynomial-time reduction), which never passes the reduced form, and
-finishes by least borrowing (`_borrow`): no burning round, and the
-borrowings are bounded by a fact of the graph, not by the chip count.
+fast path used by everything else.  It reads how often ball firings
+must clear debt (`_debt_needs`); with few chips off the base it fires
+them and finishes with Dhar's burning algorithm, firing each unburnt set
+in bulk.  With many it fires nothing first: it jumps from the divisor
+itself by the floor of the reduced Laplacian system's solution (the idea
+behind Baker-Shokrieh's polynomial-time reduction), which never passes
+the reduced form, and finishes by least borrowing (`_borrow`), one grain
+at a time: no burning round, and the borrowings are bounded by a fact of
+the graph, not by the chip count.
 The table of BFS shells around each base vertex, the
 reduced Laplacian's adjugate, the rank walk's vertex order (over a
 rank-determining set) and the canonical divisor's coefficients are
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -364,9 +366,31 @@ def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(row[m:]) for row in rows), prev
 
 
-def _clear_debt(table, coeffs: list[int], fires: list[int]) -> None:
-    """Fire balls around the base, farthest shell first, each as many
-    times as its outer shell needs, so no vertex off the base ends in debt.
+def _debt_needs(table, coeffs: list[int]) -> list[int]:
+    """needs[k]: how many times stage one fires the ball of the vertices
+    nearer than shell k, so that no vertex off the base ends in debt.
+
+    Working inwards, only the shell outside has fired into shell k by
+    the time its need is taken, so each need is read off the input:
+    shell k's vertex v holds coeffs[v] - needs[k + 1] * farther[v].
+    """
+    shells, nearer, farther = table
+    needs = [0] * (len(shells) + 1)
+    for k in range(len(shells) - 1, 0, -1):
+        outside = needs[k + 1]
+        need = 0
+        for v in shells[k]:
+            # ceil(debt / nearer[v]); nearer[v] >= 1 off the base
+            owed = -((coeffs[v] - outside * farther[v]) // nearer[v])
+            if owed > need:
+                need = owed
+        needs[k] = need
+    return needs
+
+
+def _clear_debt(table, needs: list[int], coeffs: list[int], fires: list[int]) -> None:
+    """Fire the balls of stage one, farthest shell first, each needs[k]
+    times (`_debt_needs`).
 
     Firing the ball of the vertices nearer than shell k moves chips only
     across the edges between shells k - 1 and k, so each need touches
@@ -377,33 +401,28 @@ def _clear_debt(table, coeffs: list[int], fires: list[int]) -> None:
     shells, nearer, farther = table
     total = 0
     for k in range(len(shells) - 1, 0, -1):
-        outer, inner = shells[k], shells[k - 1]
-        need = 0
-        for v in outer:
-            # ceil(-coeffs[v] / nearer[v]); nearer[v] >= 1 off the base
-            owed = -(coeffs[v] // nearer[v])
-            if owed > need:
-                need = owed
+        need = needs[k]
         if need:
             total += need
-            for v in outer:
+            for v in shells[k]:
                 coeffs[v] += need * nearer[v]
-            for v in inner:
+            for v in shells[k - 1]:
                 coeffs[v] -= need * farther[v]
         if total:
-            for v in inner:
+            for v in shells[k - 1]:
                 fires[v] += total
 
 
-def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> None:
-    """Fire the integer part of the rational firing vector, zero at q,
-    that would move every chip onto q.
+def _round_to_base(g: "Graph", coeffs: list[int], q: int, base_fires: int) -> list[int]:
+    """Fire f = floor(x) + base_fires, where x, zero at q, is the rational
+    firing vector that would move every chip onto q; return f.
 
     With t = deg(d) chips on q, d - t = L x has a solution X / det with
     X = adj (d - t)|_{v != 0} and X[0] = 0, and the one with x[q] = 0 is
-    (X - X[q]) / det.  Firing f = floor(x) leaves t + L(x - f), whose
-    coefficient at each v lies strictly between -deg(v) and deg(v), and
-    f[q] = 0 leaves q's firing count as it was.
+    (X - X[q]) / det; lowering X[q] by det * base_fires adds base_fires
+    inside the floor.  L f = L floor(x), so one Laplacian pass fires it,
+    leaving t + L(x - floor(x)): each coefficient lies strictly between
+    -deg(v) and deg(v).
     """
     adjugate, det = _fact(g, _laplacian_adjugate)
     rhs = coeffs[1:]
@@ -411,33 +430,35 @@ def _round_to_base(g: "Graph", coeffs: list[int], fires: list[int], q: int) -> N
         rhs[q - 1] -= sum(coeffs)
     x = [0]
     x.extend(sum(map(mul, row, rhs)) for row in adjugate)
-    xq = x[q]
+    xq = x[q] - det * base_fires
     f = [(xv - xq) // det for xv in x]
     for v, nbrs in enumerate(g._adj):
-        fires[v] += f[v]
         coeffs[v] -= len(nbrs) * f[v] - sum(map(f.__getitem__, nbrs))
+    return f
 
 
 def _borrow(adj, coeffs: list[int], fires: list[int], q: int) -> None:
     """Let every vertex off q in debt borrow (gain its degree, each
-    neighbour losing one) until none is; coeffs and fires change in place.
+    neighbour losing one) one grain at a time until none is; coeffs and
+    fires change in place.
 
-    A vertex borrows ceil(-c / deg) times at once, each time in debt, so
-    every step is a legal borrowing and q never borrows.
+    Each step is a legal borrowing and q never borrows.  By least action
+    every such order that ends with no debt off q makes the same counts,
+    so this order borrows as a bulk one would.
     """
     # Every vertex off q in debt is on the stack exactly once.
     stack = [v for v, c in enumerate(coeffs) if c < 0 and v != q]
     while stack:
         u = stack.pop()
         nbrs = adj[u]
-        times = -(coeffs[u] // len(nbrs))
-        fires[u] -= times
-        coeffs[u] += times * len(nbrs)
+        fires[u] -= 1
+        coeffs[u] += len(nbrs)
         for w in nbrs:
-            c = coeffs[w]
-            coeffs[w] = c - times
-            if 0 <= c < times and w != q:
+            coeffs[w] -= 1
+            if coeffs[w] == -1 and w != q:
                 stack.append(w)
+        if coeffs[u] < 0:
+            stack.append(u)
 
 
 def _dhar_unburnt(adj, coeffs, q: int):
@@ -475,18 +496,23 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
     Returns (reduced coefficients, firing counts), where the input minus
     the Laplacian of the firing counts equals the output.  Stage one
     clears debt off q by bulk-firing balls around q, farthest shell
-    first.  If at most 2|E| chips then sit off q, Dhar's burning loop
-    follows, which fires each unburnt set as many times in a row as it
-    stays effective, until no subset can fire.  It fires from the
-    burn's own marks: each unburnt v loses times * threat[v] at once
-    (its out-degree from the set), and each burnt neighbour gains times
-    per edge.  Each step is a sequence of legal firings, so the loop
-    ends.  Such small reductions never build the adjugate.
+    first; `_debt_needs` reads each ball's count without firing, and q's
+    count T is their sum.  If at most 2|E| chips sit off q after stage
+    one, it fires (`_clear_debt`) and Dhar's burning loop follows, which
+    fires each unburnt set as many times in a row as it stays effective,
+    until no subset can fire.  It fires from the burn's own marks: each
+    unburnt v loses times * threat[v] at once (its out-degree from the
+    set), and each burnt neighbour gains times per edge.  Each step is a
+    sequence of legal firings, so the loop ends.  Such small reductions
+    never build the adjugate.
 
-    With more chips off q, `_round_to_base` fires f, the floor of the
-    rational x with x[q] = 0 that would put every chip on q, and
-    `_borrow` finishes, with no burning round.  Let d* be the reduced
-    form and f* its firing vector with f*[q] = 0.
+    With more chips off q nothing fires before the jump: `_round_to_base`
+    fires floor(x) + T from the input, where x[q] = 0 would put every
+    chip on q, and `_borrow` finishes, with no burning round.  Stage
+    one's script less T is an integer script F zero at q, so a jump from
+    its state fires floor(x) - F + T: the same totals and the same
+    configuration.  Let d* be the reduced form and f* its firing vector
+    with f*[q] = 0, and f = floor(x).
     - f >= f*: x - f* = L_q^-1 d*, where d* is effective off q and
       L_q^-1 >= 0 (Baker-Shokrieh), and f* is an integer.
     - Least action: f leaves d* fired h = f - f* >= 0 times, never at q,
@@ -500,16 +526,21 @@ def _reduce_coeffs(g: "Graph", coeffs: list[int], q: int) -> tuple[list[int], li
       fact of the graph, not of the chip count.
 
     The firing counts are unique up to a constant.  Neither path fires
-    q after stage one, so q's count is the one stage one gives: the
-    counts a one-chip-per-round burning loop would return.
+    q more than stage one would, so q's count is T: the counts a
+    one-chip-per-round burning loop would return.
     """
     adj = g._adj
-    fires = [0] * len(coeffs)
-    _clear_debt(_fact(g, _shells, q), coeffs, fires)
-    if sum(coeffs) - coeffs[q] > 2 * len(g._edges_idx):
-        _round_to_base(g, coeffs, fires, q)
+    table = _fact(g, _shells, q)
+    needs = _debt_needs(table, coeffs)
+    base_fires = sum(needs)
+    # chips off q once stage one has fired q's ball needs[1] times
+    if sum(coeffs) - coeffs[q] + needs[1] * len(adj[q]) > 2 * len(g._edges_idx):
+        fires = _round_to_base(g, coeffs, q, base_fires)
         _borrow(adj, coeffs, fires, q)
         return coeffs, fires
+    fires = [0] * len(coeffs)
+    if base_fires:
+        _clear_debt(table, needs, coeffs, fires)
     while True:
         burning = _dhar_unburnt(adj, coeffs, q)
         if burning is None:
@@ -535,7 +566,7 @@ def q_reduce_with_witness(g: "Graph", d: Divisor, q: str) -> tuple[Divisor, Vert
     qi = g.index_of(q)
     coeffs, fires = _reduce_coeffs(g, list(d.coeffs), qi)
     reduced = Divisor.from_coeffs(g, coeffs)
-    witness = VertexFunction.from_values(g, tuple(-c for c in fires))
+    witness = VertexFunction.from_values(g, map(neg, fires))
     return reduced, witness
 
 

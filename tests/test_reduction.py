@@ -205,13 +205,18 @@ class TestBurningRounds:
 
     @given(graph_and_divisor(lo=-10**6, hi=10**6))
     def test_rounding_leaves_reduced_form_or_debt(self, case):
-        # The jump never passes the reduced form: what it leaves is either
-        # q-reduced or in debt off q, never effective off q and unreduced.
+        # The jump from d itself fires floor(x) + T, T being stage one's
+        # count at q, and never passes the reduced form: what it leaves is
+        # either q-reduced or in debt off q, never effective off q and
+        # unreduced.
         g, d = case
         for q in range(len(g)):
-            coeffs, fires = list(d.coeffs), [0] * len(g)
-            divisors._clear_debt(divisors._fact(g, divisors._shells, q), coeffs, fires)
-            divisors._round_to_base(g, coeffs, fires, q)
+            coeffs = list(d.coeffs)
+            base_fires = sum(divisors._debt_needs(divisors._fact(g, divisors._shells, q), coeffs))
+            fires = divisors._round_to_base(g, coeffs, q, base_fires)
+            assert fires[q] == base_fires
+            fired = VertexFunction.from_values(g, [-f for f in fires])
+            assert Divisor.from_coeffs(g, coeffs) == d + laplacian_apply(g, fired)
             in_debt = any(c < 0 for v, c in enumerate(coeffs) if v != q)
             assert in_debt or is_q_reduced(g, Divisor.from_coeffs(g, coeffs), g.vertices[q])
 
@@ -230,6 +235,47 @@ def two_edge_connected(rng, n):
             return g
 
 
+class TestRoundingBoundary:
+    """The jump runs exactly when more than 2|E| chips sit off the base
+    once stage one has fired, whether they sat there from the start or
+    stage one moved them off the base to clear a debt."""
+
+    @pytest.mark.parametrize("spec", ["house4", "wheel:6", "cycle:8", "chipfire:7", "chipfire:9"])
+    def test_rounds_on_exactly_the_far_side(self, spec, monkeypatch):
+        if spec.startswith("chipfire"):
+            g = two_edge_connected(random.Random(spec), int(spec[9:]))
+        else:
+            g = generate(spec)
+        rounded = []
+        round_to_base = divisors._round_to_base
+
+        def counting(*args):
+            rounded.append(1)
+            return round_to_base(*args)
+
+        monkeypatch.setattr(divisors, "_round_to_base", counting)
+        edges = len(g.edges)
+        for q, label in enumerate(g.vertices):
+            for v in range(len(g)):
+                if v == q:
+                    continue
+                # A debt of one at a neighbour w of q makes stage one fire
+                # q's ball once, which moves deg(q) chips off q.
+                w = next(u for u in g._adj[q] if u != v)
+                for off in (2 * edges, 2 * edges + 1):
+                    plain, debt = [0] * len(g), [0] * len(g)
+                    plain[v] = off
+                    debt[v], debt[w] = off - len(g._adj[q]) + 1, -1
+                    for coeffs in (plain, debt):
+                        rounded.clear()
+                        reduced, witness = q_reduce_with_witness(g, Divisor.from_coeffs(g, coeffs), label)
+                        expected, fires = oracles.reduce_one_chip(g, coeffs.copy(), q)
+                        assert list(reduced.coeffs) == expected
+                        assert list(witness.values) == [-f for f in fires]
+                        assert fires[q] == (coeffs is debt)
+                        assert len(rounded) == (off > 2 * edges)
+
+
 @pytest.fixture(scope="module")
 def cycle100():
     """cycle:100, whose reduced Laplacian's adjugate is built once."""
@@ -237,10 +283,19 @@ def cycle100():
 
 
 class TestRoundingPath:
-    def test_matches_one_chip_oracle(self, work):
+    def test_matches_one_chip_oracle(self, work, monkeypatch):
         # 20 bridgeless graphs on 6-9 vertices, each with one divisor of
         # coefficients in [-150, 150] reduced at every vertex: every one
-        # of these reductions rounds.
+        # of these reductions rounds, and none fires stage one, though
+        # most of them hold a debt that stage one would clear.
+        fired, cleared = [], 0
+        clear_debt = divisors._clear_debt
+
+        def counting(*args):
+            fired.append(1)
+            clear_debt(*args)
+
+        monkeypatch.setattr(divisors, "_clear_debt", counting)
         rng = random.Random(43)
         for k in range(20):
             g = two_edge_connected(rng, 6 + k % 4)
@@ -253,6 +308,8 @@ class TestRoundingPath:
                 expected, fires = oracles.reduce_one_chip(g, list(d.coeffs), q)
                 assert list(reduced) == expected
                 assert list(witness.values) == [-f for f in fires]
+                cleared += fires[q] > 0
+        assert not fired and cleared > 140
 
     @pytest.mark.parametrize("q", [0, 25, 50, 75])
     def test_cycle100_hundred_thousand_chips(self, q, cycle100, work):
