@@ -48,9 +48,8 @@ import signal
 import sys
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _escape
-from operator import attrgetter
 
-from .corpus import VERDICT_FIELDS, CorpusResult, enumerate_corpus
+from .corpus import CorpusResult, enumerate_corpus
 from .divisors import (
     Divisor,
     is_q_reduced,
@@ -168,15 +167,15 @@ def _corpus_graphs(result: CorpusResult, depth: int) -> str:
     pair_text = {pair: _dumps(pair, depth + 3) for pair in combinations(_labels(result.n), 2)}
     head = "{" + at_key + '"edges": [' + at_edge
     edge_sep = "," + at_edge
-    verdicts = attrgetter(*VERDICT_FIELDS)
     tails: dict[tuple, str] = {}
     texts = []
     for r in result.records:
-        row = verdicts(r)
+        # A record's verdict row is its fields after its edges.
+        row = r[1:]
         tail = tails.get(row)
         if tail is None:
             tail = tails[row] = at_key + "]" + "".join(
-                ["," + at_key + _escape(k) + ": " + _dumps(v) for k, v in zip(VERDICT_FIELDS, row)]
+                ["," + at_key + _escape(k) + ": " + _dumps(v) for k, v in zip(r._fields[1:], row)]
             ) + at_record + "}"
         texts.append(head + edge_sep.join(map(pair_text.__getitem__, r.edges)) + tail)
     return "[%s%s%s]" % (at_record, ("," + at_record).join(texts), at_list)

@@ -7,22 +7,19 @@ isomorphism class is checked and classified through one representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .divisors import Divisor
 from .errors import ParameterOutOfRangeError, SizeCapExceededError
 from .galois import _theorem_from_report, classify_galois_points
-from .graphs import Graph, _bridgeless, _labels
+from .graphs import Graph, _bridgeless, _labels, _value_type
 
 MAX_CORPUS_VERTICES = 6
 
-# A record's fields after its edges, in the order `to_json()` writes them.
-VERDICT_FIELDS = ("rank", "galois_count", "theorem_consistent", "corollary_consistent")
 
-
-@dataclass(frozen=True)
-class GraphRecord:
+@_value_type
+class GraphRecord(NamedTuple):
     edges: tuple[tuple[str, str], ...]
     rank: int
     galois_count: int
@@ -30,11 +27,11 @@ class GraphRecord:
     corollary_consistent: bool
 
     def to_json(self) -> dict:
-        return {"edges": [list(e) for e in self.edges], **{k: getattr(self, k) for k in VERDICT_FIELDS}}
+        return {**self._asdict(), "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+@_value_type
+class CorpusResult(NamedTuple):
     n: int
     graphs_tested: int
     records: tuple[GraphRecord, ...]

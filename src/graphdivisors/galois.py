@@ -12,11 +12,10 @@ that reproduces in isolation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .divisors import Divisor, canonical_divisor, linearly_equivalent, q_reduce, rank
 from .divisors import _check_bound, _members, _probe_rows, _rank_walk, _require_enumerable
@@ -27,12 +26,12 @@ from .errors import (
     RankPreconditionError,
     UnknownVertexError,
 )
-from .graphs import Graph, genus, is_two_edge_connected
+from .graphs import Graph, _value_type, genus, is_two_edge_connected
 from .symmetry import Subgroup, _harmonic_subgroups, _vertex_orbits, acts_harmonically, apply_to_divisor
 
 
-@dataclass(frozen=True)
-class RankNotTwo:
+@_value_type
+class RankNotTwo(NamedTuple):
     rank: int
 
     tag = "RankNotTwo"
@@ -41,8 +40,8 @@ class RankNotTwo:
         return f"divisor has rank {self.rank}, not 2"
 
 
-@dataclass(frozen=True)
-class Cond1Fail:
+@_value_type
+class Cond1Fail(NamedTuple):
     vertex: str
     rank: int
 
@@ -52,8 +51,8 @@ class Cond1Fail:
         return f"rank after removing {self.vertex} is {self.rank}, not 1"
 
 
-@dataclass(frozen=True)
-class Cond2Fail:
+@_value_type
+class Cond2Fail(NamedTuple):
     vertex: str
     other: str
     rank: int
@@ -64,8 +63,8 @@ class Cond2Fail:
         return f"rank after removing {self.vertex} and {self.other} is {self.rank}, not 0"
 
 
-@dataclass(frozen=True)
-class NoQualifyingSubgroup:
+@_value_type
+class NoQualifyingSubgroup(NamedTuple):
     """No witness exists.  `subgroups_checked` is the number of harmonic
     subgroups of the given order that the search examined, which is
     all of them: a subgroup that acts harmonically but has a single
@@ -87,12 +86,6 @@ class NoQualifyingSubgroup:
 FailureReason = Union[RankNotTwo, Cond1Fail, Cond2Fail, NoQualifyingSubgroup]
 
 
-def _reason_to_json(reason: FailureReason | None):
-    if reason is None:
-        return None
-    return {"tag": reason.tag, **asdict(reason)}
-
-
 def _reason_from_json(obj) -> FailureReason | None:
     if obj is None:
         return None
@@ -103,20 +96,19 @@ def _reason_from_json(obj) -> FailureReason | None:
     if cls is None:
         raise ValueError(f"reason JSON has an unknown tag {tag!r}")
     kwargs = {k: v for k, v in obj.items() if k != "tag"}
-    names = [f.name for f in fields(cls)]
-    if kwargs.keys() != set(names):
-        raise ValueError(f"{cls.tag} reason JSON needs the fields {names}, got {list(kwargs)}")
+    if kwargs.keys() != set(cls._fields):
+        raise ValueError(f"{cls.tag} reason JSON needs the fields {list(cls._fields)}, got {list(kwargs)}")
     return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class SmoothnessCheck:
+@_value_type
+class SmoothnessCheck(NamedTuple):
     ok: bool
     failure: Cond1Fail | Cond2Fail | None = None
 
 
-@dataclass(frozen=True)
-class GaloisCertificate:
+@_value_type
+class GaloisCertificate(NamedTuple):
     """Verdict for one vertex, with witnesses or a failure reason."""
 
     vertex: str
@@ -135,7 +127,7 @@ class GaloisCertificate:
             "E1": self.e1.to_json() if self.e1 is not None else None,
             "E2": self.e2.to_json() if self.e2 is not None else None,
             "quotient_vertex_count": self.quotient_vertex_count,
-            "reason": _reason_to_json(self.reason),
+            "reason": None if self.reason is None else {"tag": self.reason.tag, **self.reason._asdict()},
         }
 
     @classmethod
@@ -162,8 +154,8 @@ class GaloisCertificate:
         )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+@_value_type
+class ClassificationReport(NamedTuple):
     """Per-vertex certificates for one graph and divisor."""
 
     graph: Graph
@@ -191,8 +183,8 @@ class ClassificationReport:
         }
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+@_value_type
+class TheoremCheck(NamedTuple):
     """Completeness vs. two-Galois-points equivalence for one graph."""
 
     is_complete: bool
@@ -207,11 +199,11 @@ class TheoremCheck:
         return self.equivalence_holds and self.all_vertices_galois is not False
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class RiemannRochCheck:
+@_value_type
+class RiemannRochCheck(NamedTuple):
     holds: bool
     rank: int
     canonical_rank: int
@@ -221,7 +213,7 @@ class RiemannRochCheck:
     genus: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_two_edge_connected(g: Graph) -> None:

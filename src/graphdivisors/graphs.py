@@ -8,8 +8,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DisconnectedError,
@@ -17,6 +16,7 @@ from .errors import (
     DuplicateVertexError,
     LoopEdgeError,
     ParameterOutOfRangeError,
+    SizeCapExceededError,
     UnknownEndpointError,
     UnknownVertexError,
 )
@@ -273,12 +273,30 @@ def genus(g: Graph) -> int:
     return 1 - len(g.vertices) + len(g.edges)
 
 
+def _value_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _value_type(cls):
+    """Make the named tuple class `cls` a value type: an instance equals
+    only an instance of `cls` with equal fields, never a plain tuple or
+    an instance of another class, and hashes as the tuple of its fields.
+    `object.__ne__` negates `__eq__`; tuple's own would compare fields.
+    Instances are immutable; `_replace` copies one with new fields."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _value_eq, object.__ne__, tuple.__hash__
+    return cls
+
+
 # Each family kind with its least size; house4 takes no size.
 _FAMILY_KINDS = {"complete": 3, "wheel": 5, "cycle": 3, "house4": None}
 
+# The most vertices, and the most edges, of a family member that
+# `generate` builds.
+MAX_FAMILY_SIZE = 50_000
 
-@dataclass(frozen=True)
-class GraphFamily:
+
+@_value_type
+class GraphFamily(NamedTuple):
     """A named graph family plus its size parameter (None for house4)."""
 
     kind: str
@@ -314,6 +332,9 @@ def generate(family: GraphFamily | str) -> Graph:
     wheel(n), n >= 5: hub P1 joined to the rim cycle P2..Pn.
     cycle(n), n >= 3: the n-cycle.
     house4: four vertices, five edges (the 4-cycle plus the P1P3 chord).
+
+    A member with more than `MAX_FAMILY_SIZE` vertices or edges is
+    refused before anything is built.
     """
     if isinstance(family, str):
         family = parse_family(family)
@@ -330,6 +351,11 @@ def generate(family: GraphFamily | str) -> Graph:
     least = _FAMILY_KINDS[kind]
     if n is None or n < least:
         raise ParameterOutOfRangeError(f"{kind} graph needs n >= {least}, got {n}")
+    # Every sized kind has at least as many edges as vertices.
+    size = n * (n - 1) // 2 if kind == "complete" else 2 * (n - 1) if kind == "wheel" else n
+    if size > MAX_FAMILY_SIZE:
+        raise SizeCapExceededError(f"graph family is capped at {MAX_FAMILY_SIZE} vertices and edges, "
+                                   f"{kind}:{n} has {n} vertices and {size} edges")
     labels = _labels(n)
     if kind == "complete":
         return Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)])

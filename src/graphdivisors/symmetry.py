@@ -8,10 +8,9 @@ order so repeated runs are byte-identical.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from math import factorial, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .divisors import Divisor
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     UnknownEndpointError,
     UnknownVertexError,
 )
-from .graphs import Graph
+from .graphs import Graph, _value_type
 
 DEFAULT_AUTOMORPHISM_VERTEX_CAP = 10
 DEFAULT_HARMONIC_DEFINITION_CAP = 48
@@ -562,8 +561,8 @@ def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+@_value_type
+class EdgeClass(NamedTuple):
     """One edge orbit of a quotient; parallel classes are kept apart."""
 
     key: int

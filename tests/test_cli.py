@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -254,7 +253,7 @@ class TestFailedChecksExitOne:
         real = getattr(graphdivisors.cli, name)
 
         def fake(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), **changes)
+            return real(*args, **kwargs)._replace(**changes)
 
         monkeypatch.setattr(graphdivisors.cli, name, fake)
 
@@ -295,8 +294,8 @@ class TestFailedChecksExitOne:
 
         def fake(*args, **kwargs):
             result = real(*args, **kwargs)
-            first = dataclasses.replace(result.records[0], theorem_consistent=False)
-            return dataclasses.replace(result, records=(first, *result.records[1:]), all_consistent=False)
+            first = result.records[0]._replace(theorem_consistent=False)
+            return result._replace(records=(first, *result.records[1:]), all_consistent=False)
 
         monkeypatch.setattr(graphdivisors.cli, "enumerate_corpus", fake)
         code, out, err = run(capsys, "corpus", "--n", "4", "--format", fmt)
@@ -595,6 +594,28 @@ class TestHarmonicDefinitionCap:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"harmonic": True, "mode": "definition", "order": 3}
         assert drawn == []
+
+
+class TestFamilySizeCap:
+    """A family member past `graphs.MAX_FAMILY_SIZE` vertices or edges is
+    refused before any graph is built: `Graph.__init__` calls are
+    counted, not timed."""
+
+    def test_huge_cycle_is_refused_unbuilt(self, capsys, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        size = "10000000000000000000000"
+        code, out, err = run(capsys, "gen", "--family", f"cycle:{size}")
+        assert (code, out, len(built)) == (2, "", 0)
+        assert err == (f"error: graph family is capped at 50000 vertices and edges, "
+                       f"cycle:{size} has {size} vertices and {size} edges\n")
+        assert run(capsys, "gen", "--family", "cycle:4")[0] == 0 and len(built) == 1
 
 
 class TestOutOfMemory:

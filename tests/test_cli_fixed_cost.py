@@ -6,7 +6,9 @@ must give exactly the same string; `json.dumps` stays here as its
 oracle.  `main` reads an argv of exact `--flag value` pairs from the
 command table with no parser built, and must read every argv it takes
 that way as the full parser does; every other argv goes to the full
-parser.  Work is counted (parsers made, encoder entered), not timed.
+parser.  A fresh import of the CLI loads neither `dataclasses` nor
+`inspect`.  Work is counted (parsers made, encoder entered, modules
+loaded), not timed.
 """
 
 import argparse
@@ -14,8 +16,10 @@ import contextlib
 import importlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +133,18 @@ def test_each_call_builds_only_the_format_it_prints(argv, fmt, monkeypatch, caps
 def test_import_builds_no_parser(parsers_made):
     importlib.reload(graphdivisors.cli)
     assert parsers_made == []
+
+
+def test_fresh_import_loads_no_dataclasses_or_inspect():
+    # Isolated and without `site`, so nothing but the package's own
+    # imports can load them; `inspect` would bring `ast`, `dis` and
+    # `tokenize` with it.
+    src = str(Path(graphdivisors.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import graphdivisors.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 VALID_ARGV = {

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -393,20 +392,20 @@ class TestAudit:
         assert audit_certificate(g, d, fake) == [f"recorded {reason}, the decision gives {derived}"]
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda g, c: replace(c, vertex="P9"), "certificate names unknown vertex 'P9'"),
-        (lambda g, c: replace(c, e2=None), "positive certificate is missing witnesses"),
-        (lambda g, c: replace(c, subgroup=Subgroup(g, frozenset({(0, 1, 2, 3), (0, 2, 3, 1)}), _checked=True)),
+        (lambda g, c: c._replace(vertex="P9"), "certificate names unknown vertex 'P9'"),
+        (lambda g, c: c._replace(e2=None), "positive certificate is missing witnesses"),
+        (lambda g, c: c._replace(subgroup=Subgroup(g, frozenset({(0, 1, 2, 3), (0, 2, 3, 1)}), _checked=True)),
          "witness subgroup is invalid: element set is not closed under composition"),
-        (lambda g, c: replace(c, quotient_vertex_count=c.quotient_vertex_count + 1),
+        (lambda g, c: c._replace(quotient_vertex_count=c.quotient_vertex_count + 1),
          "recorded quotient vertex count does not match the orbit count"),
         # The Klein four-group is transitive on K4.
-        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 0, 3, 2), (2, 3, 0, 1)])),
+        (lambda g, c: c._replace(subgroup=Subgroup.from_generators(g, [(1, 0, 3, 2), (2, 3, 0, 1)])),
          "quotient has a single vertex"),
-        (lambda g, c: replace(c, e1=Divisor(g, {"P2": 4, "P3": -1})), "E1 is not effective"),
+        (lambda g, c: c._replace(e1=Divisor(g, {"P2": 4, "P3": -1})), "E1 is not effective"),
         # A 3-cycle through P1 fixes P4 only: harmonic, but it moves P1 and d - P1.
-        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
+        (lambda g, c: c._replace(subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
          "Automorphism((P1 P2 P3)) moves the certified vertex"),
-        (lambda g, c: replace(c, subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
+        (lambda g, c: c._replace(subgroup=Subgroup.from_generators(g, [(1, 2, 0, 3)])),
          "Automorphism((P1 P2 P3)) moves the punctured divisor"),
         (lambda g, c: GaloisCertificate(vertex="P1", verdict=False), "negative certificate carries no reason"),
     ])

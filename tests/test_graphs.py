@@ -10,6 +10,7 @@ from graphdivisors import (
     GraphFamily,
     LoopEdgeError,
     ParameterOutOfRangeError,
+    SizeCapExceededError,
     UnknownEndpointError,
     UnknownVertexError,
     build_graph,
@@ -271,7 +272,12 @@ class TestJson:
     (lambda: parse_family("complete:x"), ValueError, "family size 'x' is not an integer"),
     (lambda: generate(GraphFamily("bogus", 3)), ValueError, "unknown graph family 'bogus'"),
     (lambda: generate(GraphFamily("house4", 9)), ValueError, "family 'house4' takes no parameter"),
-], ids=["no vertices", "non-edge key", "size not an integer", "unknown family", "house4 with a size"])
+    (lambda: generate("complete:317"), SizeCapExceededError,
+     "graph family is capped at 50000 vertices and edges, complete:317 has 317 vertices and 50086 edges"),
+    (lambda: generate("wheel:25002"), SizeCapExceededError,
+     "graph family is capped at 50000 vertices and edges, wheel:25002 has 25002 vertices and 50002 edges"),
+], ids=["no vertices", "non-edge key", "size not an integer", "unknown family", "house4 with a size",
+        "complete past the size cap", "wheel past the size cap"])
 def test_input_checks(make, error, message):
     # Each refusal names what it refuses, as `errors` promises.
     with pytest.raises(error) as exc:

@@ -3,12 +3,16 @@
 `Graph` and `Divisor` store their hash when built; `VertexFunction`,
 `Automorphism` and `Subgroup` hash their fields when asked.  Each case
 builds one value several ways: every pair must be equal and hash equal,
-and all of them must collapse to one entry in a set.
+and all of them must collapse to one entry in a set.  A named tuple
+value (a report, reason, check or record) hashes as the tuple of its
+fields, as a frozen dataclass did.
 """
 
 import pytest
 
 from graphdivisors import Automorphism, Divisor, Subgroup, VertexFunction, automorphism_group, generate
+
+from test_value_operators import VALUE_TUPLES
 
 # The hub is P1 and the rim the 4-cycle P2-P3-P4-P5.
 G = generate("wheel:5")
@@ -43,6 +47,8 @@ CASES = {
         Subgroup.from_generators(G, [TURN, FLIP]),
         Subgroup.from_elements(G, automorphism_group(G).elements),
     ],
+    **{name: [value, type(value)(*value), type(value)(**value._asdict()), value._replace()]
+       for name, (value, _) in VALUE_TUPLES.items()},
 }
 
 
@@ -53,3 +59,8 @@ def test_equal_values_hash_equal(values):
         assert other == first
         assert hash(other) == hash(first)
     assert len(set(values)) == 1
+
+
+@pytest.mark.parametrize("value", [value for value, _ in VALUE_TUPLES.values()], ids=list(VALUE_TUPLES))
+def test_value_tuple_hashes_as_its_fields(value):
+    assert hash(value) == hash(tuple(value))
