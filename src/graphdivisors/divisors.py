@@ -20,8 +20,12 @@ The rank walk, the probe table
 (`_probe_rows`) and `linear_system` reduce their divisor once and derive
 every other reduced form from a parent's by a one-grain sandpile
 avalanche (`_drop_chip`); `rank` walks d or K - d, whichever
-Riemann-Roch makes cheaper.  Superstables form a
-down-set, so taking a chip from a vertex off the base that holds one
+Riemann-Roch makes cheaper.  The whole probe table, every probe of
+degree <= 3, also decides whether r(d) = 2 (no probe of degree <= 2 is
+empty, some probe of degree 3 is), so a classification reads rank 2
+off it with no rank walk; it runs only when the cap admits all its
+probes, exactly when a rank-2 walk would pass the cap.  Superstables
+form a down-set, so taking a chip from a vertex off the base that holds one
 needs no avalanche and leaves the base as it was: the two walks copy
 such a child only to extend it, and never reduce it as a leaf.  The
 rank walk also reads a child off its parent's sibling when that
@@ -902,7 +906,8 @@ def _walk_order(g: "Graph") -> list[int]:
     return sorted(probed, key=lambda v: (near0 >> v & 1, len(adj[v])))
 
 
-def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[bool], list[int]]]:
+def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int],
+                cap: int | None = None) -> list[tuple[list[bool], list[int]]] | None:
     """For a rank-2 divisor d and each vertex index p in `rows`, the
     flags of the q with r(d - p - q) = 0 and the 0-reduced d - p.
 
@@ -914,29 +919,50 @@ def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int]) -> list[tuple[list[
     bound and spares leaves by the leaf rule (both in `_rank_walk`),
     and uses no other rule of that walk.  One row p visits only the
     multisets through p; more visit all.
+
+    All the rows also decide whether r(d) = 2, so d need not be known to
+    have rank 2: r(d) = 2 iff no probe of degree <= 2 is empty and some
+    probe of degree 3 is (Baker-Norine), and the table holds every probe
+    of degree <= 3.  It is None when r(d) is not 2, from the first empty
+    probe of degree <= 2 on, and when its C(n+3, n) - 1 probes exceed
+    the cap; it refuses nothing.  The walk of a rank-2 d refuses iff
+    that count exceeds the cap (`_rank_walk`), so a None from the cap
+    falls back to a `rank` that refuses as before.
     """
     adj = g._adj
+    n = len(adj)
+    one = len(rows) == 1
+    if not one and comb(n + 3, n) - 1 > _resolve_cap(cap):
+        return None
     red, _ = _reduce_coeffs(g, list(d.coeffs), 0)
-    n = len(red)
     zero = [[False] * n for _ in range(n)]
     dps = [None] * n
 
     def mark(p, q, v):
         zero[p][q] = zero[q][p] = zero[p][v] = zero[v][p] = zero[q][v] = zero[v][q] = True
 
-    one = len(rows) == 1
+    # In the whole table, a count at vertex 0 below the padding less one
+    # is an empty probe of degree <= 2, so r(d) < 2.
     if not one and red[0] < 3:
+        if red[0] < 2:
+            return None
         mark(0, 0, 0)
     for p in rows if one else range(1, n):
         dp = dps[p] = _drop_chip(adj, red, p)
         if dp[0] < 2:
+            if dp[0] < 1 and not one:
+                return None
             mark(p, 0, 0)
         for q in range(1 if one else p, n):
             dpq = _drop_chip(adj, dp, q)
             if dpq[0] < 1:
+                if dpq[0] < 0 and not one:
+                    return None
                 mark(p, q, 0)
             for v in range(q, n):
                 c0 = dpq[0] if dpq[v] else _drop_chip(adj, dpq, v)[0]
                 if c0 < 0:
                     mark(p, q, v)
+    if not (one or any(map(any, zero))):
+        return None
     return [(zero[p], dps[p] or _drop_chip(adj, red, p)) for p in rows]

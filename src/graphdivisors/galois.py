@@ -287,11 +287,13 @@ def _orbits_fit(g: Graph, m: int) -> bool:
     return True
 
 
-def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCertificate:
+def _find_witness(g: Graph, p: str, dp: list[int],
+                  cap: int | None) -> tuple[GaloisCertificate, list | None]:
     """The certificate at a smooth vertex p, where dp is the 0-reduced
-    form of d - p: the first qualifying witness among the harmonic
-    subgroups of order m = deg(d) - 1, or, once every one fails,
-    NoQualifyingSubgroup with their count.
+    form of d - p, and its fixed members (`_first_witness`): the first
+    qualifying witness among the harmonic subgroups of order
+    m = deg(d) - 1, or, once every one fails, NoQualifyingSubgroup with
+    their count.
 
     The groups fixing p come first, built from searches pinned at p,
     then the groups that move p.  Arithmetic rules out both passes
@@ -307,7 +309,7 @@ def _find_witness(g: Graph, p: str, dp: list[int], cap: int | None) -> GaloisCer
     fixing = _harmonic_subgroups(g, m, pi)
     _require_enumerable(m, len(dp), cap)
     if not _orbits_fit(g, m):
-        return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, 0))
+        return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, 0)), None
     if len(g._adj[pi]) % m:
         fixing = ()
     return _first_witness(g, p, dp, chain(fixing, _moving(g, m, pi)))
@@ -322,10 +324,11 @@ def _moving(g: Graph, m: int, pi: int):
             yield perms
 
 
-def _first_witness(g: Graph, p: str, dp: list[int], groups) -> GaloisCertificate:
-    """The first of `groups` that qualifies at p, or NoQualifyingSubgroup
-    with the number of groups read.  A subgroup fixes the orbit-constant
-    members of |d - p|, which `_members` walks from dp."""
+def _first_witness(g: Graph, p: str, dp: list[int], groups) -> tuple[GaloisCertificate, list | None]:
+    """The first of `groups` that qualifies at p, with the sorted list of
+    the members of |d - p| that it fixes, or NoQualifyingSubgroup with
+    the number of groups read and None.  A subgroup fixes the
+    orbit-constant members of |d - p|, which `_members` walks from dp."""
     m = sum(dp)
     checked = 0
     for perms in groups:
@@ -344,17 +347,17 @@ def _first_witness(g: Graph, p: str, dp: list[int], groups) -> GaloisCertificate
                 e2=Divisor.from_coeffs(g, fixed[1]),
                 quotient_vertex_count=len(orbits),
                 reason=None,
-            )
-    return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, checked))
+            ), fixed
+    return GaloisCertificate(vertex=p, verdict=False, reason=NoQualifyingSubgroup(m, checked)), None
 
 
-def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
+def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...], rows: list,
                   cap: int | None) -> tuple[GaloisCertificate, ...]:
     """The verdicts at the given vertices for a rank-2 divisor d on a
-    bridgeless graph.  One `_probe_rows` table gives each vertex p its
-    smoothness row and d - p reduced, and each smooth p runs
-    `_find_witness` on d - p unless it can carry over the certificate of
-    the vertex before.
+    bridgeless graph, from their rows of the `_probe_rows` table: each
+    vertex p gets its smoothness row and d - p reduced, and each smooth
+    p runs `_find_witness` on d - p unless it can carry over the
+    certificate of the vertex before.
 
     Let p - 1 and p be twins (`_twin_swap`), so that the transposition
     t = (p - 1 p) is an automorphism of g that fixes d, and let the
@@ -371,15 +374,18 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
     that fix p - 1, and with it the order of the pinned pass.  Hence a
     NoQualifyingSubgroup verdict at p - 1 holds at p with the same
     count, and a witness that fixes p - 1, the first of its pinned
-    pass, has a conjugate that is the first of the pinned pass at p;
-    `_first_witness` works out its E1 and E2 afresh.  A witness that
-    moves p - 1 came from the moving pass, whose order conjugation does
-    not keep, so p is searched.  Both caps, with the same n and m, were
-    already passed at p - 1.
+    pass, has a conjugate that is the first of the pinned pass at p.
+    Its fixed members in |d - p| are the images under t of those at
+    p - 1 (t fixes d and sends p - 1 to p), so the sorted images give
+    E1 and E2 with no member walk.  A witness that moves p - 1 came
+    from the moving pass, whose order conjugation does not keep, so p
+    is searched.  Both caps, with the same n and m, were already passed
+    at p - 1.
     """
-    indices = [g.index_of(p) for p in vertices]
     certs: list[GaloisCertificate] = []
-    for p, pi, (zero, dp) in zip(vertices, indices, _probe_rows(g, d, indices)):
+    fixed = None  # the sorted fixed members of the last positive certificate
+    for p, (zero, dp) in zip(vertices, rows):
+        pi = g.index_of(p)
         smooth = _smoothness(g, pi, zero)
         if not smooth.ok:
             certs.append(GaloisCertificate(vertex=p, verdict=False, reason=smooth.failure))
@@ -387,12 +393,15 @@ def _certificates(g: Graph, d: Divisor, vertices: tuple[str, ...],
         last = certs[-1] if pi and certs and certs[-1].vertex == g.vertices[pi - 1] else None
         t = _twin_swap(g, d, pi) if last else None
         if t and isinstance(last.reason, NoQualifyingSubgroup):
-            certs.append(GaloisCertificate(vertex=p, verdict=False, reason=last.reason))
+            cert = GaloisCertificate(vertex=p, verdict=False, reason=last.reason)
         elif t and last.verdict and all(x[pi - 1] == pi - 1 for x in last.subgroup.perms):
+            fixed = sorted(tuple([e[u] for u in t]) for e in fixed)
             carried = frozenset(tuple([t[x[u]] for u in t]) for x in last.subgroup.perms)
-            certs.append(_first_witness(g, p, dp, [carried]))
+            cert = last._replace(vertex=p, subgroup=Subgroup(g, carried, _checked=True),
+                                 e1=Divisor.from_coeffs(g, fixed[0]), e2=Divisor.from_coeffs(g, fixed[1]))
         else:
-            certs.append(_find_witness(g, p, dp, cap))
+            cert, fixed = _find_witness(g, p, dp, cap)
+        certs.append(cert)
     return tuple(certs)
 
 
@@ -416,21 +425,30 @@ def is_galois_point(g: Graph, d: Divisor, p: str, cap: int | None = None) -> Gal
     returns the first qualifying one; exhausting them yields a
     NoQualifyingSubgroup verdict that counts them.
     """
-    g.index_of(p)
+    pi = g.index_of(p)
     _require_two_edge_connected(g)
     _require_rank_two(g, d, cap)
-    return _certificates(g, d, (p,), cap)[0]
+    return _certificates(g, d, (p,), _probe_rows(g, d, (pi,)), cap)[0]
 
 
 @lru_cache(maxsize=512, typed=True)
 def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> ClassificationReport:
     """Run the Galois decision at every vertex.
 
-    rank(d) and the probe table of d, which gives every smoothness
-    verdict, are computed once per call, and the bridge check once per
-    graph (`graphs._fact`).  A smooth vertex whose twin just before it
-    was searched carries the twin's certificate over by their swap
-    (`_certificates`).  Every other smooth vertex searches the
+    The probe table of d (`_probe_rows`), which gives every smoothness
+    verdict, is computed once per call from the one reduction of d, and
+    the bridge check once per graph (`graphs._fact`).  The table also
+    decides r(d) = 2: no probe of degree <= 2 is empty, and some probe
+    of degree 3 is.  So `rank` comes first only where its answer is free
+    or the cap needs it: above degree 2g - 2 (r(d) = deg(d) - g), from
+    degree g + 3 (the floor r(d) >= deg(d) - g), below degree 3, and
+    where the table's C(n+3, n) - 1 probes exceed the cap, for which the
+    table is None.  Elsewhere the table comes first, and `rank` walks
+    for the exact rank only when the table shows it is not 2.  A rank-2
+    walk refuses iff C(n+3, n) - 1 exceeds the cap, so refusals stay
+    where a call of `rank` first would put them.  A smooth vertex whose
+    twin just before it was searched carries the twin's certificate over
+    by their swap (`_certificates`).  Every other smooth vertex searches the
     admissible automorphisms that fix it, one pruned search per group,
     until the first witness; only a vertex whose fixing pass finds none
     runs one pass over the full admissible pool for the subgroups that
@@ -448,15 +466,16 @@ def classify_galois_points(g: Graph, d: Divisor, cap: int | None = None) -> Clas
     _check_bound(g, d)
     _require_two_edge_connected(g)
     all_ones = d == Divisor.all_ones(g)
-    r = rank(g, d, cap)
+    n, k, gen = len(g.vertices), d.degree, genus(g)
+    rows = _probe_rows(g, d, range(n), cap) if 3 <= k <= min(2 * gen - 2, gen + 2) else None
+    r = 2 if rows else rank(g, d, cap)
     if r != 2:
         certs = tuple(
             GaloisCertificate(vertex=v, verdict=False, reason=RankNotTwo(r)) for v in g.vertices
         )
     else:
-        certs = _certificates(g, d, g.vertices, cap)
+        certs = _certificates(g, d, g.vertices, rows or _probe_rows(g, d, range(n), cap), cap)
     count = sum(1 for c in certs if c.verdict)
-    n = len(g.vertices)
     consistent = count in (0, 1, n) if (r == 2 and all_ones) else True
     return ClassificationReport(
         graph=g,
@@ -608,7 +627,7 @@ def audit_certificate(g: Graph, d: Divisor, cert: GaloisCertificate) -> list[str
         m = dp.degree
         groups = _harmonic_subgroups(g, m)
         _require_enumerable(m, len(g.vertices), None)
-        again = _first_witness(g, p, list(q_reduce(g, dp, g.vertices[0]).coeffs), groups)
+        again, _ = _first_witness(g, p, list(q_reduce(g, dp, g.vertices[0]).coeffs), groups)
         if again.verdict:
             return ["a qualifying subgroup exists after all"]
         derived = again.reason

@@ -557,9 +557,10 @@ def _count_draws(monkeypatch, drawn):
 class TestSinglePass:
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5"])
     def test_rank_and_symmetry_computed_once(self, family, monkeypatch):
-        # One rank(d), no pool search (every witness fixes its vertex),
-        # and Aut(G) never built: automorphism_group is replaced wherever
-        # the package binds it.
+        # No rank(d): the probe table shows r(d) = 2 on these graphs, and
+        # the classification reads rank 2 off it.  No pool search (every
+        # witness fixes its vertex), and Aut(G) never built:
+        # automorphism_group is replaced wherever the package binds it.
         import graphdivisors.galois as galois
         import graphdivisors.symmetry as symmetry
 
@@ -590,13 +591,17 @@ class TestSinglePass:
         for module in (symmetry, galois):
             for attr in [a for a, v in vars(module).items() if v is real_aut]:
                 monkeypatch.setattr(module, attr, counting_aut)
-        classify_galois_points.__wrapped__(g, d)
-        assert len(rank_of_d) == 1
+        assert classify_galois_points.__wrapped__(g, d).rank == 2
+        assert rank_of_d == []
         assert pool_calls == []
         assert aut_calls == []
 
     @pytest.mark.parametrize("family", ["wheel:5", "complete:5", "house4"])
     def test_smoothness_makes_no_rank_call(self, family, monkeypatch):
+        # The smoothness verdicts come from the probe table alone.  On
+        # house4, deg(d) = 4 > 2g - 2, so rank(d) = deg(d) - g is asked
+        # for first, at no walk; on the others the table also gives
+        # r(d) = 2, and rank is never called.
         import graphdivisors.galois as galois
 
         g = generate(family)
@@ -608,18 +613,18 @@ class TestSinglePass:
             return real_rank(*args)
 
         monkeypatch.setattr(galois, "rank", counting_rank)
-        classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
-        assert calls == [Divisor.all_ones(g)]
+        assert classify_galois_points.__wrapped__(g, Divisor.all_ones(g)).rank == 2
+        assert calls == ([Divisor.all_ones(g)] if family == "house4" else [])
 
     @pytest.mark.parametrize(
         "family", [f"complete:{n}" for n in range(5, 9)] + [f"wheel:{n}" for n in range(5, 9)] + ["house4"]
     )
     def test_d_is_the_only_divisor_reduced(self, family, monkeypatch):
-        # One reduction inside rank(d), of K - d on these graphs except
-        # complete:6..8, and one for the decision: every d - p and every
-        # member of its linear system is derived by one-grain avalanches
-        # from the reduced form of d.  On house4, deg(d) = 4 > 2g - 2, so
-        # rank(d) = deg(d) - g reduces nothing.
+        # One reduction, of d by the probe table, which also reads off
+        # r(d) = 2: every d - p and every member of its linear system is
+        # derived by one-grain avalanches from the reduced form of d.  On
+        # house4, deg(d) = 4 > 2g - 2, so rank(d) = deg(d) - g comes
+        # first and reduces nothing.
         import graphdivisors.divisors as divisors
 
         g = generate(family)
@@ -633,7 +638,7 @@ class TestSinglePass:
         monkeypatch.setattr(divisors, "_reduce_coeffs", counting)
         report = classify_galois_points.__wrapped__(g, Divisor.all_ones(g))
         assert report.rank == 2
-        assert len(calls) == (1 if family == "house4" else 2)
+        assert len(calls) == 1
 
     def test_fixing_passes_stream_without_the_pool(self, monkeypatch):
         # Complete graphs and wheels find every witness among the
@@ -776,6 +781,102 @@ class TestSinglePass:
                 fixed = sorted(fixed_members(cert.subgroup, system), key=lambda e: e.coeffs)
                 assert (cert.e1, cert.e2) == tuple(fixed[:2]), (g, cert.vertex)
         assert positives > 0
+
+
+class TestRankFromTheTable:
+    """`classify_galois_points` reads r(d) = 2 off the probe table where
+    `rank` would walk for it, and asks `rank` first where its answer is
+    free or the cap needs it, or where the table shows that r(d) is not
+    2.  Every report must carry rank(g, d, cap), or refuse with the
+    text that `rank` refuses with, at the caps on either side of the
+    table's C(n+3, n) - 1 probes; and every certificate must pass
+    `audit_certificate`, which derives each verdict by `rank` alone."""
+
+    @staticmethod
+    def _divisors(rng):
+        # Every effective divisor of degree 3..g+2 on six graphs, and 100
+        # random ones of degree 2..g+3, just past the table's degrees on
+        # either side, with a negative coefficient on random bridgeless
+        # graphs.
+        from itertools import combinations_with_replacement
+
+        for spec in ["house4", "cycle:5", "complete:4", "complete:5", "wheel:5", "wheel:6"]:
+            g = generate(spec)
+            n = len(g.vertices)
+            for k in range(3, genus(g) + 3):
+                for e in combinations_with_replacement(range(n), k):
+                    yield g, Divisor.from_coeffs(g, [e.count(v) for v in range(n)])
+        drawn = 0
+        while drawn < 100:
+            g = oracles.random_connected_graph(rng, rng.randint(4, 7))
+            if not is_two_edge_connected(g):
+                continue
+            d = Divisor.from_coeffs(g, [rng.randint(-2, 3) for _ in g.vertices])
+            if 2 <= d.degree <= genus(g) + 3 and not d.is_effective:
+                drawn += 1
+                yield g, d
+
+    def test_reports_match_rank_and_pass_the_audit(self, monkeypatch):
+        import functools
+        from math import comb
+
+        import graphdivisors.galois as galois
+        from graphdivisors import EnumerationCapExceededError
+
+        real_rank, real_rows = galois.rank, galois._probe_rows
+        # This test and the audit ask rank of the same divisors again and
+        # again; a memo of `rank` serves both.
+        memo = functools.lru_cache(maxsize=None)(real_rank)
+        asked = []
+
+        def counting_rank(g, d, cap=None):
+            asked.append("rank")
+            return real_rank(g, d, cap)
+
+        def counting_rows(g, d, rows, cap=None):
+            asked.append("table")
+            return real_rows(g, d, rows, cap)
+
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except EnumerationCapExceededError as exc:
+                return str(exc)
+
+        monkeypatch.setattr(galois, "rank", counting_rank)
+        monkeypatch.setattr(galois, "_probe_rows", counting_rows)
+        reports, paths = [], Counter()
+        for g, d in self._divisors(random.Random(47)):
+            table = comb(len(g.vertices) + 3, 3) - 1
+            asked.clear()
+            report = classify_galois_points.__wrapped__(g, d)
+            assert report.rank == memo(g, d), (g, d)
+            # The table first exactly where rank would walk for r(d) = 2.
+            # It settles r(d) = 2 and rank any other r(d); else the other
+            # follows: rank for the exact r, or the table for the rows.
+            gen = genus(g)
+            first = "table" if 3 <= d.degree <= min(2 * gen - 2, gen + 2) else "rank"
+            two = report.rank == 2
+            settled = two == (first == "table")
+            assert asked == ([first] if settled else [first, "table" if two else "rank"]), (g, d)
+            paths[first, two] += 1
+            reports.append(report)
+            for cap in (table - 1, table):
+                got, want = outcome(classify_galois_points.__wrapped__, g, d, cap), outcome(memo, g, d, cap)
+                if isinstance(got, str) and not isinstance(want, str):
+                    # The witness search refuses the linear system of d - p.
+                    assert want == 2 and got.startswith(f"linear system of degree {d.degree - 1} "), (g, d, cap)
+                else:
+                    assert got == (want if isinstance(want, str) else report), (g, d, cap)
+                    assert isinstance(want, str) or want == report.rank
+                paths["refused"] += isinstance(want, str)
+        # Every path is taken, and some rank calls refuse.
+        assert all(paths[first, two] for first in ("table", "rank") for two in (True, False)), paths
+        assert paths["refused"], paths
+        monkeypatch.setattr(galois, "rank", memo)
+        for report in reports:
+            for cert in report.certificates:
+                assert audit_certificate(report.graph, report.divisor, cert) == [], cert
 
 
 def _rank_two_corpus_graphs(n):
@@ -944,7 +1045,7 @@ class TestTwinCarry:
             if isinstance(cert.reason, (RankNotTwo, Cond1Fail, Cond2Fail)):
                 continue
             dp, _ = _reduce_coeffs(g, list((d - Divisor.vertex(g, cert.vertex)).coeffs), 0)
-            assert cert == galois._find_witness(g, cert.vertex, dp, None), (g, d, cert.vertex)
+            assert cert == galois._find_witness(g, cert.vertex, dp, None)[0], (g, d, cert.vertex)
             last = certs[i - 1] if i else None
             if last is None or isinstance(last.reason, (Cond1Fail, Cond2Fail)) or not _twins(g, d, i - 1, i):
                 continue
@@ -962,6 +1063,30 @@ class TestTwinCarry:
     def test_complete_graphs(self, n):
         g = generate(f"complete:{n}")
         assert self._check(g, Divisor.all_ones(g)) == {"positive": n - 1}
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_carried_members_need_no_walk(self, n, monkeypatch):
+        # A carried positive maps the twin's fixed members through the
+        # swap: the one member walk is P1's, and every certificate is the
+        # one each vertex's own witness search gives.
+        import graphdivisors.galois as galois
+
+        g = generate(f"complete:{n}")
+        d = Divisor.all_ones(g)
+        walks = []
+        real_members = galois._members
+
+        def counting(*args):
+            walks.append(args)
+            return real_members(*args)
+
+        monkeypatch.setattr(galois, "_members", counting)
+        carried = classify_galois_points.__wrapped__(g, d)
+        assert len(walks) == 1
+        monkeypatch.setattr(galois, "_twin_swap", lambda g, d, pi: None)
+        searched = classify_galois_points.__wrapped__(g, d)
+        assert len(walks) == 1 + n
+        assert carried == searched and carried.galois_count == n
 
     def test_every_labeled_graph_up_to_five_vertices(self):
         from graphdivisors import enumerate_corpus

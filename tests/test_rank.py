@@ -471,8 +471,8 @@ class TestWork:
         assert rank(g, d) == 2
         drops.clear()
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, cap: GaloisCertificate(p, False))
-        galois._certificates(g, d, g.vertices, None)
+                            lambda g, p, dp, cap: (GaloisCertificate(p, False), None))
+        galois._certificates(g, d, g.vertices, divisors._probe_rows(g, d, range(n)), None)
         assert len(drops) <= comb(n + 2, 3) - 1 + n
 
     @pytest.mark.parametrize(
@@ -492,7 +492,7 @@ class TestWork:
         rank(g, d)
         walked = len(drops)
         monkeypatch.setattr(galois, "_find_witness",
-                            lambda g, p, dp, cap: GaloisCertificate(p, False))
+                            lambda g, p, dp, cap: (GaloisCertificate(p, False), None))
         for p, row in zip(g.vertices, table):
             drops.clear()
             assert check_smoothness(g, d, p) == row, p
