@@ -319,7 +319,7 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool
     subsets = 1 << len(others)
     if subsets > capv:
         _refuse("the subset check", subsets, "subsets", capv)
-    masks = g._adj_masks
+    masks = [sum(1 << w for w in nbrs) for nbrs in g._adj]
     full = (1 << n) - 1
     for bits in range(1, subsets):
         smask = 0
@@ -791,14 +791,14 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
 
     The one-wave rule: at leaves (j + 1 >= bound) only a child's
     emptiness matters, since a nonempty child cannot lower the bound.
-    If red[0] >= deg(0) and v is a neighbour of vertex 0, the child is
-    not empty.  Off the base, sigma = deg - 1 - red is
-    recurrent, and sigma + e_v <= sigma + beta, where beta counts each
-    vertex's edges to vertex 0.  By Dhar's burning test (PRL 1990)
-    sigma + beta topples every vertex exactly once, and by the abelian
-    property a smaller configuration topples no vertex more often; so
-    in red - v each vertex borrows at most once, and the base loses at
-    most deg(0) chips.
+    If red[0] >= deg(0) and v is a neighbour of vertex 0, which the
+    order holds from position `split` on, the child is not empty.  Off
+    the base, sigma = deg - 1 - red is recurrent, and sigma + e_v <=
+    sigma + beta, where beta counts each vertex's edges to vertex 0.
+    By Dhar's burning test (PRL 1990) sigma + beta topples every vertex
+    exactly once, and by the abelian property a smaller configuration
+    topples no vertex more often; so in red - v each vertex borrows at
+    most once, and the base loses at most deg(0) chips.
 
     The cap counts the C(s+n, n) - 1 probes of degrees 1..s.  At the
     least s where that exceeds the cap, the refusal degree, the call
@@ -832,8 +832,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
         s = _refusal_degree(n, capv)
         bound = s - shift - 1
     adj = g._adj
-    deg0, near0 = len(adj[0]), g._adj_masks[0]
-    order = _fact(g, _walk_order)
+    deg0 = len(adj[0])
+    order, split = _fact(g, _walk_order)
     m = len(order)
     floor = d.degree - genus(g)
     while stack and bound > floor:
@@ -856,7 +856,7 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
                     continue
                 child = row[b].copy()
                 child[p] -= 1
-            elif wave and near0 >> v & 1:
+            elif wave and b >= split:
                 continue
             else:
                 child = _drop_chip(adj, red, v)
@@ -876,9 +876,10 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     return bound
 
 
-def _walk_order(g: "Graph") -> list[int]:
+def _walk_order(g: "Graph") -> tuple[list[int], int]:
     """The rank walk's order of the vertices off the base that it probes
-    (`_rank_walk`); a fact of g.
+    (`_rank_walk`), and the count of vertex 0's non-neighbours in it,
+    which come first; a fact of g.
 
     Those are the vertices of A off the base, a rank-determining set:
     ranks on g equal ranks on its metric graph (Hladký-Král'-Norine,
@@ -888,7 +889,7 @@ def _walk_order(g: "Graph") -> list[int]:
     vertices then joins two of those, an edge of the model, or closes
     on one, and keeps its lowest vertex so that the model has no loop.
     """
-    adj, near0 = g._adj, g._adj_masks[0]
+    adj, near0 = g._adj, set(g._adj[0])
     keep = [v == 0 or len(nbrs) != 2 for v, nbrs in enumerate(adj)]
     seen = keep.copy()
     for v in range(1, len(adj)):
@@ -903,7 +904,7 @@ def _walk_order(g: "Graph") -> list[int]:
             ends.append(w)
         keep[v] = ends[0] == ends[1]
     probed = [v for v in range(1, len(adj)) if keep[v]]
-    return sorted(probed, key=lambda v: (near0 >> v & 1, len(adj[v])))
+    return sorted(probed, key=lambda v: (v in near0, len(adj[v]))), sum(v not in near0 for v in probed)
 
 
 def _probe_rows(g: "Graph", d: Divisor, rows: Sequence[int],

@@ -409,10 +409,10 @@ def _twin_swap(g: Graph, d: Divisor, pi: int) -> tuple[int, ...] | None:
     """The transposition of vertices pi - 1 and pi when it is an
     automorphism of g that fixes d: the two have the same neighbours
     apart from each other, and the same coefficient.  Else None."""
-    a, masks = pi - 1, g._adj_masks
-    if d.coeffs[a] != d.coeffs[pi] or masks[a] & ~(1 << pi) != masks[pi] & ~(1 << a):
+    a, adj = pi - 1, g._adj
+    if d.coeffs[a] != d.coeffs[pi] or [v for v in adj[a] if v != pi] != [v for v in adj[pi] if v != a]:
         return None
-    t = list(range(len(masks)))
+    t = list(range(len(adj)))
     t[a], t[pi] = pi, a
     return tuple(t)
 

@@ -26,8 +26,10 @@ class Graph:
     """Undirected simple connected graph over string vertex labels.
 
     A graph keeps each edge once, as a sorted pair of vertex indices in
-    `_edges_idx`, which equality and the hash read, and as neighbours in
-    `_adj` and `_adj_masks`, which membership reads.  `_derived` holds
+    `_edges_idx`, which equality and the hash read, and as sorted
+    neighbour tuples in `_adj`, which everything else reads; the two
+    bit-parallel searches build their own masks from `_adj` per call,
+    so a graph takes memory linear in its size.  `_derived` holds
     the facts of the graph that the layers read again and again (the
     bridgeless verdict, the canonical divisor's coefficients
     `_canonical_coeffs`, the reduction's and the rank walk's tables),
@@ -41,7 +43,7 @@ class Graph:
     """
 
     __slots__ = (
-        "vertices", "edges", "_index", "_adj", "_adj_masks", "_edges_idx", "_hash", "_derived",
+        "vertices", "edges", "_index", "_adj", "_edges_idx", "_hash", "_derived",
     )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
@@ -55,8 +57,7 @@ class Graph:
             if index.setdefault(v, i) != i:
                 raise DuplicateVertexError(f"duplicate vertex {v!r}")
 
-        masks = [0] * len(verts)
-        edge_idx: list[tuple[int, int]] = []
+        pairs: set[tuple[int, int]] = set()
         for e in edges:
             pair = tuple(e)
             if len(pair) != 2:
@@ -70,12 +71,10 @@ class Graph:
             i, j = index[a], index[b]
             if i > j:
                 i, j = j, i
-            if masks[i] >> j & 1:
+            if (i, j) in pairs:
                 raise DuplicateEdgeError(f"duplicate edge {{{a!r}, {b!r}}}")
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-            edge_idx.append((i, j))
-        edge_idx.sort()
+            pairs.add((i, j))
+        edge_idx = sorted(pairs)
 
         # The pairs are sorted with i < j, so every list comes out sorted.
         adj: list[list[int]] = [[] for _ in verts]
@@ -87,7 +86,6 @@ class Graph:
         self.edges = tuple((verts[i], verts[j]) for i, j in edge_idx)
         self._index = index
         self._adj = tuple(map(tuple, adj))
-        self._adj_masks = tuple(masks)
         self._edges_idx = tuple(edge_idx)
         self._hash = hash((verts, self._edges_idx))
         self._derived: dict = {}
@@ -124,7 +122,8 @@ class Graph:
         return isinstance(v, str) and v in self._index
 
     def has_edge(self, u: str, v: str) -> bool:
-        return bool(self._adj_masks[self.index_of(u)] >> self.index_of(v) & 1)
+        nbrs = self._adj[self.index_of(u)]
+        return self.index_of(v) in nbrs
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self.vertices[w] for w in self._adj[self.index_of(v)])
@@ -134,17 +133,14 @@ class Graph:
 
     def edges_at(self, v: str) -> tuple[tuple[str, str], ...]:
         """Edges incident to v, in the canonical edge order."""
-        i = self.index_of(v)
-        return tuple(
-            (self.vertices[a], self.vertices[b])
-            for a, b in self._edges_idx
-            if a == i or b == i
-        )
+        i, verts = self.index_of(v), self.vertices
+        # The neighbours are sorted, so those below i come first.
+        return tuple((verts[w], verts[i]) if w < i else (verts[i], verts[w]) for w in self._adj[i])
 
     def edge_key(self, u: str, v: str) -> tuple[str, str]:
         """Canonical (index-ordered) form of an existing edge."""
         i, j = sorted((self.index_of(u), self.index_of(v)))
-        if not self._adj_masks[i] >> j & 1:
+        if j not in self._adj[i]:
             raise UnknownEndpointError(f"{{{u!r}, {v!r}}} is not an edge")
         return (self.vertices[i], self.vertices[j])
 
@@ -154,7 +150,11 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Graph":
-        """Build from {"vertices": [label, ...], "edges": [[u, v], ...]}."""
+        """Build from {"vertices": [label, ...], "edges": [[u, v], ...]}.
+
+        A graph with more than `MAX_FAMILY_SIZE` vertices or edges is
+        refused before anything is built.
+        """
         if not isinstance(obj, Mapping):
             raise ValueError(f"graph JSON must be an object, got {type(obj).__name__}")
         for key in ("vertices", "edges"):
@@ -162,6 +162,10 @@ class Graph:
                 raise ValueError(f"graph JSON has no {key!r} key")
             if not isinstance(obj[key], (list, tuple)):
                 raise ValueError(f"graph JSON {key!r} must be a list, got {type(obj[key]).__name__}")
+        n, m = len(obj["vertices"]), len(obj["edges"])
+        if max(n, m) > MAX_FAMILY_SIZE:
+            raise SizeCapExceededError(f"graph JSON is capped at {MAX_FAMILY_SIZE} vertices and edges, "
+                                       f"it has {n} vertices and {m} edges")
         for e in obj["edges"]:
             if not isinstance(e, (list, tuple)):
                 raise ValueError(f"graph JSON edge {e!r} must be a list of two vertex labels")
@@ -291,7 +295,7 @@ def _value_type(cls):
 _FAMILY_KINDS = {"complete": 3, "wheel": 5, "cycle": 3, "house4": None}
 
 # The most vertices, and the most edges, of a family member that
-# `generate` builds.
+# `generate` builds, and of a graph that `Graph.from_json` builds.
 MAX_FAMILY_SIZE = 50_000
 
 

@@ -294,8 +294,8 @@ def _automorphisms(g: Graph, m: int | None = None,
     no vertex together with a neighbour; given pin, only those fixing
     that vertex, and every c in `rest` must then fix it too.  The vertex
     cap `DEFAULT_AUTOMORPHISM_VERTEX_CAP`, read at the call, is checked
-    and the tables of g are built here, once for all the searches the
-    function starts.
+    and the tables of g, its adjacency bit masks among them, are built
+    here, once for all the searches the function starts.
 
     Exhaustive by construction: a backtracking search that gives vertex
     0, 1, ... its image in turn, smallest first, pruned to same-degree
@@ -327,7 +327,7 @@ def _automorphisms(g: Graph, m: int | None = None,
         raise SizeCapExceededError(
             f"automorphism search is capped at {cap} vertices, graph has {n}"
         )
-    masks = g._adj_masks
+    masks = [sum(1 << j for j in a) for a in g._adj]
     degrees = [len(a) for a in g._adj]
     lower = [[j for j in a if j < i or j == pin] for i, a in enumerate(g._adj)]
     identity = tuple(range(n))

@@ -597,11 +597,12 @@ class TestHarmonicDefinitionCap:
 
 
 class TestFamilySizeCap:
-    """A family member past `graphs.MAX_FAMILY_SIZE` vertices or edges is
-    refused before any graph is built: `Graph.__init__` calls are
-    counted, not timed."""
+    """A family member or `--graph` file past `graphs.MAX_FAMILY_SIZE`
+    vertices or edges is refused before any graph is built:
+    `Graph.__init__` calls are counted, not timed."""
 
-    def test_huge_cycle_is_refused_unbuilt(self, capsys, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
         built = []
         init = Graph.__init__
 
@@ -610,12 +611,32 @@ class TestFamilySizeCap:
             init(self, *args)
 
         monkeypatch.setattr(Graph, "__init__", counted)
+        return built
+
+    def test_huge_cycle_is_refused_unbuilt(self, capsys, built):
         size = "10000000000000000000000"
         code, out, err = run(capsys, "gen", "--family", f"cycle:{size}")
         assert (code, out, len(built)) == (2, "", 0)
         assert err == (f"error: graph family is capped at 50000 vertices and edges, "
                        f"cycle:{size} has {size} vertices and {size} edges\n")
         assert run(capsys, "gen", "--family", "cycle:4")[0] == 0 and len(built) == 1
+
+    @pytest.mark.parametrize("vertices, edges", [(50_001, 0), (3, 50_001)])
+    def test_huge_graph_file_is_refused_unbuilt(self, capsys, built, tmp_path, vertices, edges):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(vertices)],
+                                    "edges": [["v0", "v1"]] * edges}))
+        assert run(capsys, "rank", "--graph", str(path), "--divisor", "zero") == (
+            2, "", f"error: graph JSON is capped at 50000 vertices and edges, "
+                   f"it has {vertices} vertices and {edges} edges\n")
+        assert built == []
+
+    def test_graph_file_at_the_cap_is_built(self, capsys, built, tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(generate("cycle:50000").to_json()))
+        built.clear()
+        assert run(capsys, "rank", "--graph", str(path), "--divisor", "zero") == (0, "0\n", "")
+        assert len(built) == 1
 
 
 class TestOutOfMemory:

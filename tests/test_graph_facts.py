@@ -7,7 +7,8 @@ graph's `_derived` slot.  A fact must depend on the graph alone: read
 before a classification or after one, it is the same, and a report is
 the same whichever facts its graph already holds.  The guard tests read
 the sources with `ast`: only `graphs.py` names `_derived`, and a graph
-keeps its edges once, so nothing names the dropped `_edge_set`.
+keeps its adjacency once, so nothing names the dropped `_edge_set` or
+`_adj_masks`.
 """
 
 import ast
@@ -107,7 +108,17 @@ def test_only_graphs_names_the_fact_store():
     assert modules_naming(sorted(PACKAGE.glob("*.py")), "_derived") == ["graphs.py"]
 
 
-def test_nothing_names_an_edge_set():
+def other_sources():
+    """The package's modules and every test module but this one."""
     here = Path(__file__).name
-    paths = sorted(PACKAGE.glob("*.py")) + [p for p in sorted(TESTS.glob("*.py")) if p.name != here]
-    assert modules_naming(paths, "_edge_set") == []
+    return sorted(PACKAGE.glob("*.py")) + [p for p in sorted(TESTS.glob("*.py")) if p.name != here]
+
+
+def test_nothing_names_an_edge_set():
+    assert modules_naming(other_sources(), "_edge_set") == []
+
+
+def test_nothing_names_adjacency_masks():
+    # The searches that need bit masks build them from `_adj` per call.
+    assert modules_naming(other_sources(), "_adj_masks") == []
+    assert "_adj_masks" not in graphs.Graph.__slots__

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import graphdivisors.graphs as graphs
@@ -104,6 +106,70 @@ class TestBuildGraph:
         assert g1 == g2
         assert hash(g1) == hash(g2)
         assert g1 != generate("cycle:4")
+
+
+def bridgeless_atlas_graphs():
+    """One labeled graph per connected bridgeless class of networkx's
+    atlas, labels descending so that label order is not index order."""
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    for h in graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h) and not nx.has_bridges(h):
+            labels = [f"v{n - i}" for i in range(n)]
+            yield Graph(labels, [(labels[u], labels[v]) for u, v in h.edges()])
+
+
+class TestEdgeLookups:
+    """`has_edge`, `edge_key` and `edges_at` read the neighbour lists;
+    on every ordered pair of vertices they agree with `g.edges`."""
+
+    @staticmethod
+    def agree_with_edges(g):
+        edges = set(g.edges)
+        for u in g.vertices:
+            assert g.edges_at(u) == tuple(e for e in g.edges if u in e)
+            for v in g.vertices:
+                key = (u, v) if (u, v) in edges else (v, u) if (v, u) in edges else None
+                assert g.has_edge(u, v) == (key is not None)
+                if key is None:
+                    with pytest.raises(UnknownEndpointError, match="is not an edge"):
+                        g.edge_key(u, v)
+                else:
+                    assert g.edge_key(u, v) == key
+
+    @pytest.mark.parametrize("family", ["house4", "complete:5", "wheel:6"])
+    def test_families(self, family):
+        self.agree_with_edges(generate(family))
+
+    def test_bridgeless_atlas_classes(self):
+        count = 0
+        for g in bridgeless_atlas_graphs():
+            self.agree_with_edges(g)
+            count += 1
+        assert count > 100
+
+    def test_unknown_vertex_named_first(self):
+        g = generate("house4")
+        for call in (g.has_edge, g.edge_key):
+            with pytest.raises(UnknownVertexError, match="'Q1'"):
+                call("Q1", "Q2")
+
+
+def test_construction_memory_is_linear():
+    # Twice the cycle takes at most 2.6 times the traced peak; adjacency
+    # kept in Θ(n²) bits took about 3.5 times, and 189 MiB at 50,000.
+    peaks = []
+    for n in (25_000, 50_000):
+        tracemalloc.start()
+        try:
+            generate(f"cycle:{n}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.6 * peaks[0], peaks
+    assert peaks[1] <= 64 * 2**20, peaks
 
 
 class TestFamilies:
@@ -276,8 +342,10 @@ class TestJson:
      "graph family is capped at 50000 vertices and edges, complete:317 has 317 vertices and 50086 edges"),
     (lambda: generate("wheel:25002"), SizeCapExceededError,
      "graph family is capped at 50000 vertices and edges, wheel:25002 has 25002 vertices and 50002 edges"),
+    (lambda: Graph.from_json({"vertices": [str(i) for i in range(50_001)], "edges": []}),
+     SizeCapExceededError, "graph JSON is capped at 50000 vertices and edges, it has 50001 vertices and 0 edges"),
 ], ids=["no vertices", "non-edge key", "size not an integer", "unknown family", "house4 with a size",
-        "complete past the size cap", "wheel past the size cap"])
+        "complete past the size cap", "wheel past the size cap", "graph JSON past the size cap"])
 def test_input_checks(make, error, message):
     # Each refusal names what it refuses, as `errors` promises.
     with pytest.raises(error) as exc:

@@ -2,10 +2,10 @@
 search, `symmetry._automorphisms`, and every bound or prune on them
 lives in it.
 
-The search is the only code in `symmetry.py` that reads a graph's
-adjacency bit masks, `_adj_masks`, so a second enumerator beside it
-would show up as a second reader.  This test reads the module with
-`ast` instead of running it.
+The search is the only code in `symmetry.py` that builds adjacency bit
+masks, and it holds every left shift in the module, so a second
+enumerator beside it would show up as a second function that shifts.
+This test reads the module with `ast` instead of running it.
 """
 
 import ast
@@ -16,10 +16,9 @@ import graphdivisors
 SYMMETRY = Path(graphdivisors.__file__).parent / "symmetry.py"
 
 
-def functions_reading(tree, attribute):
+def functions_shifting(tree):
     """The top-level names of the functions and methods under the ast
-    node tree whose bodies, nested functions included, read `attribute`
-    of some object."""
+    node tree whose bodies, nested functions included, shift left."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -30,7 +29,8 @@ def functions_reading(tree, attribute):
         else:
             continue
         for name, fn in owners:
-            if any(isinstance(x, ast.Attribute) and x.attr == attribute for x in ast.walk(fn)):
+            if any(isinstance(x, (ast.BinOp, ast.AugAssign)) and isinstance(x.op, ast.LShift)
+                   for x in ast.walk(fn)):
                 found.add(name)
     return found
 
@@ -39,17 +39,18 @@ def test_the_guard_finds_readers_in_nested_functions_and_methods():
     source = (
         "def outer(g):\n"
         "    def inner():\n"
-        "        return g._adj_masks\n"
+        "        return [sum(1 << j for j in a) for a in g._adj]\n"
         "    return inner\n"
         "def other(g):\n"
         "    return g._adj\n"
         "class C:\n"
-        "    def method(self, g):\n"
-        "        return g._adj_masks\n"
+        "    def method(self, g, mask):\n"
+        "        mask <<= 1\n"
+        "        return mask\n"
     )
-    assert functions_reading(ast.parse(source), "_adj_masks") == {"outer", "C.method"}
+    assert functions_shifting(ast.parse(source)) == {"outer", "C.method"}
 
 
 def test_one_function_reads_the_adjacency_masks():
     tree = ast.parse(SYMMETRY.read_text(encoding="utf-8"), filename=str(SYMMETRY))
-    assert functions_reading(tree, "_adj_masks") == {"_automorphisms"}
+    assert functions_shifting(tree) == {"_automorphisms"}
