@@ -43,7 +43,6 @@ ValueError for anything else.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb
 from operator import mul, neg
 from typing import Iterable, Mapping, Sequence
@@ -269,8 +268,8 @@ def canonical_divisor(g: "Graph") -> Divisor:
     return Divisor.from_coeffs(g, _fact(g, _canonical_coeffs))
 
 
-def _canonical_coeffs(g: "Graph") -> tuple[int, ...]:
-    return tuple(len(nbrs) - 2 for nbrs in g._adj)
+def _canonical_coeffs(adj) -> tuple[int, ...]:
+    return tuple(len(nbrs) - 2 for nbrs in adj)
 
 
 def _function_values(g: "Graph", f) -> tuple[int, ...]:
@@ -336,9 +335,9 @@ def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool
     return True
 
 
-def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adjugate, determinant) of the Laplacian with vertex 0's row and
-    column removed; a fact of g.
+def _laplacian_adjugate(adj) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adjugate, determinant) of the Laplacian of the graph with
+    adjacency lists adj, vertex 0's row and column removed; a fact.
 
     The determinant is the number of spanning trees (Kirchhoff).  The
     matrix is symmetric positive definite for a connected graph, so every
@@ -346,7 +345,6 @@ def _laplacian_adjugate(g: "Graph") -> tuple[tuple[tuple[int, ...], ...], int]:
     (Bareiss) needs no pivoting; every division in it is exact.  It ends
     with det times the identity on the left and the adjugate on the right.
     """
-    adj = g._adj
     m = len(adj) - 1
     rows = []
     for i in range(m):
@@ -393,28 +391,23 @@ def _debt_needs(table, coeffs: list[int]) -> list[int]:
 
 
 def _clear_debt(table, needs: list[int], coeffs: list[int], fires: list[int]) -> None:
-    """Fire the balls of stage one, farthest shell first, each needs[k]
-    times (`_debt_needs`).
+    """Fire the balls of stage one, each needs[k] times (`_debt_needs`),
+    in one pass over the shells, farthest first.
 
     Firing the ball of the vertices nearer than shell k moves chips only
-    across the edges between shells k - 1 and k, so each need touches
-    those two shells alone.  A vertex lies in the ball of every shell
-    beyond its own, so its firing count is the running sum of their
-    needs, added once when the stage, working inwards, reaches its shell.
+    across the edges between shells k - 1 and k.  So a vertex v of
+    shell k gains needs[k] * nearer[v] and loses needs[k + 1] *
+    farther[v]; it lies in the ball of every shell beyond its own, so it
+    fires the sum of their needs.
     """
     shells, nearer, farther = table
     total = 0
-    for k in range(len(shells) - 1, 0, -1):
-        need = needs[k]
-        if need:
-            total += need
-            for v in shells[k]:
-                coeffs[v] += need * nearer[v]
-            for v in shells[k - 1]:
-                coeffs[v] -= need * farther[v]
-        if total:
-            for v in shells[k - 1]:
-                fires[v] += total
+    for k in range(len(shells) - 1, -1, -1):
+        need, outside = needs[k], needs[k + 1]
+        total += outside
+        for v in shells[k]:
+            coeffs[v] += need * nearer[v] - outside * farther[v]
+            fires[v] += total
 
 
 def _round_to_base(g: "Graph", coeffs: list[int], q: int, base_fires: int) -> list[int]:
@@ -725,11 +718,19 @@ def rank(g: "Graph", d: Divisor, cap: int | None = None) -> int:
 
 def _refusal_degree(n: int, capv: int) -> int:
     """The least s >= 1 whose C(s+n, n) - 1 probes of degrees 1..s on n
-    vertices exceed the cap: doubling, then bisection."""
-    hi = 1
+    vertices exceed the cap: doubling, then bisection on plain integers,
+    so s may pass `sys.maxsize`."""
+    lo, hi = 0, 1
     while comb(hi + n, n) - 1 <= capv:
-        hi *= 2
-    return bisect_left(range(hi), True, (hi + 1) // 2, key=lambda t: comb(t + n, n) - 1 > capv)
+        lo, hi = hi, 2 * hi
+    # The count exceeds the cap at hi and not at lo.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid + n, n) - 1 > capv:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -> int:
@@ -876,10 +877,10 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     return bound
 
 
-def _walk_order(g: "Graph") -> tuple[list[int], int]:
+def _walk_order(adj) -> tuple[list[int], int]:
     """The rank walk's order of the vertices off the base that it probes
     (`_rank_walk`), and the count of vertex 0's non-neighbours in it,
-    which come first; a fact of g.
+    which come first; a fact of the graph with adjacency lists adj.
 
     Those are the vertices of A off the base, a rank-determining set:
     ranks on g equal ranks on its metric graph (Hladký-Král'-Norine,
@@ -889,7 +890,7 @@ def _walk_order(g: "Graph") -> tuple[list[int], int]:
     vertices then joins two of those, an edge of the model, or closes
     on one, and keeps its lowest vertex so that the model has no loop.
     """
-    adj, near0 = g._adj, set(g._adj[0])
+    near0 = set(adj[0])
     keep = [v == 0 or len(nbrs) != 2 for v, nbrs in enumerate(adj)]
     seen = keep.copy()
     for v in range(1, len(adj)):

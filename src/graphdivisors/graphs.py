@@ -30,16 +30,18 @@ class Graph:
     neighbour tuples in `_adj`, which everything else reads; the two
     bit-parallel searches build their own masks from `_adj` per call,
     so a graph takes memory linear in its size.  `_derived` holds
-    the facts of the graph that the layers read again and again (the
-    bridgeless verdict, the canonical divisor's coefficients
-    `_canonical_coeffs`, the reduction's and the rank walk's tables),
-    each computed on its first read through `_fact`, which alone reads
-    and writes it.  Construction reads the BFS shell table of vertex 0
-    (`_shells`) to refuse a disconnected graph, so every reduction at
-    vertex 0 finds it kept.  Every entry depends on the vertices and
-    edges alone, so it is the same whoever computes it first: a graph
-    stays a value, equal and hashed by its vertices and edges, and is
-    still safe to share.
+    the facts of the graph that the layers read again and again: the
+    bridgeless verdict (`_bridgeless`), the canonical divisor's
+    coefficients (`_canonical_coeffs`), the BFS shells of each base
+    read (`_shells`), the reduction's adjugate (`_laplacian_adjugate`)
+    and the rank walk's order (`_walk_order`).  Each is computed on its
+    first read through `_fact`, which alone reads and writes it and
+    hands each builder the adjacency `_adj` alone.  Construction reads
+    the shell table of vertex 0 to refuse a disconnected graph, so
+    every reduction at vertex 0 finds it kept.  Every entry depends on
+    the adjacency alone, so it is the same whoever computes it first: a
+    graph stays a value, equal and hashed by its vertices and edges,
+    and is still safe to share.
     """
 
     __slots__ = (
@@ -172,8 +174,9 @@ class Graph:
         return cls(obj["vertices"], obj["edges"])
 
 
-def _shells(g: Graph, q: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """The BFS shells around base q, built in one pass; a fact of g per q.
+def _shells(adj, q: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The BFS shells around base q of the graph with adjacency lists
+    adj, built in one pass; a fact per q.
 
     Returns (shells, nearer, farther): the vertices at each distance from
     q, nearest first, and for every vertex its counts of neighbours one
@@ -181,7 +184,6 @@ def _shells(g: Graph, q: int) -> tuple[list[list[int]], list[int], list[int]]:
     consecutive shells is counted at both ends when the search first
     meets it from the nearer end.
     """
-    adj = g._adj
     n = len(adj)
     dist, nearer, farther = [-1] * n, [0] * n, [0] * n
     dist[q] = 0
@@ -204,15 +206,16 @@ def _shells(g: Graph, q: int) -> tuple[list[list[int]], list[int], list[int]]:
 
 
 def _fact(g: Graph, build, *args):
-    """The fact build(g, *args) of g, a value computed from the graph
-    alone and never None: the first read computes it and keeps it in
-    `g._derived` under (build, args), and every later read, from any
-    caller, returns the kept value.  This is the only code that reads or
-    writes `_derived`."""
+    """The fact build(g._adj, *args) of g, never None: a builder reads
+    the adjacency lists alone, so a fact depends only on the graph.  The
+    first read computes it and keeps it in `g._derived` under (build,
+    args), and every later read, from any caller, returns the kept
+    value; `Graph` lists the facts kept.  This is the only code that
+    reads or writes `_derived`."""
     key = (build, args)
     value = g._derived.get(key)
     if value is None:
-        value = g._derived[key] = build(g, *args)
+        value = g._derived[key] = build(g._adj, *args)
     return value
 
 
@@ -226,14 +229,11 @@ def is_two_edge_connected(g: Graph) -> bool:
 
     Connectivity is guaranteed by construction; a single-vertex graph is
     two-edge-connected vacuously.  Uses the usual DFS lowpoint scan
-    (`_bridgeless`), once per graph, so the exhaustive remove-one-edge
-    check stays available as an independent test oracle.
+    (`_bridgeless`) on the adjacency lists, kept as a fact of g, so the
+    exhaustive remove-one-edge check stays available as an independent
+    test oracle.
     """
-    return _fact(g, _graph_bridgeless)
-
-
-def _graph_bridgeless(g: Graph) -> bool:
-    return _bridgeless(g._adj)
+    return _fact(g, _bridgeless)
 
 
 def _bridgeless(adj) -> bool:

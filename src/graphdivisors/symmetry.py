@@ -8,6 +8,7 @@ order so repeated runs are byte-identical.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import islice
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -419,10 +420,6 @@ def _vertex_orbits(h: Subgroup) -> list[list[int]]:
     return orbits
 
 
-def _divisors_of(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 def subgroups_of_order(full: Subgroup, m: int) -> tuple[Subgroup, ...]:
     """All subgroups of `full` with exactly m elements, sorted by their
     sorted element tuples.  Returns () whenever m does not divide the
@@ -555,10 +552,9 @@ def _harmonic_subgroups(g: Graph, m: int, pin: int | None = None) -> Iterator[fr
 
 def all_subgroups(full: Subgroup) -> tuple[Subgroup, ...]:
     """Every subgroup of `full`, ordered by size then elements."""
-    out: list[Subgroup] = []
-    for m in _divisors_of(len(full.perms)):
-        out.extend(subgroups_of_order(full, m))
-    return tuple(out)
+    order = len(full.perms)
+    return tuple(h for m in range(1, order + 1) if order % m == 0
+                 for h in subgroups_of_order(full, m))
 
 
 @_value_type
@@ -709,7 +705,7 @@ class GraphMorphism:
                     )
             else:
                 img = _target_edge(target, img)
-                ends = set(_edge_endpoints(img))
+                ends = set(img.endpoints if isinstance(img, EdgeClass) else img)
                 if ends != {u, v}:
                     raise InvalidMorphismError(
                         f"edge {{{e[0]!r}, {e[1]!r}}} maps to an edge with endpoints {sorted(ends)}, "
@@ -751,12 +747,6 @@ def _target_edge(target, value):
     return _source_edge_key(target, value)
 
 
-def _edge_endpoints(edge) -> tuple[str, str]:
-    if isinstance(edge, EdgeClass):
-        return edge.endpoints
-    return edge
-
-
 def is_harmonic_morphism(phi: GraphMorphism) -> bool:
     """True iff at every vertex the edge-preimage counts agree.
 
@@ -771,11 +761,8 @@ def is_harmonic_morphism(phi: GraphMorphism) -> bool:
         target_edges = phi.target.edges_at(w)
         if len(target_edges) < 2:
             continue
-        incident = phi.source.edges_at(v)
-        counts = []
-        for te in target_edges:
-            counts.append(sum(1 for e in incident if phi.edge_map[e] == te))
-        if len(set(counts)) > 1:
+        images = Counter(phi.edge_map[e] for e in phi.source.edges_at(v))
+        if len({images[te] for te in target_edges}) > 1:
             return False
     return True
 

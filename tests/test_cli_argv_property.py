@@ -2,7 +2,7 @@
 
 Each example is a real command on a tiny family or on a `--graph` file,
 with random flags and values: divisor and subgroup JSON, unknown
-vertices, caps including 0 and negatives, malformed and oversized graph
+vertices, caps including 0, negatives and 40 digits, malformed and oversized graph
 files.  An exit 2 leaves exactly one stderr line that holds `error:`.
 The example count comes from the hypothesis profile: tier-1 draws a
 few dozen, and the `ci` profile of `conftest.py` draws about 2,000.
@@ -55,14 +55,15 @@ DIVISOR = mostly(
               st.dictionaries(st.sampled_from(LABELS), st.integers(-3, 4), max_size=4).map(json.dumps)),
     st.sampled_from(["{", "[]", "null", '"P1"', "1", "", '{"P9": 1}', '{"": 1}', '{"a\\nb": 1}',
                      '{"P1": 1.5}', '{"P1": "1"}', '{"P1": true}', '{"P1": null}', '{"P1": [1]}',
-                     '{"P1": 10000000000000000000000, "P2": -5}']),
+                     '{"P1": 10000000000000000000000, "P2": -5}', json.dumps({"P1": 10**39})]),
 )
 SUBGROUP = mostly(
     st.lists(st.permutations(LABELS).map(lambda images: json.dumps(dict(zip(LABELS, images)))),
              max_size=2).map(lambda gens: f"[{', '.join(gens)}]"),
     st.sampled_from(["{", "null", "[{}]", '["P1"]', '[{"P1": 1}]', '[{"P1": "P9"}]', '[{"P1": "P1", "P2": "P1"}]']),
 )
-INTEGER = mostly(st.integers(-3, 30).map(str), st.sampled_from(["x", "", "1e3", "10000000000000000000000"]))
+INTEGER = mostly(st.integers(-3, 30).map(str),
+                 st.sampled_from(["x", "", "1e3", "10000000000000000000000", str(10**39)]))
 VALUES = {
     "--divisor": DIVISOR,
     "--divisor2": DIVISOR,

@@ -3,7 +3,9 @@
 `graphs._fact` computes a fact of a graph (the bridgeless verdict, the
 BFS shells of a base, the Laplacian adjugate, the rank walk's order, the
 canonical divisor's coefficients) on its first read and keeps it in the
-graph's `_derived` slot.  A fact must depend on the graph alone: read
+graph's `_derived` slot.  Each builder is handed the adjacency lists
+alone, so a fact can read nothing else.  A fact must depend on the
+graph alone: read
 before a classification or after one, it is the same, and a report is
 the same whichever facts its graph already holds.  The guard tests read
 the sources with `ast`: only `graphs.py` names `_derived`, and a graph
@@ -23,13 +25,15 @@ import graphdivisors.galois as galois
 import graphdivisors.graphs as graphs
 from graphdivisors import Divisor, VertexFunction, generate, laplacian_apply
 
+from test_graphs import bridgeless_atlas_graphs
+
 PACKAGE = Path(graphdivisors.__file__).parent
 TESTS = Path(__file__).parent
 
 
 def every_fact(g):
     """Every (build, args) fact of g that a classification can read."""
-    return ([(graphs._graph_bridgeless, ()), (divisors._canonical_coeffs, ()),
+    return ([(graphs._bridgeless, ()), (divisors._canonical_coeffs, ()),
              (divisors._laplacian_adjugate, ()), (divisors._walk_order, ())]
             + [(divisors._shells, (q,)) for q in range(len(g.vertices))])
 
@@ -81,6 +85,36 @@ def test_every_kept_fact_is_listed():
         assert set(g._derived) <= listed, set(g._derived) - listed
         builds |= {build for build, _ in g._derived}
     assert builds == {build for build, _ in every_fact(g)}
+
+
+def rebuilt_adjacency(g):
+    """g's sorted neighbour tuples, rebuilt from its vertices and edges."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[] for _ in g.vertices]
+    for u, v in g.edges:
+        nbrs[index[u]].append(index[v])
+        nbrs[index[v]].append(index[u])
+    return tuple(tuple(sorted(ws)) for ws in nbrs)
+
+
+def assert_builders_read_the_adjacency(g):
+    adj = rebuilt_adjacency(g)
+    for build, args in every_fact(g):
+        assert build(adj, *args) == graphs._fact(g, build, *args), build.__name__
+
+
+@pytest.mark.parametrize("spec", ["house4", "complete:5", "wheel:6"])
+def test_builders_read_only_the_adjacency(spec):
+    assert_builders_read_the_adjacency(generate(spec))
+
+
+def test_builders_read_only_the_adjacency_on_the_atlas():
+    count = 0
+    for g in bridgeless_atlas_graphs():
+        if 3 <= len(g) <= 6:
+            assert_builders_read_the_adjacency(g)
+            count += 1
+    assert count == 75  # the connected bridgeless classes on 3-6 vertices
 
 
 def named(tree):

@@ -160,6 +160,20 @@ class TestHugeChipCounts:
             DEFAULT_ENUMERATION_CAP,
         )
 
+    @pytest.mark.parametrize("cap", [10**30, 10**80])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_refusal_degree_past_the_machine_word(self, n, cap):
+        # On a tree r(cap·P1) = cap, past the refusal degree s, which
+        # passes sys.maxsize on one vertex at either cap and on two at
+        # 10^80: s is still the least degree whose probes exceed the cap.
+        labels = ["P1", "P2"][:n]
+        g = Graph(labels, [labels] if n == 2 else [])
+        with pytest.raises(EnumerationCapExceededError) as exc:
+            rank(g, cap * Divisor.vertex(g, "P1"), cap)
+        s = int(str(exc.value).split()[4])
+        assert comb(s + n, n) - 1 > cap >= comb(s - 1 + n, n) - 1
+        assert (exc.value.required, exc.value.cap) == (comb(s + n, n) - 1, cap)
+
 
 @st.composite
 def bridgeless_divisors(draw):

@@ -221,6 +221,39 @@ class TestBurningRounds:
             assert in_debt or is_q_reduced(g, Divisor.from_coeffs(g, coeffs), g.vertices[q])
 
 
+@st.composite
+def bridgeless_graph_and_divisor(draw):
+    """A random bridgeless graph on 3..7 vertices, each pair of vertices
+    an edge or not, and a divisor with coefficients in -10..10."""
+    n = draw(st.integers(3, 7))
+    labels = [f"P{i}" for i in range(1, n + 1)]
+    pairs = list(combinations(labels, 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    try:
+        g = Graph(labels, [p for p, keep in zip(pairs, kept) if keep])
+    except DisconnectedError:
+        assume(False)
+    assume(is_two_edge_connected(g))
+    coeffs = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
+    return g, Divisor.from_coeffs(g, coeffs)
+
+
+@given(bridgeless_graph_and_divisor())
+def test_stage_one_clears_every_debt_off_the_base(case):
+    # Stage one fired in bulk leaves no debt off q, fires q once per
+    # ball, and fires the input into its output.
+    g, d = case
+    for q in range(len(g)):
+        coeffs, fires = list(d.coeffs), [0] * len(g)
+        table = divisors._fact(g, divisors._shells, q)
+        needs = divisors._debt_needs(table, coeffs)
+        divisors._clear_debt(table, needs, coeffs, fires)
+        assert all(c >= 0 for v, c in enumerate(coeffs) if v != q)
+        fired = VertexFunction.from_values(g, [-f for f in fires])
+        assert Divisor.from_coeffs(g, coeffs) == d + laplacian_apply(g, fired)
+        assert fires[q] == sum(needs)
+
+
 def two_edge_connected(rng, n):
     """A labeled graph on n vertices, each edge kept with probability 1/2,
     redrawn until it is connected and bridgeless."""
@@ -353,7 +386,7 @@ def test_rank_probe_depth_is_not_bounded_by_the_call_stack(vertices, edges, k):
 @pytest.mark.parametrize("spec", ["house4", "cycle:5", "wheel:6", "complete:5"])
 def test_laplacian_adjugate(spec):
     g = generate(spec)
-    adjugate, det = divisors._laplacian_adjugate(g)
+    adjugate, det = divisors._laplacian_adjugate(g._adj)
     n = len(g)
     reduced = [row[1:] for row in oracles.laplacian_matrix(g)[1:]]
     for i in range(n - 1):
