@@ -1,17 +1,17 @@
 """Divisor arithmetic: Laplacian, reduced forms, linear systems, rank.
 
-Everything is exact integer arithmetic.  `is_q_reduced` checks the
-subset definition directly (2^(n-1) subsets) and serves as the reference
-oracle; `q_reduce` computes the unique reduced representative and is the
-fast path used by everything else.  It reads how often ball firings
-must clear debt (`_debt_needs`); with few chips off the base it fires
-them and finishes with Dhar's burning algorithm, firing each unburnt set
-in bulk.  With many it fires nothing first: it jumps from the divisor
-itself by the floor of the reduced Laplacian system's solution (the idea
-behind Baker-Shokrieh's polynomial-time reduction), which never passes
-the reduced form, and finishes by least borrowing (`_borrow`), one grain
-at a time: no burning round, and the borrowings are bounded by a fact of
-the graph, not by the chip count.
+Everything is exact integer arithmetic.  `is_q_reduced` is Dhar's
+burning test, the burn the reduction itself finishes with; the tests
+keep the subset definition (2^(n-1) subsets) as its oracle.  `q_reduce`
+computes the unique reduced representative.  It reads how often ball
+firings must clear debt (`_debt_needs`); with few chips off the base it
+fires them and finishes with Dhar's burning algorithm, firing each
+unburnt set in bulk.  With many it fires nothing first: it jumps from
+the divisor itself by the floor of the reduced Laplacian system's
+solution (the idea behind Baker-Shokrieh's polynomial-time reduction),
+which never passes the reduced form, and finishes by least borrowing
+(`_borrow`), one grain at a time: no burning round, and the borrowings
+are bounded by a fact of the graph, not by the chip count.
 The table of BFS shells around each base vertex, the
 reduced Laplacian's adjugate, the rank walk's vertex order (over a
 rank-determining set) and the canonical divisor's coefficients are
@@ -32,11 +32,11 @@ rank walk also reads a child off its parent's sibling when that
 sibling holds the parent's last chip, and settles a leaf next to a
 base holding at least its degree in chips without reducing it, since
 such an avalanche is one wave (Dhar's burning test).  The
-enumerating operations (`linear_system`, `rank`, `is_q_reduced`)
-refuse to start an enumeration above the cap; they never silently
-truncate.  Every refusal is raised by `_refuse`, one
-`EnumerationCapExceededError` of one shape, "<what> needs <required>
-<unit> (cap <cap>)", carrying `required` and `cap`.  A cap is None
+enumerating operations (`linear_system`, `rank`) refuse to start an
+enumeration above the cap; they never silently truncate.  Every
+refusal is raised by `_refuse`, one `EnumerationCapExceededError` of
+one shape, "<what> needs <required> <unit> (cap <cap>)", carrying
+`required` and `cap`.  A cap is None
 (the module limit) or a nonnegative int; `_resolve_cap` raises
 ValueError for anything else.
 """
@@ -299,40 +299,19 @@ def _check_bound(g: "Graph", d: Divisor) -> None:
         raise GraphMismatchError("divisor is bound to a different graph")
 
 
-def is_q_reduced(g: "Graph", d: Divisor, q: str, cap: int | None = None) -> bool:
-    """Check the definition of q-reducedness by direct subset enumeration.
+def is_q_reduced(g: "Graph", d: Divisor, q: str) -> bool:
+    """Whether d is q-reduced, by Dhar's burning test (Dhar, PRL 1990).
 
     d is q-reduced iff d(v) >= 0 for every v != q and every nonempty
-    subset S avoiding q contains a vertex with d(v) < outdeg_S(v).
-    This is the reference oracle; it is exponential in |V| on purpose,
-    and refuses up front when its 2^(n-1) subsets exceed the cap.
+    subset S avoiding q contains a vertex with d(v) < outdeg_S(v), that
+    is, iff d is nonnegative off q and fire started at q burns every
+    vertex; linear in the size of the graph.
     """
     _check_bound(g, d)
-    capv = _resolve_cap(cap)
     qi = g.index_of(q)
     coeffs = d.coeffs
-    n = len(coeffs)
-    others = [v for v in range(n) if v != qi]
-    if any(coeffs[v] < 0 for v in others):
-        return False
-    subsets = 1 << len(others)
-    if subsets > capv:
-        _refuse("the subset check", subsets, "subsets", capv)
-    masks = [sum(1 << w for w in nbrs) for nbrs in g._adj]
-    full = (1 << n) - 1
-    for bits in range(1, subsets):
-        smask = 0
-        members = []
-        rest = bits
-        while rest:
-            t = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            members.append(others[t])
-            smask |= 1 << others[t]
-        outside = full & ~smask
-        if not any(coeffs[v] < (masks[v] & outside).bit_count() for v in members):
-            return False
-    return True
+    return (all(c >= 0 for v, c in enumerate(coeffs) if v != qi)
+            and _dhar_unburnt(g._adj, coeffs, qi) is None)
 
 
 def _laplacian_adjugate(adj) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -342,30 +321,37 @@ def _laplacian_adjugate(adj) -> tuple[tuple[tuple[int, ...], ...], int]:
     The determinant is the number of spanning trees (Kirchhoff).  The
     matrix is symmetric positive definite for a connected graph, so every
     leading minor is positive and fraction-free Gauss-Jordan elimination
-    (Bareiss) needs no pivoting; every division in it is exact.  It ends
-    with det times the identity on the left and the adjugate on the right.
+    (Bareiss) of [L | I] needs no pivoting; every division in it is exact.
+    It ends with det times the identity on the left and the adjugate on
+    the right.  Each row keeps only its m live columns: the left ones not
+    yet eliminated, then the right ones filled so far.  Step k drops left
+    column k, zero off the pivot row from then on, and fills right column
+    k, where the pivot row's identity entry holds the previous pivot and
+    each other row gets (0 - factor * prev) / prev = -factor.
     """
     m = len(adj) - 1
     rows = []
     for i in range(m):
-        row = [0] * (2 * m)
+        row = [0] * m
         row[i] = len(adj[i + 1])
         for w in adj[i + 1]:
             if w:
                 row[w - 1] = -1
-        row[m + i] = 1
         rows.append(row)
     prev = 1
     for k in range(m):
         pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(m):
+        pivot = pivot_row[0]
+        tail = pivot_row[1:]
+        for i, row in enumerate(rows):
             if i != k:
-                row = rows[i]
-                factor = row[k]
-                rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
+                factor = row[0]
+                rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row[1:], tail)]
+                rows[i].append(-factor)
+        tail.append(prev)
+        rows[k] = tail
         prev = pivot
-    return tuple(tuple(row[m:]) for row in rows), prev
+    return tuple(map(tuple, rows)), prev
 
 
 def _debt_needs(table, coeffs: list[int]) -> list[int]:

@@ -5,8 +5,10 @@ and bridges are naive searches, linear equivalence solves the reduced
 Laplacian system exactly over the rationals, rank follows its
 definition and enumerates every probe, group enumeration filters raw
 permutations (networkx's VF2 matcher lists them from nine vertices up)
-or closes small generating sets, and `reduce_one_chip`
-reduces with a burning loop that fires one chip per round.
+or closes small generating sets, `is_q_reduced_by_subsets` checks
+q-reducedness by its definition over every subset avoiding q, and
+`reduce_one_chip` reduces with a burning loop that fires one chip per
+round.
 `rank_walk_spec` walks the rank probes in the order and by the rules
 that `divisors._rank_walk` documents, supported on the rank-determining
 set that `rank_determining_set` builds from its definition, but reduces
@@ -335,6 +337,37 @@ def _bfs_distances(adj, q: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def is_q_reduced_by_subsets(g: Graph, d: Divisor, q: str) -> bool:
+    """Check the definition of q-reducedness by direct subset enumeration.
+
+    d is q-reduced iff d(v) >= 0 for every v != q and every nonempty
+    subset S avoiding q contains a vertex with d(v) < outdeg_S(v).
+    Exponential in |V| on purpose: it walks all 2^(n-1) subsets.
+    """
+    qi = g.index_of(q)
+    coeffs = d.coeffs
+    n = len(coeffs)
+    others = [v for v in range(n) if v != qi]
+    if any(coeffs[v] < 0 for v in others):
+        return False
+    subsets = 1 << len(others)
+    masks = [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    full = (1 << n) - 1
+    for bits in range(1, subsets):
+        smask = 0
+        members = []
+        rest = bits
+        while rest:
+            t = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            members.append(others[t])
+            smask |= 1 << others[t]
+        outside = full & ~smask
+        if not any(coeffs[v] < (masks[v] & outside).bit_count() for v in members):
+            return False
+    return True
 
 
 def _dhar_unburnt(adj, coeffs, q: int):

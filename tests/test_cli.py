@@ -71,28 +71,29 @@ class TestQueryCommands:
         assert code == 0 and err == ""
         assert json.loads(out)["is_reduced"] is True
 
-    def test_reduce_self_check_skipped_past_cap(self, capsys):
-        # 2^23 subsets exceed the default cap: the check is skipped, not run.
+    def test_reduce_self_check_on_long_cycles(self, capsys):
+        # Dhar's burning test is linear: 2^23 subsets would have been
+        # walked on cycle:24, and no graph is too large for the check.
         argv = ("reduce", "--family", "cycle:24", "--divisor", "all-ones")
         code, out, err = run(capsys, *argv, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["is_reduced"] is None
-        assert err == "note: is_reduced not checked: the subset check needs 8388608 subsets (cap 5000000)\n"
+        assert code == 0 and err == ""
+        assert json.loads(out)["is_reduced"] is True
         code, out, err = run(capsys, *argv)
-        assert code == 0 and out == "23·P1 + 1·P13\n"
-        assert err.startswith("note: ") and err.count("\n") == 1
-        code, out, err = run(capsys, "reduce", "--family", "cycle:6", "--divisor", "all-ones",
-                             "--cap", "31", "--format", "json")
-        assert code == 0 and json.loads(out)["is_reduced"] is None and "(cap 31)" in err
+        assert (code, out, err) == (0, "23·P1 + 1·P13\n", "")
+        code, out, err = run(capsys, "reduce", "--family", "cycle:50000", "--divisor", "zero",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["is_reduced"] is True
 
-    def test_reduce_reads_the_one_enumeration_cap(self, capsys, monkeypatch):
-        # The limit has one name, in `divisors`, read at the call.
+    def test_reduce_reads_no_enumeration_cap(self, capsys, monkeypatch):
+        # The limit has one name, in `divisors`, and the self-check does
+        # not read it.
         assert not hasattr(graphdivisors, "DEFAULT_ENUMERATION_CAP")
         monkeypatch.setattr(graphdivisors.divisors, "DEFAULT_ENUMERATION_CAP", 31)
         code, out, err = run(capsys, "reduce", "--family", "cycle:6", "--divisor", "all-ones",
                              "--format", "json")
-        assert code == 0 and json.loads(out)["is_reduced"] is None
-        assert err == "note: is_reduced not checked: the subset check needs 32 subsets (cap 31)\n"
+        assert code == 0 and err == ""
+        assert json.loads(out)["is_reduced"] is True
 
     def test_rank_two_thousand_chips_on_one_vertex(self, capsys, tmp_path):
         path = tmp_path / "point.json"

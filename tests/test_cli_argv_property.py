@@ -4,6 +4,8 @@ Each example is a real command on a tiny family or on a `--graph` file,
 with random flags and values: divisor and subgroup JSON, unknown
 vertices, caps including 0, negatives and 40 digits, malformed and oversized graph
 files.  An exit 2 leaves exactly one stderr line that holds `error:`.
+A few fixed argvs that the draw reaches rarely or never go through the
+same checks and must give their exit code.
 The example count comes from the hypothesis profile: tier-1 draws a
 few dozen, and the `ci` profile of `conftest.py` draws about 2,000.
 """
@@ -80,27 +82,39 @@ STRAY_FLAGS = sorted(VALUES) + ["--bogus"]
 
 
 @pytest.fixture(scope="module")
-def graph_file(tmp_path_factory):
-    """The paths of the graph files, written once, mostly good ones; a
-    bad one may also be a missing file, a directory or not UTF-8."""
+def folder(tmp_path_factory):
+    """A folder holding the graph files, written once."""
     folder = tmp_path_factory.mktemp("graphs")
     for name, text in {**GOOD_GRAPH_FILES, **BAD_GRAPH_FILES}.items():
         (folder / name).write_text(text, encoding="utf-8")
     (folder / "latin1.json").write_bytes(b"\xff\xfe")
+    return folder
+
+
+@pytest.fixture(scope="module")
+def graph_file(folder):
+    """The paths of the graph files, mostly good ones; a bad one may
+    also be a missing file, a directory or not UTF-8."""
     return mostly(st.sampled_from([str(folder / name) for name in GOOD_GRAPH_FILES]),
                   st.sampled_from([str(folder / name) for name in BAD_GRAPH_FILES]
                                   + [str(folder / "latin1.json"), str(folder / "missing.json"), str(folder)]))
 
 
 def run(argv):
-    """(exit code, stderr) of `main(argv)`; argparse's exits included."""
+    """The exit code of `main(argv)`, argparse's exits included, once it
+    is 0, 1 or 2, with no traceback, and an exit 2 with one `error:` line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    return code
 
 
 @given(st.data())
@@ -121,8 +135,22 @@ def test_main_exits_cleanly_on_any_argv(graph_file, data):
         flags.append(data.draw(st.sampled_from(STRAY_FLAGS)))
     for flag in flags:
         argv += [flag, data.draw(VALUES.get(flag, st.just("1")))]
-    code, err = run(argv)
-    assert code in (0, 1, 2), (argv, code, err)
-    assert "Traceback" not in err, (argv, err)
-    if code == 2:
-        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    run(argv)
+
+
+POINT_WALK = ["--graph", "point.json", "--divisor", json.dumps({"P1": 10**39}), "--cap", str(10**39)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank"] + POINT_WALK, 2),
+    (["rr-check"] + POINT_WALK, 2),
+    (["reduce", "--family", "cycle:5", "--divisor", "all-ones", "--cap", "3"], 2),
+    (["reduce", "--family", "cycle:24", "--divisor", "all-ones", "--format", "json"], 0),
+], ids=["rank refusal degree past the machine word", "rr-check refusal degree past the machine word",
+        "reduce takes no cap", "reduce checks a long cycle"])
+def test_fixed_argvs(folder, argv, code):
+    # Argvs the random draw reaches rarely or never: a walk on the
+    # one-vertex graph whose refusal degree passes sys.maxsize, and the
+    # self-check of `reduce`, which reads no cap.
+    argv = [str(folder / text) if text.endswith(".json") else text for text in argv]
+    assert run(argv) == code
