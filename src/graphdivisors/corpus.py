@@ -70,9 +70,7 @@ def enumerate_corpus(n: int, cap: int | None = None) -> CorpusResult:
     first mask at which classifying each labeled graph would refuse.
     """
     if n > MAX_CORPUS_VERTICES:
-        raise SizeCapExceededError(
-            f"corpus sweep is capped at {MAX_CORPUS_VERTICES} vertices, got {n}"
-        )
+        raise SizeCapExceededError("corpus sweep", n, "vertices", MAX_CORPUS_VERTICES)
     if n < 3:
         raise ParameterOutOfRangeError(f"corpus sweep needs n >= 3, got {n}")
 

@@ -33,12 +33,11 @@ sibling holds the parent's last chip, and settles a leaf next to a
 base holding at least its degree in chips without reducing it, since
 such an avalanche is one wave (Dhar's burning test).  The
 enumerating operations (`linear_system`, `rank`) refuse to start an
-enumeration above the cap; they never silently truncate.  Every
-refusal is raised by `_refuse`, one `EnumerationCapExceededError` of
-one shape, "<what> needs <required> <unit> (cap <cap>)", carrying
-`required` and `cap`.  A cap is None
-(the module limit) or a nonnegative int; `_resolve_cap` raises
-ValueError for anything else.
+enumeration above the cap; they never silently truncate.  A refusal
+is an `EnumerationCapExceededError`, whose message, like that of every
+limit in the package, reads "<what> needs <required> <unit> (cap
+<cap>)".  A cap is None (the module limit) or a nonnegative int;
+`_resolve_cap` raises ValueError for anything else.
 """
 
 from __future__ import annotations
@@ -65,12 +64,6 @@ def _resolve_cap(cap: int | None) -> int:
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
         raise ValueError(f"cap must be a nonnegative integer, got {cap!r}")
     return cap
-
-
-def _refuse(what: str, required: int, unit: str, capv: int) -> None:
-    """Raise the one refusal of every enumeration past the cap."""
-    raise EnumerationCapExceededError(f"{what} needs {required} {unit} (cap {capv})",
-                                      required=required, cap=capv)
 
 
 class Divisor:
@@ -167,7 +160,7 @@ class Divisor:
         return Divisor.from_coeffs(self.graph, tuple(-a for a in self.coeffs))
 
     def __mul__(self, k):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             return NotImplemented
         return Divisor.from_coeffs(self.graph, tuple(k * a for a in self.coeffs))
 
@@ -581,7 +574,8 @@ def _require_enumerable(k: int, n: int, cap: int | None) -> None:
     capv = _resolve_cap(cap)
     size = comb(k + n - 1, n - 1)
     if size > capv:
-        _refuse(f"linear system of degree {k} on {n} vertices", size, "effective divisors", capv)
+        raise EnumerationCapExceededError(f"linear system of degree {k} on {n} vertices", size,
+                                          "effective divisors", capv)
 
 
 def linear_system(g: "Graph", d: Divisor, cap: int | None = None) -> frozenset[Divisor]:
@@ -794,7 +788,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
     out once, and only when the starting bound plus shift is past the
     cap (one `comb` test); the bound is then lowered to s - shift - 1.
     The walk never goes past that degree, and a final bound still there
-    refuses through `_refuse` whatever r is, while one below it is r.
+    refuses the probes of degrees 1..s whatever r is, while one below it
+    is r.
     With shift 0 that is the walk of d itself; `rank` walks K - d with
     shift deg(d) + 1 - g, so it refuses iff r(d) >= s - 1 and walks no
     further than the walk of d would.
@@ -859,7 +854,8 @@ def _rank_walk(g: "Graph", d: Divisor, cap: int | None = None, shift: int = 0) -
                 kids[b] = child
                 stack.append((child, b, j + 1, kids))
     if s is not None and bound + shift >= s - 1:
-        _refuse(f"rank probe at degree {s}", comb(s + n, n) - 1, "effective divisors", capv)
+        raise EnumerationCapExceededError(f"rank probe at degree {s}", comb(s + n, n) - 1,
+                                          "effective divisors", capv)
     return bound
 
 

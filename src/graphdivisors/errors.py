@@ -45,17 +45,30 @@ class GraphMismatchError(GraphDivisorsError):
     pass
 
 
-class EnumerationCapExceededError(GraphDivisorsError):
-    """An enumeration would exceed the configured cap; nothing was computed."""
+class _CapExceededError(GraphDivisorsError):
+    """A step would need more than its limit allows; nothing was computed.
 
-    def __init__(self, message: str, required: int, cap: int):
-        super().__init__(message)
+    Every refusal reads "<what> needs <required> <unit> (cap <cap>)" and
+    keeps `required`, the least size known to be needed, and `cap`.  The
+    four parts are its args, so a copy or a pickle rebuilds it.
+    """
+
+    def __init__(self, what: str, required: int, unit: str, cap: int):
+        super().__init__(what, required, unit, cap)
         self.required = required
         self.cap = cap
 
+    def __str__(self) -> str:
+        what, required, unit, cap = self.args
+        return f"{what} needs {required} {unit} (cap {cap})"
 
-class SizeCapExceededError(GraphDivisorsError):
-    pass
+
+class EnumerationCapExceededError(_CapExceededError):
+    """An enumeration would exceed the configured cap."""
+
+
+class SizeCapExceededError(_CapExceededError):
+    """An input or a group is larger than a module limit."""
 
 
 class InvalidMorphismError(GraphDivisorsError):

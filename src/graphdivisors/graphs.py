@@ -166,8 +166,8 @@ class Graph:
                 raise ValueError(f"graph JSON {key!r} must be a list, got {type(obj[key]).__name__}")
         n, m = len(obj["vertices"]), len(obj["edges"])
         if max(n, m) > MAX_FAMILY_SIZE:
-            raise SizeCapExceededError(f"graph JSON is capped at {MAX_FAMILY_SIZE} vertices and edges, "
-                                       f"it has {n} vertices and {m} edges")
+            raise SizeCapExceededError("graph JSON", max(n, m), "vertices" if n >= m else "edges",
+                                       MAX_FAMILY_SIZE)
         for e in obj["edges"]:
             if not isinstance(e, (list, tuple)):
                 raise ValueError(f"graph JSON edge {e!r} must be a list of two vertex labels")
@@ -358,8 +358,7 @@ def generate(family: GraphFamily | str) -> Graph:
     # Every sized kind has at least as many edges as vertices.
     size = n * (n - 1) // 2 if kind == "complete" else 2 * (n - 1) if kind == "wheel" else n
     if size > MAX_FAMILY_SIZE:
-        raise SizeCapExceededError(f"graph family is capped at {MAX_FAMILY_SIZE} vertices and edges, "
-                                   f"{kind}:{n} has {n} vertices and {size} edges")
+        raise SizeCapExceededError(f"graph family {kind}:{n}", size, "edges", MAX_FAMILY_SIZE)
     labels = _labels(n)
     if kind == "complete":
         return Graph(labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)])

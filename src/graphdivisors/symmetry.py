@@ -201,10 +201,7 @@ class Subgroup:
         cap = factorial(DEFAULT_AUTOMORPHISM_VERTEX_CAP)
         closure = _closure(gens, len(graph.vertices), cap)
         if closure is None:
-            raise SizeCapExceededError(
-                f"subgroup generation is capped at {cap} elements "
-                f"({DEFAULT_AUTOMORPHISM_VERTEX_CAP}!), the generators give more"
-            )
+            raise SizeCapExceededError("subgroup generation", cap + 1, "elements", cap)
         return cls(graph, closure, _checked=True)
 
     @property
@@ -325,9 +322,7 @@ def _automorphisms(g: Graph, m: int | None = None,
     n = len(g.vertices)
     cap = DEFAULT_AUTOMORPHISM_VERTEX_CAP
     if n > cap:
-        raise SizeCapExceededError(
-            f"automorphism search is capped at {cap} vertices, graph has {n}"
-        )
+        raise SizeCapExceededError("automorphism search", n, "vertices", cap)
     masks = [sum(1 << j for j in a) for a in g._adj]
     degrees = [len(a) for a in g._adj]
     lower = [[j for j in a if j < i or j == pin] for i, a in enumerate(g._adj)]
@@ -781,9 +776,7 @@ def _definition_group(g: Graph) -> Subgroup:
     cap = DEFAULT_HARMONIC_DEFINITION_CAP
     perms = frozenset(islice(_automorphisms(g)(), cap + 1))
     if len(perms) > cap:
-        raise SizeCapExceededError(
-            f"definition mode enumerates all subgroups; group order is larger than the cap {cap}"
-        )
+        raise SizeCapExceededError("definition mode", cap + 1, "group elements", cap)
     return Subgroup(g, perms, _checked=True)
 
 
@@ -807,10 +800,7 @@ def acts_harmonically(g: Graph, h: Subgroup, mode: str = "criterion") -> bool:
     if mode == "definition":
         cap = DEFAULT_HARMONIC_DEFINITION_CAP
         if len(h.perms) > cap:
-            raise SizeCapExceededError(
-                f"definition mode enumerates all subgroups; group order {len(h.perms)} "
-                f"exceeds the cap {cap}"
-            )
+            raise SizeCapExceededError("definition mode", len(h.perms), "group elements", cap)
         for sub in all_subgroups(h):
             if not is_harmonic_morphism(QuotientGraph(g, sub).projection):
                 return False

@@ -514,7 +514,7 @@ class TestUsageErrors:
             code, out, err = run(capsys, command, "--family", "complete:5",
                                  "--subgroup", json.dumps([swap, cycle]))
             assert code == 2 and out == ""
-            assert err == "error: subgroup generation is capped at 24 elements (4!), the generators give more\n"
+            assert err == "error: subgroup generation needs 25 elements (cap 24)\n"
 
     @pytest.mark.parametrize("command", ["gen", "equiv", "aut", "subgroups --order 3", "quotient", "harmonic"])
     def test_cap_only_on_commands_that_use_it(self, capsys, command):
@@ -551,20 +551,20 @@ class TestHarmonicDefinitionCap:
     def test_refused_after_at_most_cap_plus_one_elements(self, capsys, drawn):
         code, out, err = run(capsys, "harmonic", "--family", "complete:9", "--mode", "definition")
         assert code == 2 and out == ""
-        assert err == "error: definition mode enumerates all subgroups; group order is larger than the cap 48\n"
+        assert err == "error: definition mode needs 49 group elements (cap 48)\n"
         assert len(drawn) <= 49
 
     def test_cap_is_read_at_the_call(self, capsys, drawn, monkeypatch):
         monkeypatch.setattr(graphdivisors.symmetry, "DEFAULT_HARMONIC_DEFINITION_CAP", 10)
         code, out, err = run(capsys, "harmonic", "--family", "complete:4", "--mode", "definition")
         assert code == 2 and out == ""
-        assert err == "error: definition mode enumerates all subgroups; group order is larger than the cap 10\n"
+        assert err == "error: definition mode needs 11 group elements (cap 10)\n"
         assert len(drawn) <= 11
 
     def test_vertex_cap_refuses_first(self, capsys, drawn):
         code, out, err = run(capsys, "harmonic", "--family", "complete:11", "--mode", "definition")
         assert code == 2 and out == ""
-        assert err == "error: automorphism search is capped at 10 vertices, graph has 11\n"
+        assert err == "error: automorphism search needs 11 vertices (cap 10)\n"
         assert drawn == []
 
     # sha256 over the exit code, stdout and stderr, recorded while
@@ -588,7 +588,7 @@ class TestHarmonicDefinitionCap:
         code, out, err = run(capsys, "harmonic", "--family", "complete:5", "--mode", "definition",
                              "--subgroup", json.dumps([swap, cycle]))
         assert code == 2 and out == ""
-        assert err == "error: definition mode enumerates all subgroups; group order 120 exceeds the cap 48\n"
+        assert err == "error: definition mode needs 120 group elements (cap 48)\n"
         rot = json.dumps([{"P1": "P1", "P2": "P3", "P3": "P4", "P4": "P2"}])
         code, out, err = run(capsys, "harmonic", "--family", "complete:4", "--mode", "definition",
                              "--subgroup", rot, "--format", "json")
@@ -618,18 +618,17 @@ class TestFamilySizeCap:
         size = "10000000000000000000000"
         code, out, err = run(capsys, "gen", "--family", f"cycle:{size}")
         assert (code, out, len(built)) == (2, "", 0)
-        assert err == (f"error: graph family is capped at 50000 vertices and edges, "
-                       f"cycle:{size} has {size} vertices and {size} edges\n")
+        assert err == f"error: graph family cycle:{size} needs {size} edges (cap 50000)\n"
         assert run(capsys, "gen", "--family", "cycle:4")[0] == 0 and len(built) == 1
 
-    @pytest.mark.parametrize("vertices, edges", [(50_001, 0), (3, 50_001)])
-    def test_huge_graph_file_is_refused_unbuilt(self, capsys, built, tmp_path, vertices, edges):
+    @pytest.mark.parametrize("vertices, edges, needed", [(50_001, 0, "50001 vertices"), (3, 50_001, "50001 edges")],
+                             ids=["50001-0", "3-50001"])
+    def test_huge_graph_file_is_refused_unbuilt(self, capsys, built, tmp_path, vertices, edges, needed):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(vertices)],
                                     "edges": [["v0", "v1"]] * edges}))
         assert run(capsys, "rank", "--graph", str(path), "--divisor", "zero") == (
-            2, "", f"error: graph JSON is capped at 50000 vertices and edges, "
-                   f"it has {vertices} vertices and {edges} edges\n")
+            2, "", f"error: graph JSON needs {needed} (cap 50000)\n")
         assert built == []
 
     def test_graph_file_at_the_cap_is_built(self, capsys, built, tmp_path):

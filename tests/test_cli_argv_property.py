@@ -3,7 +3,9 @@
 Each example is a real command on a tiny family or on a `--graph` file,
 with random flags and values: divisor and subgroup JSON, unknown
 vertices, caps including 0, negatives and 40 digits, malformed and oversized graph
-files.  An exit 2 leaves exactly one stderr line that holds `error:`.
+files.  An exit 2 leaves exactly one stderr line that holds `error:`,
+and one that names a cap reads "error: <what> needs <required> <unit>
+(cap <cap>)", as every refusal in the package does.
 A few fixed argvs that the draw reaches rarely or never go through the
 same checks and must give their exit code.
 The example count comes from the hypothesis profile: tier-1 draws a
@@ -13,6 +15,7 @@ few dozen, and the `ci` profile of `conftest.py` draws about 2,000.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -79,6 +82,7 @@ VALUES = {
     "--mode": mostly(st.sampled_from(["criterion", "definition"]), st.just("x")),
 }
 STRAY_FLAGS = sorted(VALUES) + ["--bogus"]
+REFUSAL = re.compile(r"^error: .+ needs \d+ .+ \(cap \d+\)$")
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +118,8 @@ def run(argv):
     assert "Traceback" not in err, (argv, err)
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        refusals = [line for line in err.splitlines() if "error:" in line and "(cap " in line]
+        assert all(map(REFUSAL.match, refusals)), (argv, err)
     return code
 
 

@@ -191,7 +191,7 @@ def test_refused_past_the_automorphism_vertex_cap(command, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert out.err == "error: automorphism search is capped at 10 vertices, graph has 11\n"
+    assert out.err == "error: automorphism search needs 11 vertices (cap 10)\n"
 
 
 # sha256 over the exit code, stdout and stderr of argvs that argparse

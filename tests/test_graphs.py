@@ -339,11 +339,11 @@ class TestJson:
     (lambda: generate(GraphFamily("bogus", 3)), ValueError, "unknown graph family 'bogus'"),
     (lambda: generate(GraphFamily("house4", 9)), ValueError, "family 'house4' takes no parameter"),
     (lambda: generate("complete:317"), SizeCapExceededError,
-     "graph family is capped at 50000 vertices and edges, complete:317 has 317 vertices and 50086 edges"),
+     "graph family complete:317 needs 50086 edges (cap 50000)"),
     (lambda: generate("wheel:25002"), SizeCapExceededError,
-     "graph family is capped at 50000 vertices and edges, wheel:25002 has 25002 vertices and 50002 edges"),
+     "graph family wheel:25002 needs 50002 edges (cap 50000)"),
     (lambda: Graph.from_json({"vertices": [str(i) for i in range(50_001)], "edges": []}),
-     SizeCapExceededError, "graph JSON is capped at 50000 vertices and edges, it has 50001 vertices and 0 edges"),
+     SizeCapExceededError, "graph JSON needs 50001 vertices (cap 50000)"),
 ], ids=["no vertices", "non-edge key", "size not an integer", "unknown family", "house4 with a size",
         "complete past the size cap", "wheel past the size cap", "graph JSON past the size cap"])
 def test_input_checks(make, error, message):

@@ -107,7 +107,10 @@ VALUES = {
     lambda: D <= 1,
     lambda: 1 <= D,
     lambda: TURN * 1,
-], ids=["d + 1", "1 + d", "d - 1", "d * 1.5", "d >= 1", "d <= 1", "1 <= d", "sigma * 1"])
+    lambda: D * True,
+    lambda: True * D,
+], ids=["d + 1", "1 + d", "d - 1", "d * 1.5", "d >= 1", "d <= 1", "1 <= d", "sigma * 1", "d * True",
+        "True * d"])
 def test_other_operand_types_raise_type_error(operation):
     with pytest.raises(TypeError):
         operation()
